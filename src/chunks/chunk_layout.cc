@@ -19,6 +19,16 @@ DimensionChunkLayout::DimensionChunkLayout(
     begins.push_back(static_cast<int32_t>(dim_->cardinality(l)));
   }
   Validate();
+  chunk_of_value_.resize(chunk_begins_.size());
+  for (size_t l = 0; l < chunk_begins_.size(); ++l) {
+    const auto& begins = chunk_begins_[l];
+    auto& table = chunk_of_value_[l];
+    table.resize(static_cast<size_t>(begins.back()));
+    for (size_t c = 0; c + 1 < begins.size(); ++c) {
+      std::fill(table.begin() + begins[c], table.begin() + begins[c + 1],
+                static_cast<int32_t>(c));
+    }
+  }
 }
 
 DimensionChunkLayout DimensionChunkLayout::UniformValuesPerChunk(
@@ -42,14 +52,6 @@ int32_t DimensionChunkLayout::num_chunks(int level) const {
   AAC_CHECK(level >= 0 && level < dim_->num_levels());
   return static_cast<int32_t>(chunk_begins_[static_cast<size_t>(level)].size()) -
          1;
-}
-
-int32_t DimensionChunkLayout::ChunkOfValue(int level, int32_t value) const {
-  AAC_DCHECK(value >= 0 && value < dim_->cardinality(level));
-  const auto& begins = chunk_begins_[static_cast<size_t>(level)];
-  // Last begin <= value.
-  auto it = std::upper_bound(begins.begin(), begins.end(), value);
-  return static_cast<int32_t>(it - begins.begin()) - 1;
 }
 
 std::pair<int32_t, int32_t> DimensionChunkLayout::ValueRange(

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "schema/dimension.h"
+#include "util/check.h"
 
 namespace aac {
 
@@ -37,8 +38,15 @@ class DimensionChunkLayout {
   /// Number of chunks at `level`.
   int32_t num_chunks(int level) const;
 
-  /// Chunk containing `value` at `level`.
-  int32_t ChunkOfValue(int level, int32_t value) const;
+  /// Chunk containing `value` at `level`: one load from the level's
+  /// value->chunk table. `value` must be in `[0, cardinality(level))`;
+  /// callers check values where they enter (queries, fact tuples).
+  int32_t ChunkOfValue(int level, int32_t value) const {
+    AAC_DCHECK(level >= 0 && level < dim_->num_levels());
+    AAC_DCHECK(value >= 0 && value < dim_->cardinality(level));
+    return chunk_of_value_[static_cast<size_t>(level)]
+                          [static_cast<size_t>(value)];
+  }
 
   /// Value range [begin, end) covered by `chunk` at `level`.
   std::pair<int32_t, int32_t> ValueRange(int level, int32_t chunk) const;
@@ -70,6 +78,9 @@ class DimensionChunkLayout {
   const Dimension* dim_;
   // chunk_begins_[l] has num_chunks(l) + 1 entries; last == cardinality(l).
   std::vector<std::vector<int32_t>> chunk_begins_;
+  // chunk_of_value_[l][v]: the chunk of value v at level l, expanded from
+  // chunk_begins_[l] at construction.
+  std::vector<std::vector<int32_t>> chunk_of_value_;
 };
 
 }  // namespace aac

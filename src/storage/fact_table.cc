@@ -1,20 +1,45 @@
 #include "storage/fact_table.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "util/check.h"
 
 namespace aac {
 
+namespace {
+
+// Every value id of every cell must name a base value of its dimension:
+// chunk lookups and the measured size model index per-value tables with
+// these ids, unchecked in release builds.
+void CheckBaseValues(const Schema& schema, std::span<const Cell> cells) {
+  const int nd = schema.num_dims();
+  std::array<int64_t, kMaxDims> cards{};
+  for (int d = 0; d < nd; ++d) {
+    cards[static_cast<size_t>(d)] =
+        schema.dimension(d).cardinality(schema.base_level()[d]);
+  }
+  for (const Cell& c : cells) {
+    for (int d = 0; d < nd; ++d) {
+      const int32_t v = c.values[static_cast<size_t>(d)];
+      AAC_CHECK(v >= 0 && v < cards[static_cast<size_t>(d)]);
+    }
+  }
+}
+
+}  // namespace
+
 FactTable::FactTable(const ChunkGrid* grid, std::vector<Cell> cells)
     : grid_(grid), tuples_(std::move(cells)) {
   AAC_CHECK(grid_ != nullptr);
+  CheckBaseValues(grid_->schema(), tuples_);
   base_gb_ = grid_->lattice().base_id();
   Rebuild();
 }
 
 std::vector<ChunkId> FactTable::ApplyInserts(std::vector<Cell> cells) {
+  CheckBaseValues(grid_->schema(), cells);
   std::vector<ChunkId> affected;
   for (const Cell& c : cells) {
     affected.push_back(grid_->ChunkOfCell(base_gb_, c.values.data()));

@@ -18,7 +18,9 @@ class FactTable {
  public:
   /// Builds the table from raw base-level cells. Duplicate cells (same value
   /// ids) are combined by merging their aggregate state, so the table holds
-  /// one tuple per non-empty cell. `grid` must outlive the table.
+  /// one tuple per non-empty cell. Every value id must lie in
+  /// `[0, base cardinality)` of its dimension; the constructor and
+  /// `ApplyInserts` abort on any other. `grid` must outlive the table.
   FactTable(const ChunkGrid* grid, std::vector<Cell> cells);
 
   /// Appends new fact tuples (merging into existing cells) and re-clusters.

@@ -17,7 +17,20 @@ namespace aac {
 /// (e.g. APB-1's per-month records collapse 24x at the month roll-up). The
 /// cost-based strategies pick noticeably better paths with real sizes —
 /// this is the "estimated group-by sizes" the paper cites from [SDN98],
-/// done exactly. Construction costs one aggregation pass per group-by.
+/// done exactly.
+///
+/// Construction makes one flat pass over the fact tuples per group-by:
+/// each base value maps to its cell and chunk at the group-by's level
+/// through precomputed tables, and distinct cells are counted by
+/// test-and-set in a bitmap of the group-by's cell space when that space
+/// has at most 2^24 cells (2 MB), or by sorting one (cell, chunk) key per
+/// tuple otherwise. Both buffers are freed when construction ends; the
+/// model keeps only one count per chunk and per group-by.
+///
+/// The model is a snapshot of the table at set-up: `FactTable::ApplyInserts`
+/// does not refresh it. Its sizes steer path costs and benefit weights,
+/// never answers, so a stale count can cost a worse plan but not a wrong
+/// result.
 class MeasuredChunkSizeModel : public ChunkSizeModel {
  public:
   /// `grid` and `table` must outlive the model.

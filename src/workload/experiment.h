@@ -57,9 +57,13 @@ struct ExperimentConfig {
   /// more (e.g. 16) so concurrent queries rarely contend on one shard.
   int cache_shards = 1;
 
-  /// Use exact measured chunk sizes (one aggregation pass per group-by at
-  /// setup) instead of the analytic occupancy model. Improves cost-based
-  /// path choices on correlated data; see storage/measured_size_model.h.
+  /// Use exact measured chunk sizes instead of the analytic occupancy
+  /// model. Improves cost-based path choices on correlated data. Costs one
+  /// flat pass over the fact tuples per group-by at setup, counting cells
+  /// in a bitmap (at most 2 MB) or a sorted key array, both freed when the
+  /// model is built. The sizes are a setup snapshot that later inserts do
+  /// not refresh; they steer costs, never answers. See
+  /// storage/measured_size_model.h.
   bool measured_sizes = false;
 
   StrategyKind strategy = StrategyKind::kVcmc;

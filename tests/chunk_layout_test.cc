@@ -4,6 +4,7 @@
 
 #include "chunks/chunk_layout.h"
 #include "schema/dimension.h"
+#include "workload/apb_schema.h"
 
 namespace aac {
 namespace {
@@ -26,16 +27,35 @@ TEST(ChunkLayout, LastChunkMayBeSmaller) {
   EXPECT_EQ(layout.ChunkWidth(0, 2), 1);
 }
 
-TEST(ChunkLayout, ChunkOfValueAndValueRangeAreInverse) {
-  Dimension d = Dimension::Uniform("x", 2, {3, 2});
-  auto layout = DimensionChunkLayout::UniformValuesPerChunk(&d, {2, 3, 3});
+// Every value at every level lies in the value range of the chunk that
+// ChunkOfValue names for it.
+void ExpectChunkOfValueInvertsValueRange(const DimensionChunkLayout& layout) {
+  const Dimension& d = layout.dimension();
   for (int level = 0; level < d.num_levels(); ++level) {
     for (int32_t v = 0; v < d.cardinality(level); ++v) {
       const int32_t chunk = layout.ChunkOfValue(level, v);
+      ASSERT_GE(chunk, 0);
+      ASSERT_LT(chunk, layout.num_chunks(level));
       auto [b, e] = layout.ValueRange(level, chunk);
-      EXPECT_GE(v, b);
-      EXPECT_LT(v, e);
+      EXPECT_GE(v, b) << d.name() << " level " << level;
+      EXPECT_LT(v, e) << d.name() << " level " << level;
     }
+  }
+}
+
+TEST(ChunkLayout, ChunkOfValueAndValueRangeAreInverse) {
+  Dimension d = Dimension::Uniform("x", 2, {3, 2});
+  auto layout = DimensionChunkLayout::UniformValuesPerChunk(&d, {2, 3, 3});
+  ExpectChunkOfValueInvertsValueRange(layout);
+
+  // The non-uniform layout of NonUniformHierarchyAlignedBoundaries.
+  Dimension nonuniform("c", {"region", "store"}, 2, {{0, 0, 0, 1, 1}});
+  ExpectChunkOfValueInvertsValueRange(
+      DimensionChunkLayout(&nonuniform, {{0, 1}, {0, 3}}));
+
+  const ApbCube apb;
+  for (int dim = 0; dim < apb.schema().num_dims(); ++dim) {
+    ExpectChunkOfValueInvertsValueRange(apb.grid().layout(dim));
   }
 }
 

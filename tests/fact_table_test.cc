@@ -75,5 +75,35 @@ TEST(FactTable, MeasureSumPreserved) {
   EXPECT_NEAR(got, expected, 1e-9);
 }
 
+// Fact values are range-checked where they enter: a value outside its
+// dimension's base cardinality would otherwise index per-value tables out
+// of bounds in every later chunk lookup.
+TEST(FactTableDeathTest, NegativeValueAborts) {
+  TestCube cube = MakeSmallCube();
+  EXPECT_DEATH(FactTable(cube.grid.get(), {MakeCell(-1, 0, 1.0)}),
+               "AAC_CHECK");
+}
+
+TEST(FactTableDeathTest, ValueEqualToCardinalityAborts) {
+  TestCube cube = MakeSmallCube();
+  const auto time_card =
+      static_cast<int32_t>(cube.schema->dimension(1).cardinality(1));
+  EXPECT_DEATH(FactTable(cube.grid.get(), {MakeCell(0, time_card, 1.0)}),
+               "AAC_CHECK");
+}
+
+TEST(FactTableDeathTest, ApplyInsertsChecksValues) {
+  TestCube cube = MakeSmallCube();
+  FactTable table(cube.grid.get(), {MakeCell(0, 0, 1.0)});
+  const auto product_card =
+      static_cast<int32_t>(cube.schema->dimension(0).cardinality(2));
+  EXPECT_DEATH(table.ApplyInserts({MakeCell(0, -1, 1.0)}), "AAC_CHECK");
+  EXPECT_DEATH(table.ApplyInserts({MakeCell(product_card, 0, 1.0)}),
+               "AAC_CHECK");
+  // The largest valid values still go in.
+  table.ApplyInserts({MakeCell(product_card - 1, 0, 2.0)});
+  EXPECT_EQ(table.num_tuples(), 2);
+}
+
 }  // namespace
 }  // namespace aac
