@@ -157,7 +157,7 @@ ModeOutcome RunMode(const std::string& mode, const ExperimentConfig& config,
     rc_config.max_entry_fraction = 0.1;
     results.emplace(rc_config);
     exp.cache().AddListener(&*results);
-    exp.engine().set_result_cache(&*results);
+    exp.engine().Attach({.result_cache = &*results});
   }
   ModeOutcome out;
   out.mode = mode;
@@ -183,7 +183,7 @@ int CheckBitIdentity(const ExperimentConfig& config,
   rc_config.max_entry_fraction = 0.1;  // match RunMode
   ResultCache results(rc_config);
   warm.cache().AddListener(&results);
-  warm.engine().set_result_cache(&results);
+  warm.engine().Attach({.result_cache = &results});
   (void)RunWorkload(warm.engine(), stream);
 
   Experiment oracle(config);

@@ -28,8 +28,8 @@
 // must beat one_tier's hit rate strictly, at equal RAM, and tier
 // accounting must stay sound (ValidateInvariants on every tier).
 // --smoke shrinks sizes and writes no file unless --out is given;
-// tools/check.sh tiered runs exactly that under ASan/UBSan and TSan. The
-// full run writes BENCH_tiered.json (--out PATH overrides).
+// tools/check.sh bench-smoke runs exactly that under ASan/UBSan and TSan.
+// The full run writes BENCH_tiered.json (--out PATH overrides).
 
 #include <algorithm>
 #include <cstdint>

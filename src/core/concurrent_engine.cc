@@ -10,6 +10,8 @@ namespace aac {
 ConcurrentQueryEngine::ConcurrentQueryEngine(EngineFactory factory)
     : factory_(std::move(factory)) {
   AAC_CHECK(factory_ != nullptr);
+  layers_.single_flight = &single_flight_;
+  layers_.plan_cache = &rollup_plans_;
 }
 
 std::unique_ptr<QueryEngine> ConcurrentQueryEngine::Borrow() {
@@ -25,52 +27,36 @@ std::unique_ptr<QueryEngine> ConcurrentQueryEngine::Borrow() {
   // Build outside the lock: the factory may do nontrivial setup.
   std::unique_ptr<QueryEngine> engine = factory_();
   AAC_CHECK(engine != nullptr);
-  engine->set_single_flight(&single_flight_);
-  engine->set_rollup_plan_cache(&rollup_plans_);
-  if (shared_breaker_ != nullptr) engine->set_circuit_breaker(shared_breaker_);
-  if (result_cache_ != nullptr) engine->set_result_cache(result_cache_);
-  if (warm_tier_ != nullptr) engine->set_warm_tier(warm_tier_);
-  engine->set_morsel_pool(morsel_pool_.get());
+  engine->Attach(layers_);
   return engine;
 }
 
 void ConcurrentQueryEngine::ConfigureMorsels(int num_helpers) {
+  AAC_CHECK_EQ(engines_created(), 0);  // configure before the first query
   morsel_pool_ =
       num_helpers > 0 ? std::make_unique<MorselPool>(num_helpers) : nullptr;
-  // Rewire any engines already sitting in the pool (new ones are wired in
-  // Borrow).
-  MutexLock lock(pool_mutex_);
-  for (auto& engine : idle_) engine->set_morsel_pool(morsel_pool_.get());
+  layers_.morsel_pool = morsel_pool_.get();
 }
 
 void ConcurrentQueryEngine::ConfigureAdmission(const AdmissionConfig& config) {
   admission_ = std::make_unique<AdmissionController>(config);
-  admission_->set_circuit_breaker(shared_breaker_);
+  admission_->set_circuit_breaker(layers_.breaker);
 }
 
 void ConcurrentQueryEngine::set_shared_breaker(CircuitBreaker* breaker) {
-  shared_breaker_ = breaker;
+  AAC_CHECK_EQ(engines_created(), 0);  // configure before the first query
+  layers_.breaker = breaker;
   if (admission_ != nullptr) admission_->set_circuit_breaker(breaker);
-  // Rewire any engines already sitting in the pool (new ones are wired in
-  // Borrow).
-  MutexLock lock(pool_mutex_);
-  for (auto& engine : idle_) engine->set_circuit_breaker(breaker);
 }
 
 void ConcurrentQueryEngine::set_result_cache(ResultCache* result_cache) {
-  result_cache_ = result_cache;
-  // Rewire any engines already sitting in the pool (new ones are wired in
-  // Borrow).
-  MutexLock lock(pool_mutex_);
-  for (auto& engine : idle_) engine->set_result_cache(result_cache);
+  AAC_CHECK_EQ(engines_created(), 0);  // configure before the first query
+  layers_.result_cache = result_cache;
 }
 
 void ConcurrentQueryEngine::set_warm_tier(WarmTier* warm_tier) {
-  warm_tier_ = warm_tier;
-  // Rewire any engines already sitting in the pool (new ones are wired in
-  // Borrow).
-  MutexLock lock(pool_mutex_);
-  for (auto& engine : idle_) engine->set_warm_tier(warm_tier);
+  AAC_CHECK_EQ(engines_created(), 0);  // configure before the first query
+  layers_.warm_tier = warm_tier;
 }
 
 void ConcurrentQueryEngine::Return(std::unique_ptr<QueryEngine> engine) {

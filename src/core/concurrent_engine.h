@@ -33,7 +33,11 @@ namespace aac {
 /// All pooled engines share one SingleFlight group, so concurrent fetches
 /// of the same (group-by, chunk) collapse into a single backend call, and
 /// one RollupPlanCache, so ancestor-offset tables for the rollup kernel are
-/// built once per (from, to, chunk) instead of once per engine.
+/// built once per (from, to, chunk) instead of once per engine. Borrow
+/// attaches these and any layers set below to each engine it creates, in
+/// one QueryEngine::Attach call. A pool is configured before its first
+/// query: the layer setters abort once the pool has created an engine, so
+/// no engine can miss a layer.
 class ConcurrentQueryEngine {
  public:
   /// Builds one engine wired to the shared cache/strategy/backend. Must be
@@ -70,28 +74,27 @@ class ConcurrentQueryEngine {
   /// Shares one circuit breaker across every pooled engine (and the
   /// admission controller's breaker-open shedding), so all threads see the
   /// same backend-health signal instead of each engine tripping its own.
-  /// Call before concurrent use; the breaker must outlive the pool.
+  /// Call before the first query; the breaker must outlive the pool.
   void set_shared_breaker(CircuitBreaker* breaker);
 
   /// Shares one semantic result cache across every pooled engine, so any
   /// thread's finished fold can answer any other thread's equivalent query.
-  /// Call before concurrent use; the cache must outlive the pool. The
+  /// Call before the first query; the cache must outlive the pool. The
   /// caller also registers it as a chunk-cache listener for the
   /// replace-in-place staleness hook.
   void set_result_cache(ResultCache* result_cache);
 
   /// Shares one warm (compressed) tier across every pooled engine: any
   /// thread's hot-cache miss can promote a chunk some other thread's
-  /// eviction demoted. Call before concurrent use; the tier must outlive
+  /// eviction demoted. Call before the first query; the tier must outlive
   /// the pool. The caller installs the same tier as the hot cache's
   /// demotion sink.
   void set_warm_tier(WarmTier* warm_tier);
 
-  /// Creates a MorselPool of `num_helpers` helper threads and wires it
-  /// into every pooled engine: large dense folds go morsel-parallel across
+  /// Creates a MorselPool of `num_helpers` helper threads and attaches it
+  /// to every pooled engine: large dense folds go morsel-parallel across
   /// idle helpers (opportunistic borrow, batch-class cap — see
-  /// Aggregator::set_morsel_pool). Call before concurrent use; 0 disables
-  /// (and drops any existing pool, which must be idle).
+  /// Aggregator::set_morsel_pool). Call before the first query; 0 disables.
   void ConfigureMorsels(int num_helpers);
 
   /// The shared morsel pool, or nullptr when not configured.
@@ -129,10 +132,10 @@ class ConcurrentQueryEngine {
   SingleFlight single_flight_;
   RollupPlanCache rollup_plans_;
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<MorselPool> morsel_pool_;   // set before threads start
-  CircuitBreaker* shared_breaker_ = nullptr;  // set before threads start
-  ResultCache* result_cache_ = nullptr;       // set before threads start
-  WarmTier* warm_tier_ = nullptr;             // set before threads start
+  std::unique_ptr<MorselPool> morsel_pool_;
+  // Attached to every engine Borrow creates. The setters write it only
+  // while no engine exists (checked), so Borrow reads it unlocked.
+  EngineLayers layers_;
   std::atomic<int64_t> fold_arena_trims_{0};
   mutable Mutex pool_mutex_{LockRank::kEnginePool, "engine_pool"};
   std::vector<std::unique_ptr<QueryEngine>> idle_ AAC_GUARDED_BY(pool_mutex_);

@@ -47,6 +47,32 @@ const char* FetchAbortReasonName(FetchAbortReason reason) {
   return "?";
 }
 
+QueryCounters& QueryCounters::operator+=(const QueryCounters& other) {
+  chunks_requested += other.chunks_requested;
+  chunks_direct += other.chunks_direct;
+  chunks_aggregated += other.chunks_aggregated;
+  chunks_backend += other.chunks_backend;
+  chunks_coalesced += other.chunks_coalesced;
+  chunks_bypassed += other.chunks_bypassed;
+  chunks_unavailable += other.chunks_unavailable;
+  chunks_warm += other.chunks_warm;
+  chunks_disk += other.chunks_disk;
+  decode_ms += other.decode_ms;
+  tuples_aggregated += other.tuples_aggregated;
+  fold_ns += other.fold_ns;
+  backend_attempts += other.backend_attempts;
+  backend_retries += other.backend_retries;
+  cancel_checks += other.cancel_checks;
+  salvaged_chunks += other.salvaged_chunks;
+  sf_detached += other.sf_detached;
+  queue_wait_ms += other.queue_wait_ms;
+  lookup_ms += other.lookup_ms;
+  aggregation_ms += other.aggregation_ms;
+  backend_ms += other.backend_ms;
+  update_ms += other.update_ms;
+  return *this;
+}
+
 namespace {
 
 // First cause wins: a query that detached from a single-flight wait on
@@ -89,6 +115,24 @@ QueryEngine::QueryEngine(const ChunkGrid* grid, ChunkCache* cache,
   }
 }
 
+void QueryEngine::Attach(const EngineLayers& layers) {
+  const auto attach = [](auto*& slot, auto* layer) {
+    if (layer != nullptr) slot = layer;
+  };
+  attach(layers_.single_flight, layers.single_flight);
+  attach(layers_.plan_cache, layers.plan_cache);
+  attach(layers_.breaker, layers.breaker);
+  attach(layers_.result_cache, layers.result_cache);
+  attach(layers_.warm_tier, layers.warm_tier);
+  attach(layers_.morsel_pool, layers.morsel_pool);
+  if (layers.plan_cache != nullptr) {
+    aggregator_.set_plan_cache(layers.plan_cache);
+  }
+  if (layers.morsel_pool != nullptr) {
+    aggregator_.set_morsel_pool(layers.morsel_pool);
+  }
+}
+
 std::string QueryEngine::ExplainQuery(const Query& query) {
   const GroupById gb = grid_->lattice().IdOf(query.level);
   const std::vector<ChunkId> chunks = ChunksForQuery(*grid_, query);
@@ -116,7 +160,8 @@ std::string QueryEngine::ExplainQuery(const Query& query) {
     out += std::to_string(chunk);
     out += ": ";
     if (plan == nullptr) {
-      if (warm_tier_ != nullptr && warm_tier_->Contains(CacheKey{gb, chunk})) {
+      if (layers_.warm_tier != nullptr &&
+          layers_.warm_tier->Contains(CacheKey{gb, chunk})) {
         out += "MISS -> warm tier (promote)\n";
       } else {
         out += backend_trusted ? "MISS -> backend\n" : "MISS -> UNAVAILABLE\n";
@@ -278,12 +323,12 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   // the same chunk-aligned representation a cold execution produces, so
   // RefineResult rows are bit-identical. ---
   ResultCacheKey result_key;
-  if (result_cache_ != nullptr) {
+  if (layers_.result_cache != nullptr) {
     Stopwatch probe_timer;
     result_key = CanonicalResultKey(grid_->schema(), query);
     s.result_cache_probed = true;
     std::vector<ChunkData> cached_answer;
-    if (result_cache_->Probe(result_key, &cached_answer)) {
+    if (layers_.result_cache->Probe(result_key, &cached_answer)) {
       s.result_cache_hit = true;
       s.complete_hit = true;
       s.lookup_ms = probe_timer.ElapsedMillis();
@@ -422,7 +467,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   // hot cache. This phase deliberately runs even when the breaker is open:
   // a dark backend degrades to warm-tier-carried service, not
   // unavailability. ---
-  if (warm_tier_ != nullptr && !missing.empty() && !aborted) {
+  if (layers_.warm_tier != nullptr && !missing.empty() && !aborted) {
     Stopwatch promote_timer;
     std::vector<ChunkId> still_missing;
     still_missing.reserve(missing.size());
@@ -436,7 +481,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
         continue;
       }
       WarmProbeResult probe;
-      if (!warm_tier_->Probe(CacheKey{gb, chunk}, ctx, &probe)) {
+      if (!layers_.warm_tier->Probe(CacheKey{gb, chunk}, ctx, &probe)) {
         still_missing.push_back(chunk);
         continue;
       }
@@ -467,7 +512,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     missing.clear();
   }
   if (!missing.empty()) {
-    if (single_flight_ == nullptr) {
+    if (layers_.single_flight == nullptr) {
       std::vector<ChunkId> failed =
           FetchWithRetry(gb, std::move(missing), &backend_results, ctx, &s);
       result.unavailable.insert(result.unavailable.end(), failed.begin(),
@@ -482,7 +527,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
           follow;
       for (ChunkId chunk : missing) {
         std::shared_ptr<SingleFlight::Slot> slot =
-            single_flight_->JoinOrLead(CacheKey{gb, chunk});
+            layers_.single_flight->JoinOrLead(CacheKey{gb, chunk});
         if (slot == nullptr) {
           lead.push_back(chunk);
         } else {
@@ -495,15 +540,16 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
       std::vector<ChunkId> failed =
           FetchWithRetry(gb, lead, &backend_results, ctx, &s);
       for (const ChunkData& data : backend_results) {
-        single_flight_->Publish(CacheKey{gb, data.chunk}, data);
+        layers_.single_flight->Publish(CacheKey{gb, data.chunk}, data);
       }
       for (ChunkId chunk : failed) {
-        single_flight_->Fail(CacheKey{gb, chunk});
+        layers_.single_flight->Fail(CacheKey{gb, chunk});
       }
       std::vector<ChunkId> retry_self;
       for (auto& [chunk, slot] : follow) {
         ChunkData data;
-        switch (single_flight_->AwaitWithDeadline(*slot, *ctx, &data)) {
+        switch (
+            layers_.single_flight->AwaitWithDeadline(*slot, *ctx, &data)) {
           case SingleFlight::AwaitStatus::kOk:
             ++s.chunks_coalesced;
             coalesced_results.push_back(std::move(data));
@@ -572,7 +618,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   // recompute cost a future result-cache hit would save; tallied before
   // the fetched chunks are moved into the answer.
   double backend_cost_tuples = 0.0;
-  if (result_cache_ != nullptr) {
+  if (layers_.result_cache != nullptr) {
     for (const ChunkData& data : backend_results) {
       backend_cost_tuples += benefit_->BackendRecomputeTuples(gb, data.chunk);
     }
@@ -610,13 +656,13 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   // or built over a breaker-open view). The admission itself is cost-based
   // inside MaybeAdmit: the recompute cost is the fold work plus the
   // backend scan work a future hit avoids. ---
-  if (result_cache_ != nullptr && s.status == ResultStatus::kOk &&
+  if (layers_.result_cache != nullptr && s.status == ResultStatus::kOk &&
       result.unavailable.empty()) {
     Stopwatch admit_timer;
     const double recompute_cost =
         static_cast<double>(s.tuples_aggregated) + backend_cost_tuples;
-    s.result_cache_admitted =
-        result_cache_->MaybeAdmit(result_key, gb, result.chunks, recompute_cost);
+    s.result_cache_admitted = layers_.result_cache->MaybeAdmit(
+        result_key, gb, result.chunks, recompute_cost);
     s.update_ms += admit_timer.ElapsedMillis();
   }
   return result;

@@ -44,9 +44,7 @@ enum class ResultStatus {
 const char* ResultStatusName(ResultStatus status);
 
 /// Why the backend phase of a query stopped before answering every pending
-/// chunk (kNone: it didn't stop early). The first cause to fire wins; the
-/// old single `backend_exhausted` bool conflated all of these, which made
-/// shed-vs-breaker-vs-timeout invisible to callers and stats.
+/// chunk (kNone: it didn't stop early). The first cause to fire wins.
 enum class FetchAbortReason {
   kNone,
   kBreakerOpen,           // breaker refused up front; backend never contacted
@@ -59,9 +57,10 @@ enum class FetchAbortReason {
 
 const char* FetchAbortReasonName(FetchAbortReason reason);
 
-/// Per-query timing and outcome breakdown (the paper's Figure 10 splits
-/// complete-hit query time into lookup, aggregation and update).
-struct QueryStats {
+/// The per-query counters that sum across queries: QueryStats carries one
+/// query's values and WorkloadTotals their sums over a workload, so each
+/// counter is declared here once and summed by one operator+=.
+struct QueryCounters {
   int64_t chunks_requested = 0;
   int64_t chunks_direct = 0;      // present in the cache as-is
   int64_t chunks_aggregated = 0;  // computed by in-cache aggregation
@@ -79,49 +78,47 @@ struct QueryStats {
   int64_t fold_ns = 0;            // time inside the rollup kernel (plan
                                   // lookup + fold + emit), a subset of
                                   // aggregation_ms
-  int fold_lanes = 1;             // peak morsel lanes any single fold ran
-                                  // on (> 1 = borrowed pool helpers)
 
   // Fault-path accounting.
-  int64_t backend_attempts = 0;  // backend calls issued for this query
+  int64_t backend_attempts = 0;  // backend calls issued
   int64_t backend_retries = 0;   // attempts beyond the first
-  /// Why the backend phase stopped early, if it did. Replaces the old
-  /// `backend_rejected`/`backend_exhausted` bool pair with the precise
-  /// cause; the accessors below preserve the old two-way split.
-  FetchAbortReason fetch_abort = FetchAbortReason::kNone;
-  ResultStatus status = ResultStatus::kOk;
-
-  /// Breaker was open up front: backend never contacted (old
-  /// `backend_rejected`).
-  bool backend_rejected() const {
-    return fetch_abort == FetchAbortReason::kBreakerOpen;
-  }
-  /// Backend was contacted but the fetch loop gave up mid-query (old
-  /// `backend_exhausted`): retries/budget exhausted, breaker tripped, or
-  /// the query's own deadline/cancel fired during the backend phase.
-  bool backend_exhausted() const {
-    return fetch_abort != FetchAbortReason::kNone &&
-           fetch_abort != FetchAbortReason::kBreakerOpen;
-  }
 
   // Overload-path accounting.
   int64_t cancel_checks = 0;    // cancellation checkpoints evaluated
   int64_t salvaged_chunks = 0;  // chunks admitted to the cache by a query
                                 // that was cancelled / timed out ("don't
                                 // trash your intermediate results")
-  int64_t sf_detached = 0;      // single-flight waits abandoned because this
+  int64_t sf_detached = 0;      // single-flight waits abandoned because the
                                 // query's deadline fired before the leader
   double queue_wait_ms = 0.0;   // admission-queue wait (pool engines only)
 
   double lookup_ms = 0.0;       // strategy probe + plan construction
   double aggregation_ms = 0.0;  // plan execution (incl. direct reads)
-  // Simulated backend latency this query itself was charged: the sum of
-  // per-call BackendResult::charged_nanos plus this query's retry backoff.
+  // Simulated backend latency the query itself was charged: the sum of
+  // per-call BackendResult::charged_nanos plus its own retry backoff.
   // Each simulated nanosecond appears in exactly one query's backend_ms,
   // even when concurrent queries interleave charges on the shared SimClock
   // (a clock *delta* would absorb other threads' charges and double-count).
   double backend_ms = 0.0;
   double update_ms = 0.0;       // cache inserts (incl. count/cost upkeep)
+
+  QueryCounters& operator+=(const QueryCounters& other);
+
+  double TotalMs() const {
+    return lookup_ms + aggregation_ms + backend_ms + update_ms;
+  }
+};
+
+/// Per-query timing and outcome breakdown (the paper's Figure 10 splits
+/// complete-hit query time into lookup, aggregation and update): the
+/// summable counters plus this query's outcome.
+struct QueryStats : QueryCounters {
+  int fold_lanes = 1;  // peak morsel lanes any single fold ran on (> 1 =
+                       // borrowed pool helpers)
+
+  /// Why the backend phase stopped early, if it did.
+  FetchAbortReason fetch_abort = FetchAbortReason::kNone;
+  ResultStatus status = ResultStatus::kOk;
 
   /// Completely answered from the cache (directly or by aggregation) —
   /// the paper's "complete hit". Chunks routed to the backend by the
@@ -131,15 +128,11 @@ struct QueryStats {
   bool complete_hit = false;
 
   // Semantic result-cache accounting (all false when no ResultCache is
-  // attached; see set_result_cache).
+  // attached; see EngineLayers::result_cache).
   bool result_cache_probed = false;   // engine consulted the result cache
   bool result_cache_hit = false;      // answered wholesale from it
   bool result_cache_admitted = false; // this query's finished answer was
                                       // admitted (cost-based decision)
-
-  double TotalMs() const {
-    return lookup_ms + aggregation_ms + backend_ms + update_ms;
-  }
 };
 
 /// Status-carrying answer to one query: the answered chunks (chunk-aligned
@@ -155,6 +148,35 @@ struct QueryResult {
   /// Not meaningful for kShedded: a shed query carries no chunks at all
   /// (both lists empty), so check `status` before trusting complete().
   bool complete() const { return unavailable.empty(); }
+};
+
+/// The optional layers an engine can share with the other engines over the
+/// same cache. A null pointer means "no such layer"; each layer must
+/// outlive every engine it is attached to.
+struct EngineLayers {
+  /// Coalesces concurrent fetches of the same (gb, chunk) into one backend
+  /// call.
+  SingleFlight* single_flight = nullptr;
+  /// Ancestor-offset tables built once per (from, to, chunk) for all
+  /// engines instead of once per engine (see Aggregator::set_plan_cache).
+  RollupPlanCache* plan_cache = nullptr;
+  /// One backend-health signal for all engines; overrides the engine's own
+  /// Config::circuit_breaker.
+  CircuitBreaker* breaker = nullptr;
+  /// Semantic result cache: probed by canonical query key before any chunk
+  /// work; a clean complete answer is offered to it for cost-based
+  /// admission. Callers that want replace-in-place staleness hooks also
+  /// register it as a chunk-cache listener.
+  ResultCache* result_cache = nullptr;
+  /// Compressed warm tier (and its disk tier): hot-cache misses probe it
+  /// before aggregation or the backend, and hits are promoted back into
+  /// the hot cache. Typically also the hot cache's demotion sink. It is
+  /// probed even while the breaker is open, so a dark backend degrades to
+  /// warm-tier-carried service instead of unavailability.
+  WarmTier* warm_tier = nullptr;
+  /// Helper threads that large dense folds borrow for morsel-parallel
+  /// execution (see Aggregator::set_morsel_pool).
+  MorselPool* morsel_pool = nullptr;
 };
 
 /// The middle tier: answers chunked multi-dimensional queries from an
@@ -241,64 +263,19 @@ class QueryEngine {
   LookupStrategy* strategy() { return strategy_; }
   const Config& config() const { return config_; }
 
-  /// The breaker consulted by the fetch path: the shared override if one
-  /// was set, else the engine's own (nullptr when Config::circuit_breaker
-  /// is off and no override was set).
+  /// Attaches every non-null layer in `layers`, replacing any layer of the
+  /// same kind attached before; null members leave the engine unchanged.
+  /// Without layers an engine never coalesces fetches, keeps a private plan
+  /// cache and its own breaker (if Config::circuit_breaker), and has no
+  /// result cache, warm tier or fold helpers.
+  void Attach(const EngineLayers& layers);
+
+  /// The breaker consulted by the fetch path: the attached shared breaker
+  /// if any, else the engine's own (nullptr when Config::circuit_breaker is
+  /// off and none is attached).
   CircuitBreaker* circuit_breaker() {
-    return external_breaker_ != nullptr ? external_breaker_ : breaker_.get();
+    return layers_.breaker != nullptr ? layers_.breaker : breaker_.get();
   }
-
-  /// Overrides the engine's breaker with a shared one (e.g. one breaker for
-  /// a whole pool, so admission control and every engine see the same
-  /// backend-health signal). Null restores the engine's own breaker. The
-  /// breaker must outlive the engine.
-  void set_circuit_breaker(CircuitBreaker* breaker) {
-    external_breaker_ = breaker;
-  }
-
-  /// Attaches a single-flight group shared by all engines over the same
-  /// cache: concurrent fetches of the same (gb, chunk) coalesce into one
-  /// backend call. Null (the default) disables coalescing. The group must
-  /// outlive the engine.
-  void set_single_flight(SingleFlight* single_flight) {
-    single_flight_ = single_flight;
-  }
-
-  /// Shares a rollup-plan cache across engines of a pool so ancestor-offset
-  /// tables are built once per (from, to, chunk) instead of once per
-  /// engine. Null restores the engine's private cache; the cache must
-  /// outlive the engine. See Aggregator::set_plan_cache.
-  void set_rollup_plan_cache(RollupPlanCache* cache) {
-    aggregator_.set_plan_cache(cache);
-  }
-
-  /// Attaches a semantic result cache: ExecuteQuery probes it by canonical
-  /// query key before any chunk work, and on a clean complete answer makes
-  /// a cost-based admission decision for the finished fold. Null (the
-  /// default) disables the layer. The cache must outlive the engine and is
-  /// typically shared by a whole pool; callers that want replace-in-place
-  /// staleness hooks also register it as a chunk-cache listener.
-  void set_result_cache(ResultCache* result_cache) {
-    result_cache_ = result_cache;
-  }
-  ResultCache* result_cache() { return result_cache_; }
-
-  /// Attaches the warm (compressed) tier: hot-cache misses probe it —
-  /// warm RAM first, then its disk tier — before falling through to
-  /// aggregation or the backend, and hits are promoted back into the hot
-  /// cache. Null (the default) disables tiering. The tier must outlive the
-  /// engine; it is shared by a whole pool and is typically also installed
-  /// as the hot cache's demotion sink. The probe phase runs even while the
-  /// circuit breaker is open, so a dark backend degrades to
-  /// warm-tier-carried service instead of unavailability.
-  void set_warm_tier(WarmTier* warm_tier) { warm_tier_ = warm_tier; }
-  WarmTier* warm_tier() { return warm_tier_; }
-
-  /// Attaches the shared morsel helper pool: large dense folds borrow idle
-  /// helpers for morsel-parallel execution (see Aggregator::set_morsel_pool
-  /// for the opportunistic-acquisition and batch-cap rules). Null (the
-  /// default) keeps every fold serial. The pool must outlive the engine.
-  void set_morsel_pool(MorselPool* pool) { aggregator_.set_morsel_pool(pool); }
 
   /// Heap bytes retained by this engine's fold arena.
   int64_t fold_arena_retained_bytes() const {
@@ -340,10 +317,9 @@ class QueryEngine {
   PlanExecutor executor_;
   RetryPolicy retry_;
   std::unique_ptr<CircuitBreaker> breaker_;
-  CircuitBreaker* external_breaker_ = nullptr;
-  SingleFlight* single_flight_ = nullptr;
-  ResultCache* result_cache_ = nullptr;
-  WarmTier* warm_tier_ = nullptr;
+  // The attached shared layers. plan_cache and morsel_pool are also handed
+  // to aggregator_, which is what reads them.
+  EngineLayers layers_;
 };
 
 }  // namespace aac

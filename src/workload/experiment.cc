@@ -155,14 +155,7 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   if (strategy_->listener() != nullptr) {
     cache_->AddListener(strategy_->listener());
   }
-  Backend* engine_backend = fault_injector_ != nullptr
-                                ? static_cast<Backend*>(fault_injector_.get())
-                                : static_cast<Backend*>(backend_.get());
-  engine_ = std::make_unique<QueryEngine>(&cube_->grid(), cache_.get(),
-                                          strategy_.get(), engine_backend,
-                                          benefit_.get(), clock_.get(),
-                                          config.engine);
-  if (warm_tier_ != nullptr) engine_->set_warm_tier(warm_tier_.get());
+  engine_ = NewEngine();
   if (config.preload) Preload();
 }
 
@@ -172,14 +165,10 @@ PreloadResult Experiment::Preload() {
 }
 
 std::unique_ptr<QueryEngine> Experiment::NewEngine() {
-  Backend* engine_backend = fault_injector_ != nullptr
-                                ? static_cast<Backend*>(fault_injector_.get())
-                                : static_cast<Backend*>(backend_.get());
-  auto engine = std::make_unique<QueryEngine>(&cube_->grid(), cache_.get(),
-                                              strategy_.get(), engine_backend,
-                                              benefit_.get(), clock_.get(),
-                                              config_.engine);
-  if (warm_tier_ != nullptr) engine->set_warm_tier(warm_tier_.get());
+  auto engine = std::make_unique<QueryEngine>(
+      &cube_->grid(), cache_.get(), strategy_.get(), &engine_backend(),
+      benefit_.get(), clock_.get(), config_.engine);
+  engine->Attach({.warm_tier = warm_tier_.get()});
   return engine;
 }
 

@@ -156,8 +156,9 @@ class Experiment {
   PreloadResult Preload();
 
   /// Builds a fresh QueryEngine over the experiment's SHARED wiring (grid,
-  /// cache, strategy, backend, benefit model, sim clock) with the same
-  /// engine config — the EngineFactory for a ConcurrentQueryEngine pool.
+  /// cache, strategy, backend, benefit model, sim clock, warm tier) with
+  /// the same engine config — engine() is built by it too, and it serves
+  /// as the EngineFactory for a ConcurrentQueryEngine pool.
   /// Each returned engine carries its own scratch state (aggregator,
   /// executor, retry, breaker) and so must be used by one thread at a time;
   /// the shared structures are thread-safe. The Experiment must outlive

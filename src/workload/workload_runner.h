@@ -10,29 +10,15 @@
 namespace aac {
 
 /// Aggregate outcome of running a query stream through an engine — the
-/// numbers the paper's Figures 7–10 and Table 4 are built from.
-struct WorkloadTotals {
+/// numbers the paper's Figures 7–10 and Table 4 are built from: the sums of
+/// every per-query counter, plus per-outcome query counts.
+struct WorkloadTotals : QueryCounters {
   int64_t queries = 0;
   int64_t complete_hits = 0;
-
-  int64_t chunks_requested = 0;
-  int64_t chunks_direct = 0;
-  int64_t chunks_aggregated = 0;
-  int64_t chunks_backend = 0;
-  int64_t chunks_coalesced = 0;  // backend chunks served by another
-                                 // query's in-flight fetch
-  int64_t chunks_unavailable = 0;
-
-  // Tiered-cache outcomes (all zero without a WarmTier).
-  int64_t chunks_warm = 0;  // promoted from the compressed warm tier
-  int64_t chunks_disk = 0;  // promoted from the disk spill tier
-  double decode_ms = 0.0;   // warm/disk blob decode time
 
   // Fault-path outcomes (all zero against a healthy backend).
   int64_t degraded_complete = 0;  // fully answered while backend was down
   int64_t degraded_partial = 0;   // some chunks unavailable
-  int64_t backend_attempts = 0;
-  int64_t backend_retries = 0;
   int64_t breaker_rejected = 0;   // queries that never reached the backend
 
   // Semantic result-cache outcomes (all zero without a ResultCache).
@@ -43,18 +29,6 @@ struct WorkloadTotals {
   // Overload-path outcomes (all zero without deadlines/admission control).
   int64_t shedded = 0;            // refused by admission control
   int64_t deadline_exceeded = 0;  // deadline or cancel fired mid-query
-  int64_t salvaged_chunks = 0;    // chunks a killed query still cached
-  int64_t cancel_checks = 0;      // cancellation checkpoints evaluated
-  int64_t sf_detached = 0;        // single-flight waits dropped on deadline
-  double queue_wait_ms = 0.0;     // total admission-queue wait
-
-  double lookup_ms = 0.0;
-  double aggregation_ms = 0.0;
-  double fold_ms = 0.0;  // rollup-kernel time, a subset of aggregation_ms
-  int peak_fold_lanes = 1;        // max morsel lanes any query's fold used
-  int64_t parallel_fold_queries = 0;  // queries with at least one fold > 1 lane
-  double backend_ms = 0.0;
-  double update_ms = 0.0;
 
   // The same sums restricted to complete-hit queries (Figure 10's bars).
   int64_t hit_queries = 0;
@@ -62,9 +36,6 @@ struct WorkloadTotals {
   double hit_aggregation_ms = 0.0;
   double hit_update_ms = 0.0;
 
-  double TotalMs() const {
-    return lookup_ms + aggregation_ms + backend_ms + update_ms;
-  }
   double AvgQueryMs() const {
     return queries == 0 ? 0.0 : TotalMs() / static_cast<double>(queries);
   }

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "cache/result_cache.h"
+#include "cache/warm_tier.h"
 #include "core/concurrent_engine.h"
 #include "core/vcmc.h"
 #include "test_env.h"
+#include "workload/experiment.h"
+#include "workload/workload_runner.h"
 
 namespace aac {
 namespace {
@@ -91,6 +96,124 @@ TEST_F(ConcurrentEngineTest, ManyThreadsManyQueriesAllCorrect) {
                 scratch[OracleIndex(env_, gb, c)]);
     }
   }
+}
+
+// Every pooled engine gets the shared result cache: each query from every
+// thread probes it, and only it.
+TEST_F(ConcurrentEngineTest, SharedResultCacheIsProbedByEveryQuery) {
+  ResultCache::Config rc_config;
+  rc_config.capacity_bytes = kBigCache;
+  rc_config.bytes_per_tuple = 10;
+  ResultCache results(rc_config);
+  env_.cache->AddListener(&results);
+  concurrent_->set_result_cache(&results);
+
+  constexpr int kThreads = 4;
+  constexpr int kQueriesPerThread = 20;
+  std::atomic<int> unprobed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) * 131 + 7);
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        const GroupById gb = static_cast<GroupById>(
+            rng.Uniform(env_.lattice().num_groupbys()));
+        QueryStats stats;
+        concurrent_->ExecuteQuery(
+            Query::WholeLevel(env_.schema(), env_.lattice().LevelOf(gb)),
+            &stats);
+        if (!stats.result_cache_probed) ++unprobed;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(unprobed.load(), 0);
+  EXPECT_EQ(results.stats().probes, kThreads * kQueriesPerThread);
+  EXPECT_GT(results.stats().hits, 0);
+}
+
+// A scarce hot tier over a large warm tier: a repeated whole-level
+// workload demotes on its first pass and promotes on its second.
+ExperimentConfig TieredConfig() {
+  ExperimentConfig config;
+  config.data.num_tuples = 20'000;
+  config.data.seed = 17;
+  config.cache_fraction = 0.12;
+  config.warm_fraction = 40.0;
+  return config;
+}
+
+// Runs three whole-level queries twice through `run`; returns the totals
+// of the second pass.
+template <typename Run>
+WorkloadTotals RepeatLevels(const Experiment& exp, Run run) {
+  const std::vector<GroupById> levels = {
+      exp.lattice().base_id(), 0,
+      static_cast<GroupById>(exp.lattice().num_groupbys() / 2)};
+  WorkloadTotals second;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (GroupById gb : levels) {
+      QueryStats stats;
+      const QueryResult result = run(
+          Query::WholeLevel(exp.schema(), exp.lattice().LevelOf(gb)), &stats);
+      EXPECT_EQ(result.status, ResultStatus::kOk);
+      if (pass == 1) AccumulateStats(stats, &second);
+    }
+  }
+  return second;
+}
+
+// NewEngine attaches the experiment's warm tier, so a pool built from it
+// promotes from that tier without set_warm_tier.
+TEST(ConcurrentEngineLayers, PoolOfExperimentEnginesPromotesFromWarmTier) {
+  Experiment exp(TieredConfig());
+  ASSERT_NE(exp.warm_tier(), nullptr);
+  ConcurrentQueryEngine pool([&exp] { return exp.NewEngine(); });
+  const WorkloadTotals second =
+      RepeatLevels(exp, [&pool](const Query& q, QueryStats* stats) {
+        return pool.ExecuteQuery(q, stats);
+      });
+  EXPECT_GT(second.chunks_warm, 0);
+}
+
+// Attach sets only the layers it is given: an Experiment engine given a
+// result cache keeps the warm tier NewEngine attached.
+TEST(ConcurrentEngineLayers, AttachingAResultCacheKeepsTheWarmTier) {
+  Experiment exp(TieredConfig());
+  ASSERT_NE(exp.warm_tier(), nullptr);
+  ResultCache::Config rc_config;
+  // Probe, but admit nothing, so every query still runs the chunk path.
+  rc_config.min_admit_cost_tuples = std::numeric_limits<double>::infinity();
+  ResultCache results(rc_config);
+  exp.engine().Attach({.result_cache = &results});
+  const WorkloadTotals second =
+      RepeatLevels(exp, [&exp](const Query& q, QueryStats* stats) {
+        return exp.engine().ExecuteQuery(q, stats);
+      });
+  EXPECT_EQ(second.result_misses, second.queries);
+  EXPECT_GT(second.chunks_warm, 0);
+}
+
+// Layers reach engines only when the pool creates them, so configuring a
+// pool after its first query aborts instead of missing the engines it has.
+using ConcurrentEngineDeathTest = ConcurrentEngineTest;
+
+TEST_F(ConcurrentEngineDeathTest, LayerSettersAbortAfterTheFirstQuery) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  concurrent_->ExecuteQuery(
+      Query::WholeLevel(env_.schema(), LevelVector{1, 1}), nullptr);
+  ASSERT_EQ(concurrent_->engines_created(), 1);
+
+  ResultCache results(ResultCache::Config{});
+  WarmTier::Config warm_config;
+  warm_config.capacity_bytes = 1 << 20;
+  warm_config.num_dims = env_.schema().num_dims();
+  WarmTier warm(warm_config);
+  CircuitBreaker breaker(BreakerConfig{}, env_.clock.get());
+  EXPECT_DEATH(concurrent_->set_result_cache(&results), "AAC_CHECK");
+  EXPECT_DEATH(concurrent_->set_warm_tier(&warm), "AAC_CHECK");
+  EXPECT_DEATH(concurrent_->set_shared_breaker(&breaker), "AAC_CHECK");
+  EXPECT_DEATH(concurrent_->ConfigureMorsels(2), "AAC_CHECK");
 }
 
 }  // namespace

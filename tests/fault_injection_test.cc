@@ -296,10 +296,8 @@ TEST(FaultPath, RetryExhaustionDegradesInsteadOfAborting) {
   EXPECT_EQ(stats.backend_attempts, 3);
   EXPECT_EQ(stats.backend_retries, 2);
   // Typed reason: the attempt cap stopped the loop — not the breaker, not
-  // a deadline (the old backend_exhausted bool conflated all three).
+  // a deadline.
   EXPECT_EQ(stats.fetch_abort, FetchAbortReason::kAttemptsExhausted);
-  EXPECT_TRUE(stats.backend_exhausted());
-  EXPECT_FALSE(stats.backend_rejected());
   EXPECT_EQ(stats.chunks_unavailable, stats.chunks_requested);
 }
 
@@ -323,7 +321,6 @@ TEST(FaultPath, BreakerTripsMidQueryThenRejectsThenProbes) {
   EXPECT_EQ(first.status, ResultStatus::kDegradedPartial);
   EXPECT_EQ(stats.backend_attempts, 2);
   EXPECT_EQ(stats.fetch_abort, FetchAbortReason::kBreakerTripped);
-  EXPECT_TRUE(stats.backend_exhausted());
   EXPECT_EQ(engine.circuit_breaker()->state(), BreakerState::kOpen);
   EXPECT_EQ(engine.circuit_breaker()->stats().trips, 1);
 
@@ -332,8 +329,6 @@ TEST(FaultPath, BreakerTripsMidQueryThenRejectsThenProbes) {
   EXPECT_EQ(second.status, ResultStatus::kDegradedPartial);
   EXPECT_EQ(stats.backend_attempts, 0);
   EXPECT_EQ(stats.fetch_abort, FetchAbortReason::kBreakerOpen);
-  EXPECT_TRUE(stats.backend_rejected());
-  EXPECT_FALSE(stats.backend_exhausted());
   EXPECT_GE(engine.circuit_breaker()->stats().rejected, 1);
 
   // After the cooldown a half-open probe is let through; with the backend

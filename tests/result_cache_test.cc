@@ -183,7 +183,7 @@ class ResultCacheEngineTest : public ::testing::Test {
         env_.cube.grid.get(), env_.cache.get(), strategy_.get(),
         env_.backend.get(), env_.benefit.get(), env_.clock.get(),
         QueryEngine::Config{});
-    engine_->set_result_cache(results_.get());
+    engine_->Attach({.result_cache = results_.get()});
   }
 
   TestEnv env_;

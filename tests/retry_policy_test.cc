@@ -118,7 +118,6 @@ TEST(ClampedBackoff, RetryBudgetStillBoundsTheLoopWithoutQueryDeadline) {
 
   EXPECT_EQ(result.status, ResultStatus::kDegradedPartial);
   EXPECT_EQ(stats.fetch_abort, FetchAbortReason::kRetryBudgetExhausted);
-  EXPECT_TRUE(stats.backend_exhausted());
   // Total simulated spend stays within (deadline + one attempt's latency).
   EXPECT_LT(stats.backend_ms, 200.0);
 }

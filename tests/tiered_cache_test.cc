@@ -445,7 +445,7 @@ TEST(TieredCacheTest, ExplainShowsWarmPromotion) {
   QueryEngine engine(t.env.cube.grid.get(), t.env.cache.get(), &strategy,
                      t.env.backend.get(), t.env.benefit.get(),
                      t.env.clock.get(), QueryEngine::Config());
-  engine.set_warm_tier(t.warm.get());
+  engine.Attach({.warm_tier = t.warm.get()});
   const GroupById base = t.env.lattice().base_id();
   const Query q = Query::WholeLevel(t.env.schema(),
                                     t.env.lattice().LevelOf(base));

@@ -3,46 +3,47 @@
 # plain Release configuration, again with AddressSanitizer + UBSan
 # (-DAAC_SANITIZE=ON), and run the concurrency-labeled suite under
 # ThreadSanitizer (-DAAC_SANITIZE=thread). Run from anywhere; builds land
-# in build/, build-asan/ and build-tsan/ under the repo root.
+# in build/, build-asan/, build-tsan/ and build-lockdep/ under the repo root.
 #
-#   tools/check.sh             # all three build configurations + lint
-#   tools/check.sh plain       # plain only
-#   tools/check.sh asan        # ASan+UBSan only
-#   tools/check.sh tsan        # TSan concurrency suite only
-#   tools/check.sh robustness  # overload/deadline/admission suite under
-#                              # ASan+UBSan and TSan
-#   tools/check.sh resultcache # result-cache/canonicalization suite under
-#                              # ASan+UBSan and TSan
-#   tools/check.sh tiered      # tiered-cache suite (codec differential
-#                              # fuzz, demotion/promotion, torn spill
-#                              # files, promotion races) under ASan+UBSan
-#                              # and TSan, plus tiered_cache --smoke in
-#                              # each build
-#   tools/check.sh bench-smoke # rollup-kernel + overload-storm +
-#                              # result-cache smoke and the kernel suite
-#                              # under ASan+UBSan and TSan
-#   tools/check.sh kernel-simd # the kernel suite with AAC_FOLD_KERNEL
-#                              # forced to vector and then scalar: plain
-#                              # build first (runs rollup_kernel --smoke,
-#                              # which hosts the >= 1.5x SIMD perf assert),
-#                              # then ASan+UBSan, then TSan (the morsel
-#                              # path) — both forced modes each time
-#   tools/check.sh lockdep     # runtime lock-order validation: full test
-#                              # suite built with -DAAC_LOCKDEP=ON, every
-#                              # binary dumping its lock-order graph to one
-#                              # edge file ($AAC_LOCKDEP_DUMP), then
-#                              # tools/lockdep_report.py cycle-checks the
-#                              # union — a cross-run ABBA fails the gate
-#                              # even if no single run inverted the order
-#   tools/check.sh lint        # the lint wall (tools/lint.sh): repo
-#                              # invariants always; clang thread-safety
-#                              # analysis and clang-tidy when LLVM is
-#                              # installed
+#   tools/check.sh              # lint + plain + asan + tsan + lockdep
+#   tools/check.sh plain        # plain only
+#   tools/check.sh asan         # ASan+UBSan only
+#   tools/check.sh tsan         # the "concurrency" label under TSan
+#   tools/check.sh label NAME   # one ctest label under ASan+UBSan, then
+#                               # TSan — e.g. robustness (deadlines,
+#                               # admission, the overload storm),
+#                               # resultcache (canonicalization, result
+#                               # cache), tiered (codec fuzz, demotion and
+#                               # promotion, torn spill files), kernel
+#   tools/check.sh bench-smoke  # under ASan+UBSan, then TSan: the
+#                               # rollup_kernel, overload_storm,
+#                               # result_cache and tiered_cache benches in
+#                               # --smoke mode (each exits nonzero when its
+#                               # own assertions fail), then the "kernel"
+#                               # label
+#   tools/check.sh kernel-simd  # the "kernel" label with AAC_FOLD_KERNEL
+#                               # forced to vector and then scalar, in the
+#                               # plain build (which first runs
+#                               # rollup_kernel --smoke, host of the >= 1.5x
+#                               # SIMD perf assert), then ASan+UBSan, then
+#                               # TSan (the morsel path)
+#   tools/check.sh lockdep      # the full suite built with -DAAC_LOCKDEP=ON,
+#                               # every binary dumping its lock-order graph
+#                               # to one edge file ($AAC_LOCKDEP_DUMP), then
+#                               # tools/lockdep_report.py cycle-checks the
+#                               # union — a cross-run ABBA fails the gate
+#                               # even if no single run inverted the order
+#   tools/check.sh lint         # the lint wall (tools/lint.sh): repo
+#                               # invariants always; clang thread-safety
+#                               # analysis and clang-tidy when LLVM is
+#                               # installed
 #
-# The asan and tsan build trees are always configured with -DAAC_LOCKDEP=ON
-# as well, so every sanitized suite (robustness/resultcache/tiered/...)
-# also runs under the runtime lock-order validator; `all` runs the lint
-# wall, the three build configurations and the lockdep gate.
+# Every mode builds the whole tree before it runs a label. An unbuilt test
+# binary registers as one unlabelled <name>_NOT_BUILT placeholder, so a
+# partial build would silently drop that binary's cases from the label.
+# The sanitized trees are always configured with -DAAC_LOCKDEP=ON as well,
+# so every sanitized suite also runs under the runtime lock-order
+# validator.
 
 set -euo pipefail
 
@@ -50,158 +51,85 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 mode="${1:-all}"
 
-run_config() {
-  local name="$1" build_dir="$2"
+# Configures and builds the whole tree in build-dir $1 with AAC_SANITIZE=$2
+# (OFF, ON or thread); sanitized trees also get AAC_LOCKDEP=ON.
+build_tree() {
+  local build_dir="$1" sanitize="$2" lockdep="OFF"
+  [ "${sanitize}" != "OFF" ] && lockdep="ON"
+  echo "=== ${build_dir##*/}: configure and build ==="
+  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
+    -DAAC_LOCKDEP="${lockdep}"
+  cmake --build "${build_dir}" -j "${jobs}"
+}
+
+# Runs the tests labeled $2 in build-dir $1 (a regex match, since a test's
+# labels are one space-joined string — see tests/CMakeLists.txt); any
+# further arguments are VAR=value settings for ctest's environment. Fails
+# when no test carries the label, so a typo cannot pass as an empty run.
+ctest_label() {
+  local build_dir="$1" label="$2" count
   shift 2
-  echo "=== ${name}: configure ==="
-  cmake -B "${build_dir}" -S "${repo_root}" "$@"
-  echo "=== ${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  echo "=== ${name}: ctest ==="
+  count="$(cd "${build_dir}" && ctest -N -L "${label}" |
+    sed -n 's/^Total Tests: //p')"
+  if [ "${count:-0}" -eq 0 ]; then
+    echo "no test in ${build_dir} carries the ctest label '${label}'" >&2
+    exit 1
+  fi
+  echo "=== ${build_dir##*/}: ctest -L ${label} (${count} tests) $* ==="
+  (cd "${build_dir}" &&
+    env "$@" ctest -L "${label}" --output-on-failure -j "${jobs}")
+}
+
+run_suite() {
+  local build_dir="$1"
+  build_tree "$@"
+  echo "=== ${build_dir##*/}: ctest ==="
   (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}")
-  echo "=== ${name}: OK ==="
 }
 
-# TSan only makes sense for multi-threaded tests, and instruments everything
-# it touches ~10x slower — so the tsan config runs just the tests labeled
-# "concurrency" (the sharded-cache stress, single-flight and parallel-runner
-# suites) instead of the whole tier-1 set.
-run_tsan() {
-  local build_dir="${repo_root}/build-tsan"
-  echo "=== tsan: configure ==="
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE=thread \
-    -DAAC_LOCKDEP=ON
-  echo "=== tsan: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  echo "=== tsan: ctest (-L concurrency) ==="
-  (cd "${build_dir}" && ctest -L concurrency --output-on-failure -j "${jobs}")
-  echo "=== tsan: OK ==="
+# Label $3, in build-dir $1 with AAC_SANITIZE=$2. The label mode runs it
+# under ASan+UBSan, then TSan: deadline/cancel, result-cache and
+# demote/promote bugs surface as use-after-frees of torn-down state or as
+# data races in shared layers. TSan alone runs only the "concurrency"
+# label (the sharded-cache stress, single-flight and parallel-runner
+# suites), since it instruments everything it touches ~10x slower and only
+# multi-threaded tests need it.
+run_label() {
+  build_tree "$1" "$2"
+  ctest_label "$1" "$3"
 }
 
-# Sanitized gate for the overload surface: run the "robustness"-labeled
-# suite (deadlines, cancellation, admission control, retry clamping, the
-# overload storm) under ASan+UBSan and then TSan. Deadline/cancel bugs are
-# exactly the kind that only show up as a use-after-free of a torn-down
-# query or a data race in an abort path, so this label gets both sanitizers.
-run_robustness() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== robustness/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== robustness/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  echo "=== robustness/${name}: ctest (-L robustness) ==="
-  (cd "${build_dir}" && ctest -L robustness --output-on-failure -j "${jobs}")
-  echo "=== robustness/${name}: OK ==="
-}
-
-# Sanitized gate for the semantic result cache: run the "resultcache"-
-# labeled suite (canonicalization property tests, result-cache unit and
-# engine-integration tests, the replace-in-place listener regression) under
-# ASan+UBSan and then TSan. The layer sits on the hot query path and is
-# shared across engine pools, so its bugs surface exactly as races and
-# lifetime errors — both sanitizers gate it.
-run_resultcache() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== resultcache/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== resultcache/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  echo "=== resultcache/${name}: ctest (-L resultcache) ==="
-  (cd "${build_dir}" && ctest -L resultcache --output-on-failure -j "${jobs}")
-  echo "=== resultcache/${name}: OK ==="
-}
-
-# Sanitized gate for the tiered chunk cache: run the "tiered"-labeled
-# suite (codec round-trip/differential fuzz, demotion-ledger accounting,
-# torn-spill-file regressions, single-flight promotion races) under
-# ASan+UBSan and then TSan, plus the tiered_cache bench in --smoke mode
-# (it exits nonzero unless both tiered modes strictly beat the one-tier
-# hit rate at equal RAM and every tier's invariants hold). Demote/promote
-# bugs surface as lifetime errors on encoded blobs or races between the
-# eviction path and single-flight decode — both sanitizers gate them.
-run_tiered() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== tiered/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== tiered/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}" --target tiered_cache \
-    chunk_codec_test tiered_cache_test
-  echo "=== tiered/${name}: tiered_cache --smoke ==="
-  "${build_dir}/bench/tiered_cache" --smoke
-  echo "=== tiered/${name}: ctest (-L tiered) ==="
-  (cd "${build_dir}" && ctest -L tiered --output-on-failure -j "${jobs}")
-  echo "=== tiered/${name}: OK ==="
-}
-
-# Sanitized gate for the rollup kernel: build the rollup_kernel,
-# overload_storm and result_cache benches plus the "kernel"-labeled tests
-# under ASan+UBSan and TSan, run the benches in --smoke mode (tiny sizes;
-# each exits nonzero if its internal assertions fail — kernel-vs-reference
-# equality for rollup_kernel, goodput/typed-resolution/zero-pin invariants
-# for overload_storm, hits + bit-identity for result_cache) and the kernel
-# test label.
+# The bench smoke runs are the benches' own assertions at tiny sizes:
+# kernel-vs-reference equality (rollup_kernel), goodput, typed resolutions
+# and zero pins (overload_storm), hits and bit-identity (result_cache), and
+# both tiered modes strictly above one tier with every tier's invariants
+# holding (tiered_cache).
 run_bench_smoke() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== bench-smoke/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== bench-smoke/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}" --target rollup_kernel \
-    overload_storm result_cache aggregator_test rollup_plan_test
-  echo "=== bench-smoke/${name}: rollup_kernel --smoke ==="
-  "${build_dir}/bench/rollup_kernel" --smoke
-  echo "=== bench-smoke/${name}: overload_storm --smoke ==="
-  "${build_dir}/bench/overload_storm" --smoke
-  echo "=== bench-smoke/${name}: result_cache --smoke ==="
-  "${build_dir}/bench/result_cache" --smoke
-  echo "=== bench-smoke/${name}: ctest (-L kernel) ==="
-  (cd "${build_dir}" && ctest -L kernel --output-on-failure -j "${jobs}")
-  echo "=== bench-smoke/${name}: OK ==="
+  local build_dir="$1" bench
+  build_tree "$@"
+  for bench in rollup_kernel overload_storm result_cache tiered_cache; do
+    echo "=== ${build_dir##*/}: ${bench} --smoke ==="
+    "${build_dir}/bench/${bench}" --smoke
+  done
+  ctest_label "${build_dir}" kernel
 }
 
-# Forced-dispatch gate for the fold kernel seam: run the "kernel"-labeled
-# tests (bit-identity property suite, morsel folds, arena accounting) with
-# AAC_FOLD_KERNEL pinned to "vector" and then "scalar", so neither runtime
-# dispatch nor the auto default can hide a kernel-specific bug. The plain
-# build also runs rollup_kernel --smoke, which asserts the vector dense
-# path >= 1.5x over scalar on AVX2 hardware (the bench skips that assert
-# under sanitizers and on machines without AVX2; forcing "vector" there
-# degrades to scalar by design, so the run still passes — it just stops
-# exercising a distinct code path).
+# Forced-dispatch gate for the fold kernel seam: neither runtime dispatch
+# nor the auto default can hide a kernel-specific bug. rollup_kernel
+# --smoke asserts the vector dense path >= 1.5x over scalar on AVX2
+# hardware; the bench skips that assert under sanitizers and without AVX2,
+# where forcing "vector" degrades to scalar by design (the run still
+# passes, it just stops exercising a distinct code path).
 run_kernel_simd() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== kernel-simd/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== kernel-simd/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}" --target rollup_kernel \
-    aggregator_test rollup_plan_test fold_kernel_test morsel_fold_test \
-    fold_arena_test
+  local build_dir="$1" sanitize="$2" kernel
+  build_tree "${build_dir}" "${sanitize}"
   if [ "${sanitize}" = "OFF" ]; then
-    echo "=== kernel-simd/${name}: rollup_kernel --smoke ==="
+    echo "=== ${build_dir##*/}: rollup_kernel --smoke ==="
     "${build_dir}/bench/rollup_kernel" --smoke
   fi
-  local kernel
   for kernel in vector scalar; do
-    echo "=== kernel-simd/${name}: ctest (-L kernel, AAC_FOLD_KERNEL=${kernel}) ==="
-    (cd "${build_dir}" &&
-      AAC_FOLD_KERNEL="${kernel}" ctest -L kernel --output-on-failure \
-        -j "${jobs}")
+    ctest_label "${build_dir}" kernel AAC_FOLD_KERNEL="${kernel}"
   done
-  echo "=== kernel-simd/${name}: OK ==="
 }
 
 # Lock-order gate: the whole suite under -DAAC_LOCKDEP=ON, with every test
@@ -227,35 +155,30 @@ run_lockdep() {
 
 case "${mode}" in
   plain)
-    run_config "plain" "${repo_root}/build"
+    run_suite "${repo_root}/build" OFF
     ;;
   asan)
-    run_config "asan+ubsan" "${repo_root}/build-asan" -DAAC_SANITIZE=ON \
-      -DAAC_LOCKDEP=ON
+    run_suite "${repo_root}/build-asan" ON
     ;;
   tsan)
-    run_tsan
+    run_label "${repo_root}/build-tsan" thread concurrency
     ;;
-  robustness)
-    run_robustness "asan+ubsan" "${repo_root}/build-asan" ON
-    run_robustness "tsan" "${repo_root}/build-tsan" thread
-    ;;
-  resultcache)
-    run_resultcache "asan+ubsan" "${repo_root}/build-asan" ON
-    run_resultcache "tsan" "${repo_root}/build-tsan" thread
-    ;;
-  tiered)
-    run_tiered "asan+ubsan" "${repo_root}/build-asan" ON
-    run_tiered "tsan" "${repo_root}/build-tsan" thread
+  label)
+    if [ $# -ne 2 ]; then
+      echo "usage: tools/check.sh label <ctest label>" >&2
+      exit 2
+    fi
+    run_label "${repo_root}/build-asan" ON "$2"
+    run_label "${repo_root}/build-tsan" thread "$2"
     ;;
   bench-smoke)
-    run_bench_smoke "asan+ubsan" "${repo_root}/build-asan" ON
-    run_bench_smoke "tsan" "${repo_root}/build-tsan" thread
+    run_bench_smoke "${repo_root}/build-asan" ON
+    run_bench_smoke "${repo_root}/build-tsan" thread
     ;;
   kernel-simd)
-    run_kernel_simd "plain" "${repo_root}/build" OFF
-    run_kernel_simd "asan+ubsan" "${repo_root}/build-asan" ON
-    run_kernel_simd "tsan" "${repo_root}/build-tsan" thread
+    run_kernel_simd "${repo_root}/build" OFF
+    run_kernel_simd "${repo_root}/build-asan" ON
+    run_kernel_simd "${repo_root}/build-tsan" thread
     ;;
   lockdep)
     run_lockdep
@@ -265,14 +188,13 @@ case "${mode}" in
     ;;
   all)
     "${repo_root}/tools/lint.sh"
-    run_config "plain" "${repo_root}/build"
-    run_config "asan+ubsan" "${repo_root}/build-asan" -DAAC_SANITIZE=ON \
-      -DAAC_LOCKDEP=ON
-    run_tsan
+    run_suite "${repo_root}/build" OFF
+    run_suite "${repo_root}/build-asan" ON
+    run_label "${repo_root}/build-tsan" thread concurrency
     run_lockdep
     ;;
   *)
-    echo "usage: tools/check.sh [plain|asan|tsan|robustness|resultcache|tiered|bench-smoke|kernel-simd|lockdep|lint|all]" >&2
+    echo "usage: tools/check.sh [plain|asan|tsan|label <name>|bench-smoke|kernel-simd|lockdep|lint|all]" >&2
     exit 2
     ;;
 esac

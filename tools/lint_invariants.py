@@ -29,12 +29,13 @@ it enforces the invariants that keep the clang gate meaningful:
       test never sees ThreadSanitizer. Likewise, tests that exercise the
       overload surface (deadlines/cancellation via util/deadline.h, the
       admission controller) must carry the "robustness" label, which
-      tools/check.sh robustness runs under ASan/UBSan and TSan. Tests that
-      exercise the semantic result cache or the query canonicalizer must
-      carry the "resultcache" label, which tools/check.sh resultcache runs
-      under both sanitizer configurations. Tests that exercise the tiered
-      cache (warm tier, disk spill tier, or the chunk codec) must carry
-      the "tiered" label, which tools/check.sh tiered runs the same way.
+      tools/check.sh label robustness runs under ASan/UBSan and TSan.
+      Tests that exercise the semantic result cache or the query
+      canonicalizer must carry the "resultcache" label, which
+      tools/check.sh label resultcache runs under both sanitizer
+      configurations. Tests that exercise the tiered cache (warm tier,
+      disk spill tier, or the chunk codec) must carry the "tiered" label,
+      which tools/check.sh label tiered runs the same way.
   R6  Raw std::this_thread::sleep_for is banned outside src/util/sleep.h.
       Every wait must go through the clock-aware helpers (SleepForNanos /
       SleepForNanosClamped) or a deadline-bounded CondVar wait — a naked
@@ -331,8 +332,8 @@ CONCURRENCY_MARKERS = re.compile(
 )
 
 # Tests that drive the overload surface directly (deadlines, cancellation,
-# admission) belong to the robustness label — tools/check.sh robustness runs
-# that label under ASan/UBSan and TSan builds.
+# admission) belong to the robustness label — tools/check.sh label
+# robustness runs that label under ASan/UBSan and TSan builds.
 ROBUSTNESS_MARKERS = re.compile(
     r"#\s*include\s*(\"core/admission\.h\""
     r"|\"util/deadline\.h\""
@@ -342,7 +343,8 @@ ROBUSTNESS_MARKERS = re.compile(
 
 # Tests that drive the semantic result layer (the result cache itself or
 # the query canonicalizer feeding it) belong to the resultcache label —
-# tools/check.sh resultcache runs that label under ASan/UBSan and TSan.
+# tools/check.sh label resultcache runs that label under ASan/UBSan and
+# TSan.
 RESULTCACHE_MARKERS = re.compile(
     r"#\s*include\s*(\"cache/result_cache\.h\""
     r"|\"core/query_canon\.h\")"
@@ -350,7 +352,7 @@ RESULTCACHE_MARKERS = re.compile(
 
 # Tests that drive the tiered cache (the compressed warm tier, the disk
 # spill tier, or the chunk codec feeding both) belong to the tiered label —
-# tools/check.sh tiered runs that label under ASan/UBSan and TSan.
+# tools/check.sh label tiered runs that label under ASan/UBSan and TSan.
 TIERED_MARKERS = re.compile(
     r"#\s*include\s*(\"cache/warm_tier\.h\""
     r"|\"cache/disk_tier\.h\""
@@ -391,22 +393,22 @@ def check_test_registry():
                 finding(path, 1, "R5-robustness-label",
                         f"{name} exercises the overload surface (deadlines/"
                         "admission/retries/faults) but is not labeled "
-                        "\"robustness\" — tools/check.sh robustness will "
-                        "never run it under the sanitizers")
+                        "\"robustness\" — tools/check.sh label robustness "
+                        "will never run it under the sanitizers")
         if RESULTCACHE_MARKERS.search(text):
             if "resultcache" not in registered[name]:
                 finding(path, 1, "R5-resultcache-label",
                         f"{name} exercises the result cache / canonicalizer "
                         "but is not labeled \"resultcache\" — "
-                        "tools/check.sh resultcache will never run it under "
-                        "the sanitizers")
+                        "tools/check.sh label resultcache will never run it "
+                        "under the sanitizers")
         if TIERED_MARKERS.search(text):
             if "tiered" not in registered[name]:
                 finding(path, 1, "R5-tiered-label",
                         f"{name} exercises the tiered cache (warm/disk tier "
                         "or chunk codec) but is not labeled \"tiered\" — "
-                        "tools/check.sh tiered will never run it under the "
-                        "sanitizers")
+                        "tools/check.sh label tiered will never run it under "
+                        "the sanitizers")
 
 
 # --------------------------------------------------------------------------
