@@ -1,7 +1,8 @@
 // Live updates: an active cache over a *changing* fact table. New sales
-// records arrive between queries; the invalidation protocol drops exactly
-// the cached chunks whose base regions changed, so every answer stays
-// consistent while the rest of the working set survives.
+// records arrive between queries; the write protocol merges them into
+// every cached chunk whose base region they land in (and drops only the
+// chunks that cannot grow in place), so every answer stays consistent
+// while the working set stays cached.
 //
 //   $ ./live_updates
 
@@ -55,20 +56,23 @@ int main() {
       batch.push_back(cell);
     }
     const size_t before = exp.cache().num_entries();
+    const int64_t patched_before = exp.cache().stats().patched;
     const int64_t dropped =
         ApplyFactUpdates(exp.mutable_table(), &exp.cache(), std::move(batch));
     std::printf(
-        "round %d: applied 4 new records; invalidated %lld cached chunks "
-        "(%zu -> %zu entries); grand total now %.0f\n",
-        round, static_cast<long long>(dropped), before,
-        exp.cache().num_entries(), TotalAtTop(exp));
+        "round %d: applied 4 new records; patched %lld cached chunks, "
+        "dropped %lld entries (%zu -> %zu entries); grand total now %.0f\n",
+        round,
+        static_cast<long long>(exp.cache().stats().patched - patched_before),
+        static_cast<long long>(dropped), before, exp.cache().num_entries(),
+        TotalAtTop(exp));
   }
 
   std::printf("\ninjected %.0f of new measure across 5 rounds; every query "
               "saw a consistent, up-to-date cube.\n",
               injected);
   std::printf("backend queries issued: %lld (initial preload + refetches of "
-              "invalidated regions only)\n",
+              "dropped chunks only)\n",
               static_cast<long long>(exp.backend().stats().queries));
   return 0;
 }

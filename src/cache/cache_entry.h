@@ -61,8 +61,9 @@ class CacheListener {
   virtual void OnInsert(const CacheKey& key, int64_t tuples) = 0;
 
   /// A cached chunk's data was replaced in place (re-insert over an existing
-  /// key, e.g. a re-fetch after invalidation). Membership is unchanged; only
-  /// the payload/size changed. Default: ignore.
+  /// key) or patched in place by a base write (ChunkCache::Patch).
+  /// Membership is unchanged; only the payload/size changed. Default:
+  /// ignore.
   virtual void OnUpdate(const CacheKey& key, int64_t tuples) {
     (void)key;
     (void)tuples;

@@ -72,6 +72,7 @@ CacheStats ChunkCache::stats() const {
     total.evictions += shard->stats.evictions;
     total.demotions += shard->stats.demotions;
     total.demoted_bytes += shard->stats.demoted_bytes;
+    total.patched += shard->stats.patched;
   }
   return total;
 }
@@ -181,21 +182,9 @@ bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
       entry.clock_value = policy_->ClockValue(entry.info);
       return true;
     }
-    if (info.bytes > shard.capacity) {
+    if (!MakeRoomToResize(shard, entry, info, demoted)) {
       ++shard.stats.rejected_inserts;
       return false;
-    }
-    const int64_t needed =
-        shard.bytes_used - entry.info.bytes + info.bytes - shard.capacity;
-    if (needed > 0) {
-      // Shield the entry being replaced from its own eviction sweep.
-      ++entry.pin_count;
-      const bool evicted = EvictFor(shard, info, needed, demoted);
-      --entry.pin_count;
-      if (!evicted) {
-        ++shard.stats.rejected_inserts;
-        return false;
-      }
     }
     const int new_class = policy_->VictimClass(info);
     AAC_CHECK(new_class >= 0 && new_class < policy_->num_victim_classes());
@@ -274,6 +263,66 @@ bool ChunkCache::Remove(const CacheKey& key) {
   // value still reports hot-tier residency only.
   if (sink_ != nullptr) sink_->OnErase(key);
   return removed;
+}
+
+bool ChunkCache::Patch(const CacheKey& key, int num_dims,
+                       std::span<const Cell> cells) {
+  const CellValueLess less{num_dims};
+  AAC_DCHECK(std::adjacent_find(cells.begin(), cells.end(),
+                                [less](const Cell& a, const Cell& b) {
+                                  return !less(a, b);
+                                }) == cells.end());
+  Shard& shard = ShardFor(key);
+  std::vector<Demoted> demoted;
+  bool patched = false;
+  {
+    MutexLock lock(shard.mutex);
+    auto it = shard.entries.find(key);
+    if (it == shard.entries.end()) return false;
+    Entry& entry = it->second;
+    AAC_CHECK_EQ(entry.pin_count, 0);
+    std::vector<Cell>& have = entry.data.cells;
+    if (!std::is_sorted(have.begin(), have.end(), less)) {
+      std::sort(have.begin(), have.end(), less);
+    }
+    // Each cell either merges into the entry's equal cell or goes in front
+    // of the cell the search stopped at; nothing changes until it fits.
+    std::vector<std::pair<size_t, size_t>> merges;  // (entry cell, cell)
+    std::vector<size_t> at;
+    std::vector<Cell> fresh;
+    for (size_t k = 0; k < cells.size(); ++k) {
+      const auto found =
+          std::lower_bound(have.begin(), have.end(), cells[k], less);
+      const auto i = static_cast<size_t>(found - have.begin());
+      if (found != have.end() && !less(cells[k], *found)) {
+        merges.emplace_back(i, k);
+      } else {
+        at.push_back(i);
+        fresh.push_back(cells[k]);
+      }
+    }
+    CacheEntryInfo grown = entry.info;
+    grown.bytes += static_cast<int64_t>(fresh.size()) * bytes_per_tuple_;
+    if (MakeRoomToResize(shard, entry, grown, &demoted)) {
+      for (const auto& [i, k] : merges) MergeCellAggregates(have[i], cells[k]);
+      InsertCellsAt(&have, at, fresh);
+      const int64_t growth = grown.bytes - entry.info.bytes;
+      shard.bytes_used += growth;
+      shard.class_bytes[static_cast<size_t>(entry.victim_class)] += growth;
+      entry.info = grown;
+      ++shard.stats.patched;
+      patched = true;
+      const auto tuples = static_cast<int64_t>(have.size());
+      for (CacheListener* l : listeners_) l->OnUpdate(key, tuples);
+    }
+  }
+  // As in Insert: victims demote even when the patch was refused, and a
+  // patched key's lower-tier copies are purged.
+  if (sink_ != nullptr) {
+    for (Demoted& d : demoted) sink_->OnDemote(d.info, std::move(d.data));
+    if (patched) sink_->OnErase(key);
+  }
+  return patched;
 }
 
 void ChunkCache::Boost(const CacheKey& key, double amount) {
@@ -358,6 +407,20 @@ int64_t ChunkCache::TotalPinCount() const {
     for (const auto& [key, entry] : shard->entries) pins += entry.pin_count;
   }
   return pins;
+}
+
+bool ChunkCache::MakeRoomToResize(Shard& shard, Entry& entry,
+                                  const CacheEntryInfo& resized,
+                                  std::vector<Demoted>* demoted) {
+  if (resized.bytes > shard.capacity) return false;
+  const int64_t needed =
+      shard.bytes_used - entry.info.bytes + resized.bytes - shard.capacity;
+  if (needed <= 0) return true;
+  // Shield the entry being resized from its own eviction sweep.
+  ++entry.pin_count;
+  const bool evicted = EvictFor(shard, resized, needed, demoted);
+  --entry.pin_count;
+  return evicted;
 }
 
 bool ChunkCache::EvictFor(Shard& shard, const CacheEntryInfo& incoming,

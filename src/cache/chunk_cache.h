@@ -5,6 +5,7 @@
 #include <functional>
 #include <list>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +32,8 @@ struct CacheStats {
   /// section that subtracts them from the shard's bytes_used, so there is
   /// no window where a migrating entry is charged to both tiers.
   int64_t demoted_bytes = 0;
+  /// Entries a base write merged new cells into in place (Patch).
+  int64_t patched = 0;
 };
 
 /// Receiver of the hot tier's eviction victims — the hook that turns
@@ -50,10 +53,11 @@ class DemotionSink {
   virtual void OnDemote(const CacheEntryInfo& info, ChunkData&& data) = 0;
 
   /// The key's authoritative copy changed or vanished: a successful Insert
-  /// made (or refreshed) a hot-resident copy, or an explicit Remove
-  /// (invalidation) dropped the key — possibly one the hot tier never
-  /// held, so lower tiers are purged too. Sinks drop their copies; stale
-  /// demoted data must never be promoted later.
+  /// made (or refreshed) a hot-resident copy, a Patch merged a base write
+  /// into it, or an explicit Remove (invalidation) dropped the key —
+  /// possibly one the hot tier never held, so lower tiers are purged too.
+  /// Sinks drop their copies; stale demoted data must never be promoted
+  /// later.
   virtual void OnErase(const CacheKey& key) = 0;
 };
 
@@ -158,10 +162,29 @@ class ChunkCache {
   bool Insert(ChunkData data, double benefit, ChunkSource source);
 
   /// Removes a chunk; returns false if it was not cached (hot-tier
-  /// residency only). The entry must not be pinned. The demotion sink's
-  /// OnErase fires even when the key was not hot-resident, so invalidation
-  /// purges warm/disk copies of keys the hot tier already evicted.
+  /// residency only). The entry must not be pinned: writes are quiescent
+  /// (core/invalidation.h), and Remove and Patch both check it. The
+  /// demotion sink's OnErase fires even when the key was not hot-resident,
+  /// so invalidation purges warm/disk copies of keys the hot tier already
+  /// evicted.
   bool Remove(const CacheKey& key);
+
+  /// Merges a base write into the hot-resident entry `key`, in place and
+  /// under its shard lock: each of `cells` folds into the entry's cell with
+  /// the same value ids (MergeCellAggregates), or goes in at its sorted
+  /// place when the entry has none. `cells` hold value ids at `key.gb`'s
+  /// level inside `key.chunk`, sorted by CellValueLess over `num_dims` and
+  /// distinct. The entry is never copied; an entry whose cells are out of
+  /// value order is sorted first. Growth is charged to the shard and class
+  /// ledgers and makes room the way an Insert over the key would (victims
+  /// demote). Listeners see OnUpdate with the new tuple count, and the
+  /// demotion sink's OnErase fires after unlocking. A patch is not a use:
+  /// it leaves the clock value and the hit counters alone, and counts
+  /// CacheStats::patched. Returns false without merging when the key is
+  /// not hot-resident or the grown entry does not fit its shard (victims
+  /// already evicted for it still demote, as in Insert); the caller then
+  /// Removes the key. The entry must not be pinned.
+  bool Patch(const CacheKey& key, int num_dims, std::span<const Cell> cells);
 
   /// Adds `amount` to the entry's clock value (the two-level policy boosts
   /// every chunk of a group used to compute an aggregate, Section 6.3),
@@ -240,6 +263,14 @@ class ChunkCache {
                     const CacheEntryInfo& info, ChunkData&& data,
                     int64_t tuples, std::vector<Demoted>* demoted,
                     bool* erase_sink) AAC_REQUIRES(shard.mutex);
+
+  /// Makes room in `shard` for `entry` to take `resized.bytes` (the entry
+  /// itself shielded from the sweep); false when the shard cannot hold it.
+  /// Victims demote into `*demoted`.
+  bool MakeRoomToResize(Shard& shard, Entry& entry,
+                        const CacheEntryInfo& resized,
+                        std::vector<Demoted>* demoted)
+      AAC_REQUIRES(shard.mutex);
 
   /// Frees at least `needed` bytes in `shard` by sweeping the per-class
   /// clock rings; returns true on success. Entries the policy refuses to

@@ -224,7 +224,7 @@ void ResultCache::OnUpdate(const CacheKey& key, int64_t tuples) {
 void ResultCache::OnEvict(const CacheKey& key) {
   // Capacity eviction in the chunk cache never makes a stored answer wrong;
   // explicit removals that DO signal staleness (base writes) flow through
-  // CacheInvalidator -> InvalidateForBaseChunks instead, because from here
+  // ApplyFactUpdates -> InvalidateForBaseChunks instead, because from here
   // an invalidation Remove is indistinguishable from a capacity eviction.
   (void)key;
 }

@@ -84,14 +84,16 @@ struct ResultCacheStats {
 /// Invalidation contract (DESIGN.md §12): capacity eviction never makes an
 /// answer wrong, so eviction is silent. An entry must be *invalidated* when
 /// the data under it changes, which reaches this cache on two paths:
-///  - Base writes: CacheInvalidator calls InvalidateForBaseChunks; the
-///    lattice closure property maps each changed base chunk to exactly one
-///    chunk per group-by (ChildChunkNumber), and any entry whose chunk set
-///    contains an affected chunk is dropped.
-///  - Chunk-cache replace-in-place: as a CacheListener, OnUpdate — fired
-///    when Insert over an existing key swaps a chunk's payload — drops
-///    every entry built over that (group-by, chunk). OnInsert/OnEvict are
-///    ignored: membership changes don't alter what cached answers mean.
+///  - Base writes: ApplyFactUpdates calls InvalidateForBaseChunks before
+///    it touches the chunk cache; the lattice closure property maps each
+///    changed base chunk to exactly one chunk per group-by
+///    (ChildChunkNumber), and any entry whose chunk set contains an
+///    affected chunk is dropped.
+///  - Chunk-cache payload changes: as a CacheListener, OnUpdate — fired
+///    when Insert over an existing key swaps a chunk's payload, or when a
+///    base write patches it in place — drops every entry built over that
+///    (group-by, chunk). OnInsert/OnEvict are ignored: membership changes
+///    don't alter what cached answers mean.
 ///
 /// Concurrency: one mutex guards all state; Probe copies under the lock.
 /// OnUpdate arrives while a chunk-cache shard lock is held, extending the
@@ -138,12 +140,14 @@ class ResultCache : public CacheListener {
   /// group-by chunk ids), via the same closure-property mapping the chunk
   /// cache's invalidator uses: a base chunk touches exactly one chunk of
   /// each entry's group-by (grid.ChildChunkNumber). Returns entries
-  /// dropped. CacheInvalidator calls this alongside the chunk sweep.
+  /// dropped. ApplyFactUpdates calls this first, so the answers it drops
+  /// are counted here rather than by the OnUpdate its patches fire.
   int64_t InvalidateForBaseChunks(const ChunkGrid& grid,
                                   std::span<const ChunkId> base_chunks);
 
   /// CacheListener over the chunk cache. OnUpdate means a cached chunk's
-  /// payload was replaced in place — any answer folded over it is stale.
+  /// payload was replaced or patched in place — any answer folded over it
+  /// is stale.
   /// Fired under a chunk-cache shard lock; see the class comment.
   void OnInsert(const CacheKey& key, int64_t tuples) override;
   void OnUpdate(const CacheKey& key, int64_t tuples) override;

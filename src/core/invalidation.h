@@ -2,55 +2,50 @@
 #define AAC_CORE_INVALIDATION_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cache/chunk_cache.h"
 #include "cache/result_cache.h"
-#include "chunks/chunk_grid.h"
 #include "storage/fact_table.h"
 
 namespace aac {
 
-/// Cache-coherence for a changing fact table (an extension beyond the
-/// paper, which assumed static data).
+/// The middle tier's write protocol for a growing fact table (an extension
+/// beyond the paper, which assumed static data). Inserts only: SUM, COUNT,
+/// MIN and MAX are distributive, so a cached chunk absorbs new fact tuples
+/// from the tuples alone.
 ///
-/// When base chunks change, every cached chunk — at any group-by level —
-/// whose base region covers one of them is stale and must leave the cache.
-/// The closure property makes the affected set cheap to compute: an updated
-/// base chunk maps to exactly one chunk per group-by (GetChildChunkNumber),
-/// so invalidation costs O(changed base chunks x lattice nodes) regardless
-/// of data size. Count/cost maintenance (VCM/VCMC) rides along through the
-/// cache's eviction listeners.
-class CacheInvalidator {
- public:
-  /// `grid` and `cache` must outlive the invalidator. `results` (optional,
-  /// may be null) is the semantic result cache riding above the chunk
-  /// cache: base writes must also drop every stored query answer derived
-  /// from a changed base chunk. This is an explicit call rather than a
-  /// cache-listener ride-along because from the listener's vantage an
-  /// invalidation Remove is indistinguishable from a capacity eviction —
-  /// and capacity evictions must NOT drop results (see DESIGN.md §12).
-  CacheInvalidator(const ChunkGrid* grid, ChunkCache* cache,
-                   ResultCache* results = nullptr);
-
-  /// Removes every cached chunk — and every cached query answer, when a
-  /// result cache is attached — derived from any of `base_chunks`.
-  /// Returns the total number of entries dropped across both layers.
-  int64_t InvalidateForBaseChunks(std::span<const ChunkId> base_chunks);
-
- private:
-  const ChunkGrid* grid_;
-  ChunkCache* cache_;
-  ResultCache* results_;
-};
-
-/// Applies a batch of new fact tuples to `table` and invalidates the
-/// affected cached chunks (and cached query answers, when `results` is
-/// non-null): the full middle-tier update protocol. Returns the number of
-/// entries dropped across both cache layers.
+/// 1. `table` takes the batch (FactTable::ApplyInserts).
+/// 2. When `results` is non-null, every cached query answer derived from a
+///    changed base chunk is dropped (ResultCache::InvalidateForBaseChunks).
+///    This runs first: patching a chunk fires OnUpdate, which would drop
+///    the same answers without counting them here.
+/// 3. For each group-by, the batch is rolled up once (ancestor values, then
+///    target chunk), and each target chunk's cells are merged into its
+///    hot-resident entry in place (ChunkCache::Patch). The closure property
+///    maps a changed base chunk to exactly one chunk per group-by, so these
+///    are all the cached chunks the batch touches. A key that is not
+///    hot-resident, or whose grown entry does not fit its shard, is
+///    Removed, which also purges its warm and disk copies.
+///
+/// Count/cost maintenance (VCM/VCMC) rides along through the cache's
+/// listeners: OnUpdate for a patch, OnEvict for a removal.
+///
+/// Concurrency contract: writes are quiescent. No query may run while this
+/// executes — FactTable has no lock, and a pinned affected entry aborts
+/// (Patch and Remove both check). Callers apply writes at a barrier, as
+/// bench/e2e does. A per-base-chunk data epoch that would lift this is
+/// ROADMAP item 3.
+///
+/// Patched chunks equal a refetch exactly when the measures' partial sums
+/// are exact in a double (integer measures, as in APB-1); otherwise they
+/// differ from a refetch by summation order only.
+///
+/// Returns the number of entries dropped: result-cache answers plus chunks
+/// Removed while hot-resident. Patched chunks are not counted
+/// (CacheStats::patched counts them).
 int64_t ApplyFactUpdates(FactTable* table, ChunkCache* cache,
-                         std::vector<Cell> new_tuples,
+                         const std::vector<Cell>& new_tuples,
                          ResultCache* results = nullptr);
 
 }  // namespace aac

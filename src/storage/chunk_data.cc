@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <utility>
+
+#include "util/check.h"
 
 namespace aac {
 
@@ -28,6 +31,52 @@ void CanonicalizeChunkData(int num_dims, ChunkData* data) {
     }
   }
   data->cells.erase(std::next(out), data->cells.end());
+}
+
+std::vector<ChunkId> ClusterByChunk(const ChunkGrid& grid, GroupById gb,
+                                    std::vector<Cell>* cells) {
+  const CellValueLess less{grid.schema().num_dims()};
+  std::vector<std::pair<ChunkId, Cell>> placed;
+  placed.reserve(cells->size());
+  for (const Cell& c : *cells) {
+    placed.emplace_back(grid.ChunkOfCell(gb, c.values.data()), c);
+  }
+  std::stable_sort(placed.begin(), placed.end(),
+                   [less](const auto& a, const auto& b) {
+                     return a.first != b.first ? a.first < b.first
+                                               : less(a.second, b.second);
+                   });
+  std::vector<ChunkId> chunks;
+  chunks.reserve(placed.size());
+  cells->clear();
+  for (const auto& [chunk, cell] : placed) {
+    if (!chunks.empty() && chunks.back() == chunk &&
+        !less(cells->back(), cell)) {
+      MergeCellAggregates(cells->back(), cell);
+    } else {
+      chunks.push_back(chunk);
+      cells->push_back(cell);
+    }
+  }
+  return chunks;
+}
+
+void InsertCellsAt(std::vector<Cell>* cells, std::span<const size_t> at,
+                   std::span<const Cell> fresh) {
+  AAC_CHECK_EQ(at.size(), fresh.size());
+  size_t read = cells->size();
+  size_t write = read + fresh.size();
+  cells->resize(write);
+  const auto it = [cells](size_t i) {
+    return cells->begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  for (size_t k = fresh.size(); k-- > 0;) {
+    AAC_CHECK_LE(at[k], read);
+    std::move_backward(it(at[k]), it(read), it(write));
+    write -= read - at[k];
+    read = at[k];
+    (*cells)[--write] = fresh[k];
+  }
 }
 
 bool ChunkDataEquals(int num_dims, ChunkData* a, ChunkData* b, double epsilon) {

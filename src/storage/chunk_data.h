@@ -1,7 +1,9 @@
 #ifndef AAC_STORAGE_CHUNK_DATA_H_
 #define AAC_STORAGE_CHUNK_DATA_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chunks/chunk_grid.h"
@@ -32,6 +34,20 @@ struct ChunkData {
 /// (cell-wise aggregate merge), so a canonical chunk has exactly one cell
 /// per coordinate in a deterministic order.
 void CanonicalizeChunkData(int num_dims, ChunkData* data);
+
+/// Orders `*cells` — value ids at group-by `gb`'s level — by their chunk of
+/// `gb`, then by value (CellValueLess), merging cells with equal value ids
+/// in input order, and returns each remaining cell's chunk. A write batch
+/// in this order is one run of sorted, distinct cells per chunk, ascending.
+std::vector<ChunkId> ClusterByChunk(const ChunkGrid& grid, GroupById gb,
+                                    std::vector<Cell>* cells);
+
+/// Inserts each `fresh[k]` in front of the cell at old index `at[k]` of
+/// `*cells` (`at[k] == size()` appends), in one backward pass that moves
+/// every existing cell at most once. `at` ascends; new cells at the same
+/// index keep their order in `fresh`.
+void InsertCellsAt(std::vector<Cell>* cells, std::span<const size_t> at,
+                   std::span<const Cell> fresh);
 
 /// True if both chunks hold the same cells with measures equal within
 /// `epsilon`. Both inputs are canonicalized by the call.

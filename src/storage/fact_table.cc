@@ -4,6 +4,7 @@
 #include <array>
 #include <utility>
 
+#include "storage/chunk_data.h"
 #include "util/check.h"
 
 namespace aac {
@@ -40,15 +41,47 @@ FactTable::FactTable(const ChunkGrid* grid, std::vector<Cell> cells)
 
 std::vector<ChunkId> FactTable::ApplyInserts(std::vector<Cell> cells) {
   CheckBaseValues(grid_->schema(), cells);
-  std::vector<ChunkId> affected;
-  for (const Cell& c : cells) {
-    affected.push_back(grid_->ChunkOfCell(base_gb_, c.values.data()));
-  }
-  std::sort(affected.begin(), affected.end());
+  const CellValueLess less{grid_->schema().num_dims()};
+  // Only the batch is sorted, never the table.
+  const std::vector<ChunkId> chunks = ClusterByChunk(*grid_, base_gb_, &cells);
+  std::vector<ChunkId> affected = chunks;
   affected.erase(std::unique(affected.begin(), affected.end()),
                  affected.end());
-  tuples_.insert(tuples_.end(), cells.begin(), cells.end());
-  Rebuild();
+
+  // A cell already in the table merges into its tuple, found by binary
+  // search in its chunk's value-sorted slice. A new cell goes in front of
+  // the old tuple the search stopped at; those positions ascend with the
+  // batch.
+  std::vector<size_t> at;
+  std::vector<Cell> fresh;
+  std::vector<ChunkId> fresh_chunks;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const auto slice_begin =
+        tuples_.begin() + chunk_offsets_[static_cast<size_t>(chunks[i])];
+    const auto slice_end =
+        tuples_.begin() + chunk_offsets_[static_cast<size_t>(chunks[i]) + 1];
+    const auto it = std::lower_bound(slice_begin, slice_end, cells[i], less);
+    if (it != slice_end && !less(cells[i], *it)) {
+      MergeCellAggregates(*it, cells[i]);
+    } else {
+      at.push_back(static_cast<size_t>(it - tuples_.begin()));
+      fresh.push_back(cells[i]);
+      fresh_chunks.push_back(chunks[i]);
+    }
+  }
+  if (fresh.empty()) return affected;
+  InsertCellsAt(&tuples_, at, fresh);
+
+  // Each chunk's end moves up by the new cells in it and every chunk
+  // before it (a prefix sum over the new cells' chunks).
+  int64_t shift = 0;
+  size_t next = 0;
+  for (ChunkId c = fresh_chunks.front(); c < num_chunks(); ++c) {
+    for (; next < fresh_chunks.size() && fresh_chunks[next] == c; ++next) {
+      ++shift;
+    }
+    chunk_offsets_[static_cast<size_t>(c) + 1] += shift;
+  }
   return affected;
 }
 

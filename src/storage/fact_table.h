@@ -23,10 +23,17 @@ class FactTable {
   /// `ApplyInserts` abort on any other. `grid` must outlive the table.
   FactTable(const ChunkGrid* grid, std::vector<Cell> cells);
 
-  /// Appends new fact tuples (merging into existing cells) and re-clusters.
-  /// Cached results derived from the affected base chunks become stale; see
-  /// core/invalidation.h for the cache-side protocol. Returns the base
-  /// chunks whose contents changed.
+  /// Merges new fact tuples into the clustered order: the batch alone is
+  /// sorted (duplicates within it merged in batch order), a cell already in
+  /// the table merges into its tuple (found by binary search in its base
+  /// chunk's value-sorted slice), new cells go in with one backward pass,
+  /// and the chunk offsets shift by a prefix sum. The result is tuple for
+  /// tuple what the constructor builds from the same cells. Cost: the batch,
+  /// plus the tuples and chunk offsets after the first new cell; the table
+  /// is never re-sorted. Cached chunks and answers over the changed base
+  /// chunks become stale; core/invalidation.h's ApplyFactUpdates is the
+  /// cache-side protocol. Returns the sorted, distinct base chunks of the
+  /// batch.
   std::vector<ChunkId> ApplyInserts(std::vector<Cell> cells);
 
   const ChunkGrid& grid() const { return *grid_; }
@@ -46,12 +53,12 @@ class FactTable {
   std::span<const Cell> tuples() const { return tuples_; }
 
  private:
-  /// Dedups `tuples_` and rebuilds the clustered layout.
+  /// Dedups `tuples_` and builds the clustered layout (construction only).
   void Rebuild();
 
   const ChunkGrid* grid_;
   GroupById base_gb_;
-  std::vector<Cell> tuples_;          // sorted by base chunk number
+  std::vector<Cell> tuples_;  // by base chunk number, then by value
   std::vector<int64_t> chunk_offsets_;  // size num_chunks()+1
 };
 

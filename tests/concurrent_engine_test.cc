@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/result_cache.h"
 #include "cache/warm_tier.h"
 #include "core/concurrent_engine.h"
+#include "core/invalidation.h"
 #include "core/vcmc.h"
 #include "test_env.h"
 #include "workload/experiment.h"
@@ -192,6 +197,131 @@ TEST(ConcurrentEngineLayers, AttachingAResultCacheKeepsTheWarmTier) {
       });
   EXPECT_EQ(second.result_misses, second.queries);
   EXPECT_GT(second.chunks_warm, 0);
+}
+
+// Writes at a quiescent barrier, the way bench/e2e applies them: four
+// threads claim query slots, and every 10th claim waits until no query is
+// in flight, applies a batch through ApplyFactUpdates and lets the queries
+// resume. The hot cache is scarce, so patches also grow entries that must
+// make room. Every answer equals a backend fold of the table as it stood
+// while the query ran.
+TEST(ConcurrentEngineWrites, WritesAtABarrierKeepAnswersExact) {
+  TestEnv env = MakeTestEnv(MakeThreeDimCube(), 0.6, 71, /*capacity=*/1600,
+                            /*two_level_policy=*/true, /*bytes_per_tuple=*/10,
+                            /*num_shards=*/4);
+  VcmcStrategy strategy(env.cube.grid.get(), env.cache.get(),
+                        env.size_model.get());
+  env.cache->AddListener(strategy.listener());
+  WarmTier::Config warm_config;
+  warm_config.capacity_bytes = 1 << 20;
+  warm_config.num_dims = env.schema().num_dims();
+  WarmTier warm(warm_config);
+  env.cache->set_demotion_sink(&warm);
+  ResultCache::Config rc_config;
+  rc_config.capacity_bytes = 2000;
+  rc_config.bytes_per_tuple = 10;
+  ResultCache results(rc_config);
+  env.cache->AddListener(&results);
+  ConcurrentQueryEngine pool([&env, &strategy] {
+    return std::make_unique<QueryEngine>(
+        env.cube.grid.get(), env.cache.get(), &strategy, env.backend.get(),
+        env.benefit.get(), env.clock.get(), QueryEngine::Config());
+  });
+  pool.set_result_cache(&results);
+  pool.set_warm_tier(&warm);
+
+  constexpr int kThreads = 4;
+  constexpr int kClaims = 240;
+  constexpr int kWriteEvery = 10;
+  std::mutex mutex;
+  std::condition_variable cv;
+  int next = 0;
+  int in_flight = 0;
+  bool writing = false;
+  int writes = 0;
+  Rng write_rng(5);
+  const Schema& schema = env.schema();
+  // Writes run with no query in flight: the claim that triggers one waits
+  // for the others to drain, and new claims wait for the write.
+  auto claim = [&]() {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return !writing; });
+    if (next >= kClaims) return false;
+    const int i = next++;
+    if (i > 0 && i % kWriteEvery == 0) {
+      writing = true;
+      cv.wait(lock, [&] { return in_flight == 0; });
+      std::vector<Cell> batch(8);
+      for (Cell& c : batch) {
+        for (int d = 0; d < schema.num_dims(); ++d) {
+          c.values[static_cast<size_t>(d)] =
+              static_cast<int32_t>(write_rng.Uniform(static_cast<uint64_t>(
+                  schema.dimension(d).cardinality(schema.base_level()[d]))));
+        }
+        InitCellAggregates(
+            c, static_cast<double>(write_rng.Uniform(100)) + 1.0);
+      }
+      lock.unlock();
+      ApplyFactUpdates(env.table.get(), env.cache.get(), std::move(batch),
+                       &results);
+      lock.lock();
+      ++writes;
+      writing = false;
+      cv.notify_all();
+    }
+    ++in_flight;
+    return true;
+  };
+  auto done = [&]() {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (--in_flight == 0) cv.notify_all();
+  };
+
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) * 31 + 3);
+      BackendServer oracle(env.table.get(), BackendCostModel(), nullptr);
+      while (claim()) {
+        const GroupById gb = static_cast<GroupById>(
+            rng.Uniform(env.lattice().num_groupbys()));
+        const Query q =
+            Query::WholeLevel(schema, env.lattice().LevelOf(gb));
+        std::vector<ChunkData> got = pool.ExecuteQuery(q, nullptr).chunks;
+        std::vector<ChunkData> want =
+            oracle.ExecuteChunkQuery(gb, ChunksForQuery(env.grid(), q)).chunks;
+        done();
+        auto by_chunk = [](const ChunkData& a, const ChunkData& b) {
+          return a.chunk < b.chunk;
+        };
+        std::sort(got.begin(), got.end(), by_chunk);
+        std::sort(want.begin(), want.end(), by_chunk);
+        bool same = got.size() == want.size();
+        for (size_t k = 0; same && k < got.size(); ++k) {
+          same = ChunkDataEquals(schema.num_dims(), &got[k], &want[k],
+                                 /*epsilon=*/0.0);
+        }
+        if (!same) ++wrong;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(writes, kClaims / kWriteEvery - 1);
+  EXPECT_GT(env.cache->stats().patched, 0);
+  EXPECT_EQ(env.cache->TotalPinCount(), 0);
+  EXPECT_TRUE(env.cache->ValidateInvariants());
+  EXPECT_TRUE(warm.ValidateInvariants());
+  EXPECT_TRUE(results.ValidateInvariants());
+  const std::vector<uint8_t> scratch = strategy.counts().ComputeFromScratch();
+  for (GroupById gb = 0; gb < env.lattice().num_groupbys(); ++gb) {
+    for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
+      ASSERT_EQ(strategy.counts().CountOf(gb, c),
+                scratch[OracleIndex(env, gb, c)]);
+    }
+  }
 }
 
 // Layers reach engines only when the pool creates them, so configuring a

@@ -254,7 +254,7 @@ TEST_F(ResultCacheEngineTest, FunctionVariantsShareOneEntry) {
   EXPECT_EQ(results_->num_entries(), 1u);
 }
 
-// Base writes drop dependent result entries through CacheInvalidator, and
+// Base writes drop dependent result entries through ApplyFactUpdates, and
 // the refreshed answer reflects the new facts.
 TEST_F(ResultCacheEngineTest, BaseWriteInvalidatesDependentResults) {
   Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
