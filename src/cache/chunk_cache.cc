@@ -22,19 +22,8 @@ ChunkCache::ChunkCache(int64_t capacity_bytes, int64_t bytes_per_tuple,
   const int64_t base = capacity_bytes / num_shards;
   const int64_t remainder = capacity_bytes % num_shards;
   for (int s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->capacity = base + (s < remainder ? 1 : 0);
-    // The shard is not yet published, but its ring/accounting fields are
-    // lock-guarded — initialize under the (uncontended) lock so the
-    // thread-safety analysis sees a uniform discipline.
-    MutexLock lock(shard->mutex);
-    shard->rings.resize(classes);
-    shard->hands.resize(classes);
-    for (size_t c = 0; c < classes; ++c) {
-      shard->hands[c] = shard->rings[c].end();
-    }
-    shard->class_bytes.assign(classes, 0);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(
+        std::make_unique<Shard>(base + (s < remainder ? 1 : 0), classes));
   }
 }
 
@@ -93,14 +82,8 @@ bool ChunkCache::Contains(const CacheKey& key) const {
 const ChunkData* ChunkCache::Get(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.stats.misses;
-    return nullptr;
-  }
-  ++shard.stats.hits;
-  it->second.clock_value = policy_->ClockValue(it->second.info);
-  return &it->second.data;
+  const Entry* entry = Use(shard, key);
+  return entry == nullptr ? nullptr : &entry->data;
 }
 
 const ChunkData* ChunkCache::Peek(const CacheKey& key) const {
@@ -114,29 +97,18 @@ bool ChunkCache::GetCopy(const CacheKey& key, ChunkData* out) {
   AAC_CHECK(out != nullptr);
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.stats.misses;
-    return false;
-  }
-  ++shard.stats.hits;
-  it->second.clock_value = policy_->ClockValue(it->second.info);
-  *out = it->second.data;
-  return true;
+  const Entry* entry = Use(shard, key);
+  if (entry != nullptr) *out = entry->data;
+  return entry != nullptr;
 }
 
 const ChunkData* ChunkCache::GetPinned(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.stats.misses;
-    return nullptr;
-  }
-  ++shard.stats.hits;
-  it->second.clock_value = policy_->ClockValue(it->second.info);
-  ++it->second.pin_count;
-  return &it->second.data;
+  Entry* entry = Use(shard, key);
+  if (entry == nullptr) return nullptr;
+  ++entry->pin_count;
+  return &entry->data;
 }
 
 bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source) {
@@ -179,7 +151,7 @@ bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
     if (entry.pin_count > 0) {
       // A reader holds the data; swapping it out would invalidate the
       // pinned pointer. Treat the insert as a use only.
-      entry.clock_value = policy_->ClockValue(entry.info);
+      Touch(shard, entry);
       return true;
     }
     if (!MakeRoomToResize(shard, entry, info, demoted)) {
@@ -193,21 +165,14 @@ bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
     shard.class_bytes[static_cast<size_t>(old_class)] -= entry.info.bytes;
     shard.class_bytes[static_cast<size_t>(new_class)] += info.bytes;
     if (new_class != old_class) {
-      auto& old_ring = shard.rings[static_cast<size_t>(old_class)];
-      auto& old_hand = shard.hands[static_cast<size_t>(old_class)];
-      if (old_hand == entry.ring_pos) ++old_hand;
-      old_ring.erase(entry.ring_pos);
-      auto& new_ring = shard.rings[static_cast<size_t>(new_class)];
-      new_ring.push_back(key);
-      entry.ring_pos = std::prev(new_ring.end());
-      if (shard.hands[static_cast<size_t>(new_class)] == new_ring.end()) {
-        shard.hands[static_cast<size_t>(new_class)] = entry.ring_pos;
-      }
+      shard.rings[static_cast<size_t>(old_class)].Erase(entry.ring_pos);
+      entry.ring_pos =
+          shard.rings[static_cast<size_t>(new_class)].Add(key, 0.0);
     }
     entry.data = std::move(data);
     entry.info = info;
-    entry.clock_value = policy_->ClockValue(info);
     entry.victim_class = new_class;
+    Touch(shard, entry);
     *erase_sink = true;
     for (CacheListener* l : listeners_) l->OnUpdate(key, tuples);
     return true;
@@ -226,17 +191,12 @@ bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
 
   const int victim_class = policy_->VictimClass(info);
   AAC_CHECK(victim_class >= 0 && victim_class < policy_->num_victim_classes());
-  auto& ring = shard.rings[static_cast<size_t>(victim_class)];
   Entry entry;
   entry.data = std::move(data);
   entry.info = info;
-  entry.clock_value = policy_->ClockValue(info);
   entry.victim_class = victim_class;
-  ring.push_back(key);
-  entry.ring_pos = std::prev(ring.end());
-  if (shard.hands[static_cast<size_t>(victim_class)] == ring.end()) {
-    shard.hands[static_cast<size_t>(victim_class)] = entry.ring_pos;
-  }
+  entry.ring_pos = shard.rings[static_cast<size_t>(victim_class)].Add(
+      key, policy_->ClockValue(info));
   shard.bytes_used += info.bytes;
   shard.class_bytes[static_cast<size_t>(victim_class)] += info.bytes;
   shard.entries.emplace(key, std::move(entry));
@@ -330,8 +290,8 @@ void ChunkCache::Boost(const CacheKey& key, double amount) {
   MutexLock lock(shard.mutex);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) return;
-  it->second.clock_value =
-      std::min(it->second.clock_value + amount, kMaxClockValue);
+  shard.rings[static_cast<size_t>(it->second.victim_class)].Boost(
+      it->second.ring_pos, amount);
 }
 
 void ChunkCache::Pin(const CacheKey& key) {
@@ -366,36 +326,29 @@ void ChunkCache::ForEach(
 bool ChunkCache::ValidateInvariants() const {
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mutex);
+    const size_t classes = shard->rings.size();
     int64_t bytes = 0;
-    std::vector<int64_t> class_bytes(shard->class_bytes.size(), 0);
-    size_t ring_members = 0;
+    std::vector<int64_t> class_bytes(classes, 0);
     for (const auto& [key, entry] : shard->entries) {
       if (!(key == entry.info.key)) return false;
       if (entry.info.bytes < 0 || entry.pin_count < 0) return false;
       if (entry.victim_class < 0 ||
-          entry.victim_class >= static_cast<int>(shard->rings.size())) {
+          entry.victim_class >= static_cast<int>(classes)) {
         return false;
       }
-      if (!(*entry.ring_pos == key)) return false;
       bytes += entry.info.bytes;
       class_bytes[static_cast<size_t>(entry.victim_class)] += entry.info.bytes;
     }
     if (bytes != shard->bytes_used) return false;
     if (shard->bytes_used > shard->capacity) return false;
     if (class_bytes != shard->class_bytes) return false;
-    for (size_t c = 0; c < shard->rings.size(); ++c) {
-      const auto& ring = shard->rings[c];
-      ring_members += ring.size();
-      for (const CacheKey& key : ring) {
-        auto it = shard->entries.find(key);
-        if (it == shard->entries.end()) return false;
-        if (it->second.victim_class != static_cast<int>(c)) return false;
+    for (size_t c = 0; c < classes; ++c) {
+      if (!shard->rings[c].Validate(shard->entries, [c](const Entry& entry) {
+            return entry.victim_class == static_cast<int>(c);
+          })) {
+        return false;
       }
-      // The hand is either parked at end() or on a live ring member.
-      const auto& hand = shard->hands[c];
-      if (hand != ring.end() && shard->entries.count(*hand) == 0) return false;
     }
-    if (ring_members != shard->entries.size()) return false;
   }
   return true;
 }
@@ -440,54 +393,46 @@ bool ChunkCache::EvictFor(Shard& shard, const CacheEntryInfo& incoming,
   // cache-computed chunks before touching any backend chunk). Within a
   // class, the weighted CLOCK decides.
   int64_t freed = 0;
+  auto eligible = [&](const CacheKey&, const Entry& entry) {
+    return entry.pin_count == 0 && policy_->CanReplace(incoming, entry.info);
+  };
+  auto evict = [&](EntryMap::iterator it) AAC_NO_THREAD_SAFETY_ANALYSIS {
+    const int64_t bytes = it->second.info.bytes;
+    EvictEntry(shard, it, demoted);
+    freed += bytes;
+    return bytes;
+  };
   for (int victim_class = 0;
        victim_class < policy_->num_victim_classes() && freed < needed;
        ++victim_class) {
     if (!policy_->MayReplaceClass(incoming, victim_class)) continue;
-    auto& ring = shard.rings[static_cast<size_t>(victim_class)];
-    auto& hand = shard.hands[static_cast<size_t>(victim_class)];
-    // Bound the sweep: clock values are capped at kMaxClockValue (48), so
-    // every entry reaches zero within 64 decrement visits. A revolution
-    // that finds no eligible victim (all pinned / policy-protected) ends
-    // the class immediately.
-    int64_t budget = static_cast<int64_t>(ring.size()) * 64 + 64;
-    int64_t remaining_in_rev = static_cast<int64_t>(ring.size());
-    bool eligible_in_rev = false;
-    while (freed < needed && budget-- > 0 && !ring.empty()) {
-      if (hand == ring.end()) hand = ring.begin();
-      if (remaining_in_rev-- <= 0) {
-        if (!eligible_in_rev) break;
-        remaining_in_rev = static_cast<int64_t>(ring.size());
-        eligible_in_rev = false;
-      }
-      auto it = shard.entries.find(*hand);
-      AAC_CHECK(it != shard.entries.end());
-      Entry& entry = it->second;
-      if (entry.pin_count > 0 || !policy_->CanReplace(incoming, entry.info)) {
-        ++hand;
-        continue;
-      }
-      eligible_in_rev = true;
-      if (entry.clock_value <= 0.0) {
-        freed += entry.info.bytes;
-        EvictEntry(shard, it, demoted);  // advances the hand past the victim
-        continue;
-      }
-      entry.clock_value -= 1.0;
-      ++hand;
-    }
+    shard.rings[static_cast<size_t>(victim_class)].Sweep(
+        shard.entries, needed - freed, eligible, evict);
   }
   return freed >= needed;
+}
+
+ChunkCache::Entry* ChunkCache::Use(Shard& shard, const CacheKey& key) {
+  auto it = shard.entries.find(key);
+  if (it == shard.entries.end()) {
+    ++shard.stats.misses;
+    return nullptr;
+  }
+  ++shard.stats.hits;
+  Touch(shard, it->second);
+  return &it->second;
+}
+
+void ChunkCache::Touch(Shard& shard, const Entry& entry) {
+  shard.rings[static_cast<size_t>(entry.victim_class)].Refresh(
+      entry.ring_pos, policy_->ClockValue(entry.info));
 }
 
 void ChunkCache::EvictEntry(Shard& shard, EntryMap::iterator it,
                             std::vector<Demoted>* demoted) {
   const CacheKey key = it->first;
   const auto victim_class = static_cast<size_t>(it->second.victim_class);
-  if (shard.hands[victim_class] == it->second.ring_pos) {
-    ++shard.hands[victim_class];
-  }
-  shard.rings[victim_class].erase(it->second.ring_pos);
+  shard.rings[victim_class].Erase(it->second.ring_pos);
   shard.bytes_used -= it->second.info.bytes;
   shard.class_bytes[victim_class] -= it->second.info.bytes;
   if (demoted != nullptr && sink_ != nullptr) {

@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/cache_entry.h"
+#include "cache/clock_ring.h"
 #include "cache/replacement.h"
 #include "storage/chunk_data.h"
 #include "util/lockdep.h"
@@ -64,11 +64,11 @@ class DemotionSink {
 /// Middle-tier chunk cache with weighted-CLOCK replacement.
 ///
 /// Stores `ChunkData` keyed by (group-by, chunk number) under a byte
-/// capacity. Replacement approximates LRU with CLOCK: entries carry a clock
-/// value from the `ReplacementPolicy`; the sweeping hand decrements values
-/// and evicts non-pinned entries that reach zero, subject to the policy's
-/// class rules (two-level policy). Listeners observe inserts and evictions
-/// so the virtual-count strategies can maintain their summary state.
+/// capacity. Replacement is a ClockRing per victim class, granting the
+/// `ReplacementPolicy`'s clock values; a sweep evicts only non-pinned
+/// entries the policy's class rules allow (two-level policy). Listeners
+/// observe inserts and evictions so the virtual-count strategies can
+/// maintain their summary state.
 ///
 /// Entries can be *pinned* while a plan executor reads them, which exempts
 /// them from eviction; eviction mid-aggregation would invalidate the
@@ -88,12 +88,6 @@ class DemotionSink {
 /// concurrent drivers pass 16+.
 class ChunkCache {
  public:
-  /// Upper bound on any entry's clock value. Policies grant weights in
-  /// [1, 32] (ReplacementPolicy::NormalizedWeight); Boost may push a value
-  /// above a policy grant but never beyond this bound, which keeps the
-  /// eviction sweep budget (64 decrements per resident entry) sufficient.
-  static constexpr double kMaxClockValue = 48.0;
-
   /// `policy` must outlive the cache. `bytes_per_tuple` is the logical
   /// accounting size of one cached tuple (paper: 20 bytes). `num_shards`
   /// splits the capacity into independently locked shards (>= 1).
@@ -188,8 +182,8 @@ class ChunkCache {
 
   /// Adds `amount` to the entry's clock value (the two-level policy boosts
   /// every chunk of a group used to compute an aggregate, Section 6.3),
-  /// saturating at kMaxClockValue so a heavily boosted entry cannot outlast
-  /// the eviction sweep budget. No-op if the key is not cached.
+  /// saturating at ClockRing::kMaxClockValue (see there). No-op if the key
+  /// is not cached.
   void Boost(const CacheKey& key, double amount);
 
   /// Pins an entry against eviction (counted; must be balanced by Unpin).
@@ -202,9 +196,9 @@ class ChunkCache {
   void ForEach(const std::function<void(const CacheEntryInfo&)>& fn) const;
 
   /// Exhaustive structural self-check: per shard, bytes_used equals the sum
-  /// of entry sizes, class_bytes match, every ring position round-trips
-  /// through the entry map, hands point into their rings, and no shard
-  /// exceeds its capacity. Returns true when all invariants hold. Intended
+  /// of entry sizes, class_bytes match, each class's ring holds exactly the
+  /// entries of that class (ClockRing::Validate), and no shard exceeds its
+  /// capacity. Returns true when all invariants hold. Intended
   /// for tests (quiesced cache); takes each shard lock in turn.
   bool ValidateInvariants() const;
 
@@ -217,10 +211,9 @@ class ChunkCache {
   struct Entry {
     ChunkData data;
     CacheEntryInfo info;
-    double clock_value = 0.0;
     int32_t pin_count = 0;
     int32_t victim_class = 0;
-    std::list<CacheKey>::iterator ring_pos;
+    ClockRing<CacheKey>::Position ring_pos;
   };
 
   /// A capacity-eviction victim collected under the shard lock, to be
@@ -232,17 +225,18 @@ class ChunkCache {
 
   using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
 
-  /// One lock domain: entries, CLOCK rings/hands and byte accounting for
-  /// the keys that hash here.
+  /// One lock domain: entries, CLOCK rings and byte accounting for the
+  /// keys that hash here.
   struct Shard {
+    Shard(int64_t shard_capacity, size_t classes)
+        : rings(classes), capacity(shard_capacity), class_bytes(classes, 0) {}
+
     mutable Mutex mutex{LockRank::kCacheShard, "chunk_cache.shard"};
     EntryMap entries AAC_GUARDED_BY(mutex);
-    // One CLOCK ring + hand per victim class, so a class-targeted sweep
-    // never walks entries of protected classes.
-    std::vector<std::list<CacheKey>> rings AAC_GUARDED_BY(mutex);
-    std::vector<std::list<CacheKey>::iterator> hands AAC_GUARDED_BY(mutex);
-    // Immutable after the cache constructor publishes the shard.
-    int64_t capacity = 0;
+    // One CLOCK ring per victim class, so a class-targeted sweep never
+    // walks entries of protected classes.
+    std::vector<ClockRing<CacheKey>> rings AAC_GUARDED_BY(mutex);
+    const int64_t capacity;
     int64_t bytes_used AAC_GUARDED_BY(mutex) = 0;
     // Bytes per victim class.
     std::vector<int64_t> class_bytes AAC_GUARDED_BY(mutex);
@@ -274,10 +268,17 @@ class ChunkCache {
 
   /// Frees at least `needed` bytes in `shard` by sweeping the per-class
   /// clock rings; returns true on success. Entries the policy refuses to
-  /// replace or that are pinned are skipped (without decrement). Victims
-  /// demote into `*demoted` (see EvictEntry). Caller holds the shard lock.
+  /// replace or that are pinned are ineligible. Victims demote into
+  /// `*demoted` (see EvictEntry). Caller holds the shard lock.
   bool EvictFor(Shard& shard, const CacheEntryInfo& incoming, int64_t needed,
                 std::vector<Demoted>* demoted) AAC_REQUIRES(shard.mutex);
+
+  /// A read of `key`: counts a hit or a miss and, on a hit, Touches the
+  /// entry. Null on a miss.
+  Entry* Use(Shard& shard, const CacheKey& key) AAC_REQUIRES(shard.mutex);
+
+  /// Restores the entry's clock value to its policy grant (a use).
+  void Touch(Shard& shard, const Entry& entry) AAC_REQUIRES(shard.mutex);
 
   /// Removes the entry from the shard (bytes leave the hot accounting
   /// here, atomically). With a sink installed and `demoted` non-null the

@@ -12,6 +12,9 @@ namespace {
 
 constexpr uint32_t kExtentMagic = 0x53434141;  // "AACS" little-endian
 
+// Compaction rewrites the file once this share of its bytes is dead.
+constexpr double kCompactDeadFraction = 0.5;
+
 // FNV-1a (chunk_file's checksum constants).
 constexpr uint64_t kFnvSeed = 14695981039346656037ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
@@ -56,8 +59,6 @@ int64_t ExtentBytes(size_t blob_size) {
 DiskTier::DiskTier(Config config) : config_(std::move(config)) {
   AAC_CHECK(!config_.path.empty());
   AAC_CHECK_GE(config_.capacity_bytes, 0);
-  MutexLock lock(mutex_);
-  hand_ = ring_.end();
 }
 
 DiskTier::~DiskTier() {
@@ -83,7 +84,7 @@ bool DiskTier::Admit(const CacheEntryInfo& info,
   }
   // Replacing an existing extent: the old one simply goes dead.
   auto existing = entries_.find(info.key);
-  if (existing != entries_.end()) DropEntry(existing, /*count_eviction=*/false);
+  if (existing != entries_.end()) DropEntry(existing);
   const int64_t needed = live_bytes_ + extent - config_.capacity_bytes;
   if (needed > 0 && !EvictFor(needed)) {
     ++stats_.rejected;
@@ -118,10 +119,8 @@ bool DiskTier::Admit(const CacheEntryInfo& info,
   entry.offset = offset;
   entry.extent_bytes = extent;
   entry.blob_bytes = static_cast<int64_t>(blob.size());
-  entry.clock_value = ReplacementPolicy::NormalizedWeight(info.benefit);
-  ring_.push_back(info.key);
-  entry.ring_pos = std::prev(ring_.end());
-  if (hand_ == ring_.end()) hand_ = entry.ring_pos;
+  entry.ring_pos =
+      ring_.Add(info.key, ReplacementPolicy::NormalizedWeight(info.benefit));
   live_bytes_ += extent;
   entries_.emplace(info.key, std::move(entry));
   ++stats_.admits;
@@ -172,10 +171,11 @@ bool DiskTier::Read(const CacheKey& key, std::vector<uint8_t>* blob,
     // surface as a miss and forget the extent so we never re-read it.
     ++stats_.torn_reads;
     ++stats_.misses;
-    DropEntry(it, /*count_eviction=*/false);
+    DropEntry(it);
     return false;
   }
-  entry.clock_value = ReplacementPolicy::NormalizedWeight(entry.info.benefit);
+  ring_.Refresh(entry.ring_pos,
+                ReplacementPolicy::NormalizedWeight(entry.info.benefit));
   *info = entry.info;
   ++stats_.hits;
   return true;
@@ -185,7 +185,7 @@ void DiskTier::Erase(const CacheKey& key) {
   MutexLock lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
-  DropEntry(it, /*count_eviction=*/false);
+  DropEntry(it);
 }
 
 DiskTierStats DiskTier::stats() const {
@@ -219,52 +219,41 @@ bool DiskTier::ValidateInvariants() const {
                                   entry.blob_bytes))) {
       return false;
     }
-    if (!(*entry.ring_pos == key)) return false;
     bytes += entry.extent_bytes;
   }
   if (bytes != live_bytes_) return false;
   if (live_bytes_ > config_.capacity_bytes) return false;
-  if (ring_.size() != entries_.size()) return false;
-  for (const CacheKey& key : ring_) {
-    if (entries_.count(key) == 0) return false;
-  }
-  if (hand_ != ring_.end() && entries_.count(*hand_) == 0) return false;
-  return true;
+  return ring_.Validate(entries_, [](const Entry&) { return true; });
 }
 
 bool DiskTier::EvictFor(int64_t needed) {
-  int64_t freed = 0;
-  int64_t budget = static_cast<int64_t>(ring_.size()) * 64 + 64;
-  while (freed < needed && budget-- > 0 && !ring_.empty()) {
-    if (hand_ == ring_.end()) hand_ = ring_.begin();
-    auto it = entries_.find(*hand_);
-    AAC_CHECK(it != entries_.end());
-    Entry& entry = it->second;
-    if (entry.clock_value <= 0.0) {
-      freed += entry.extent_bytes;
-      DropEntry(it, /*count_eviction=*/true);  // advances the hand
-      continue;
-    }
-    entry.clock_value -= 1.0;
-    ++hand_;
-  }
-  return freed >= needed;
+  // Compaction (in DropEntry) may drop torn extents besides the victim.
+  return ring_.Sweep(
+      entries_, needed, [](const CacheKey&, const Entry&) { return true; },
+      [this](EntryMap::iterator it) AAC_NO_THREAD_SAFETY_ANALYSIS {
+        const int64_t extent = it->second.extent_bytes;
+        ++stats_.evictions;
+        DropEntry(it);
+        return extent;
+      });
 }
 
-void DiskTier::DropEntry(EntryMap::iterator it, bool count_eviction) {
-  if (hand_ == it->second.ring_pos) ++hand_;
-  ring_.erase(it->second.ring_pos);
+void DiskTier::DropEntry(EntryMap::iterator it) {
+  Unindex(it);
+  MaybeCompact();
+}
+
+void DiskTier::Unindex(EntryMap::iterator it) {
+  ring_.Erase(it->second.ring_pos);
   live_bytes_ -= it->second.extent_bytes;
   entries_.erase(it);
-  if (count_eviction) ++stats_.evictions;
-  MaybeCompact();
 }
 
 void DiskTier::MaybeCompact() {
   const int64_t dead = file_bytes_ - live_bytes_;
   if (file_ == nullptr || dead <= 0 ||
       static_cast<double>(dead) <
-          config_.compact_dead_fraction * static_cast<double>(file_bytes_)) {
+          kCompactDeadFraction * static_cast<double>(file_bytes_)) {
     return;
   }
   // Pull every live blob into memory (bounded by the live budget, and the
@@ -300,13 +289,7 @@ void DiskTier::MaybeCompact() {
       live.push_back(std::move(ext));
     }
   }
-  for (const CacheKey& key : drop) {
-    auto it = entries_.find(key);
-    if (hand_ == it->second.ring_pos) ++hand_;
-    ring_.erase(it->second.ring_pos);
-    live_bytes_ -= it->second.extent_bytes;
-    entries_.erase(it);
-  }
+  for (const CacheKey& key : drop) Unindex(entries_.find(key));
   std::FILE* fresh = std::freopen(config_.path.c_str(), "wb+", file_);
   if (fresh == nullptr) {
     // The old handle is gone with a failed freopen; without a file every
@@ -325,10 +308,7 @@ void DiskTier::MaybeCompact() {
          std::fwrite(ext.blob.data(), 1, ext.blob.size(), file_) !=
              ext.blob.size())) {
       ++stats_.write_failures;
-      if (hand_ == it->second.ring_pos) ++hand_;
-      ring_.erase(it->second.ring_pos);
-      live_bytes_ -= it->second.extent_bytes;
-      entries_.erase(it);
+      Unindex(it);
       continue;
     }
     it->second.offset = file_bytes_;

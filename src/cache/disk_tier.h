@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/cache_entry.h"
+#include "cache/clock_ring.h"
 #include "util/lockdep.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -39,10 +39,10 @@ struct DiskTierStats {
 /// (crash mid-append, truncated file) is detected on read and treated as a
 /// plain miss — the index entry is dropped and the caller falls through to
 /// the backend. The in-memory index maps CacheKey -> file extent under a
-/// byte budget with the same weighted-CLOCK discipline as the RAM tiers.
+/// byte budget with the same weighted CLOCK (a ClockRing) as the RAM tiers.
 ///
 /// Eviction only drops the index entry; the extent's bytes become dead.
-/// When dead bytes exceed half the file, the live extents are rewritten to
+/// When dead bytes reach half the file, the live extents are rewritten to
 /// a fresh file (offsets rebased) — cheap because the payloads are already
 /// compressed.
 ///
@@ -58,9 +58,6 @@ class DiskTier {
     std::string path;
     /// Budget for live (indexed) extent payload bytes.
     int64_t capacity_bytes = 256 << 20;
-    /// Rewrite the file once dead bytes exceed this fraction of all
-    /// written bytes (and at least one extent is dead).
-    double compact_dead_fraction = 0.5;
   };
 
   explicit DiskTier(Config config);
@@ -111,15 +108,16 @@ class DiskTier {
     int64_t offset = 0;       // extent start in the spill file
     int64_t extent_bytes = 0; // full framed extent size
     int64_t blob_bytes = 0;
-    double clock_value = 0.0;
-    std::list<CacheKey>::iterator ring_pos;
+    ClockRing<CacheKey>::Position ring_pos;
   };
 
   using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
 
   bool EvictFor(int64_t needed) AAC_REQUIRES(mutex_);
-  void DropEntry(EntryMap::iterator it, bool count_eviction)
-      AAC_REQUIRES(mutex_);
+  /// Unindexes `it` (its extent goes dead), then compacts if due.
+  void DropEntry(EntryMap::iterator it) AAC_REQUIRES(mutex_);
+  /// Unindexes `it` from the ring, the live bytes and the map.
+  void Unindex(EntryMap::iterator it) AAC_REQUIRES(mutex_);
   /// Rewrites live extents into a fresh file when dead bytes dominate.
   void MaybeCompact() AAC_REQUIRES(mutex_);
 
@@ -127,8 +125,7 @@ class DiskTier {
   mutable Mutex mutex_{LockRank::kDiskTier, "disk_tier"};
   std::FILE* file_ AAC_GUARDED_BY(mutex_) = nullptr;
   EntryMap entries_ AAC_GUARDED_BY(mutex_);
-  std::list<CacheKey> ring_ AAC_GUARDED_BY(mutex_);
-  std::list<CacheKey>::iterator hand_ AAC_GUARDED_BY(mutex_);
+  ClockRing<CacheKey> ring_ AAC_GUARDED_BY(mutex_);
   int64_t live_bytes_ AAC_GUARDED_BY(mutex_) = 0;   // indexed payload bytes
   int64_t file_bytes_ AAC_GUARDED_BY(mutex_) = 0;   // bytes appended so far
   DiskTierStats stats_ AAC_GUARDED_BY(mutex_);

@@ -5,14 +5,10 @@
 
 namespace aac {
 
-/// Strategy hooks for the cache's weighted-CLOCK replacement.
-///
-/// The cache approximates LRU with CLOCK (as in the paper): every entry
-/// carries a clock value set from the policy on insert and on each hit; the
-/// sweeping hand decrements values and evicts entries that reach zero. The
-/// policy additionally arbitrates whether an incoming chunk is allowed to
-/// evict a given victim, which is how the paper's two-level priority classes
-/// are expressed.
+/// Strategy hooks for the chunk cache's weighted CLOCK (ClockRing): the
+/// policy grants every entry its clock value on insert and on each hit, and
+/// arbitrates whether an incoming chunk is allowed to evict a given victim,
+/// which is how the paper's two-level priority classes are expressed.
 class ReplacementPolicy {
  public:
   virtual ~ReplacementPolicy() = default;

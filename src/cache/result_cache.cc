@@ -12,8 +12,6 @@ ResultCache::ResultCache(Config config) : config_(config) {
   AAC_CHECK(config_.capacity_bytes > 0);
   AAC_CHECK(config_.bytes_per_tuple > 0);
   AAC_CHECK(config_.max_entry_fraction > 0.0);
-  MutexLock lock(mutex_);
-  hand_ = ring_.end();
 }
 
 bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkData>* out) {
@@ -26,7 +24,8 @@ bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkData>* out) 
     return false;
   }
   ++stats_.hits;
-  it->second.clock_value = ReplacementPolicy::NormalizedWeight(it->second.benefit);
+  ring_.Refresh(it->second.ring_pos,
+                ReplacementPolicy::NormalizedWeight(it->second.benefit));
   *out = it->second.chunks;  // copy under the lock; the caller owns it
   return true;
 }
@@ -95,8 +94,8 @@ bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
     // Replace in place (e.g. re-admission after invalidation dropped the
     // old answer between this query's probe and its finish).
     const int64_t delta = bytes - it->second.bytes;
-    if (delta > 0 && bytes_used_ + delta > config_.capacity_bytes &&
-        !EvictFor(delta, &key)) {
+    const int64_t needed = bytes_used_ + delta - config_.capacity_bytes;
+    if (needed > 0 && !EvictFor(needed, &key)) {
       ++stats_.rejected;
       return true;  // old answer stays; it is still correct
     }
@@ -108,12 +107,13 @@ bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
     it->second.chunk_ids = std::move(ids);
     it->second.bytes = bytes;
     it->second.benefit = cost_tuples;
-    it->second.clock_value = ReplacementPolicy::NormalizedWeight(cost_tuples);
+    ring_.Refresh(it->second.ring_pos,
+                  ReplacementPolicy::NormalizedWeight(cost_tuples));
     ++stats_.admitted;
     return true;
   }
-  if (bytes_used_ + bytes > config_.capacity_bytes &&
-      !EvictFor(bytes, /*protect=*/nullptr)) {
+  const int64_t needed = bytes_used_ + bytes - config_.capacity_bytes;
+  if (needed > 0 && !EvictFor(needed, /*protect=*/nullptr)) {
     ++stats_.rejected;
     return false;
   }
@@ -123,10 +123,8 @@ bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
   entry.chunk_ids = std::move(ids);
   entry.bytes = bytes;
   entry.benefit = cost_tuples;
-  entry.clock_value = ReplacementPolicy::NormalizedWeight(cost_tuples);
-  ring_.push_back(key);
-  entry.ring_pos = std::prev(ring_.end());
-  if (hand_ == ring_.end()) hand_ = entry.ring_pos;
+  entry.ring_pos =
+      ring_.Add(key, ReplacementPolicy::NormalizedWeight(cost_tuples));
   bytes_used_ += bytes;
   entries_.emplace(key, std::move(entry));
   ++stats_.admitted;
@@ -134,34 +132,21 @@ bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
 }
 
 bool ResultCache::EvictFor(int64_t needed, const ResultCacheKey* protect) {
-  // Weighted-CLOCK sweep, same discipline as the chunk cache: decrement and
-  // pass, evict at zero. The budget bounds the sweep even if every entry
-  // sits at the maximum clock value.
-  int64_t budget = static_cast<int64_t>(entries_.size()) * 64;
-  while (bytes_used_ + needed > config_.capacity_bytes) {
-    if (ring_.empty() || budget-- <= 0) return false;
-    if (hand_ == ring_.end()) hand_ = ring_.begin();
-    if (protect != nullptr && *hand_ == *protect) {
-      ++hand_;
-      if (ring_.size() == 1) return false;  // only the protected entry left
-      continue;
-    }
-    auto it = entries_.find(*hand_);
-    AAC_CHECK(it != entries_.end());
-    if (it->second.clock_value <= 0.0) {
-      DropEntry(it, &ResultCacheStats::evictions);
-    } else {
-      it->second.clock_value -= 1.0;
-      ++hand_;
-    }
-  }
-  return true;
+  return ring_.Sweep(
+      entries_, needed,
+      [protect](const ResultCacheKey& key, const Entry&) {
+        return protect == nullptr || key != *protect;
+      },
+      [this](EntryMap::iterator it) AAC_NO_THREAD_SAFETY_ANALYSIS {
+        const int64_t bytes = it->second.bytes;
+        DropEntry(it, &ResultCacheStats::evictions);
+        return bytes;
+      });
 }
 
 void ResultCache::DropEntry(EntryMap::iterator it,
                             int64_t ResultCacheStats::*counter) {
-  if (hand_ == it->second.ring_pos) ++hand_;
-  ring_.erase(it->second.ring_pos);
+  ring_.Erase(it->second.ring_pos);
   bytes_used_ -= it->second.bytes;
   stats_.*counter += 1;
   entries_.erase(it);
@@ -229,14 +214,6 @@ void ResultCache::OnEvict(const CacheKey& key) {
   (void)key;
 }
 
-void ResultCache::Clear() {
-  MutexLock lock(mutex_);
-  entries_.clear();
-  ring_.clear();
-  hand_ = ring_.end();
-  bytes_used_ = 0;
-}
-
 ResultCacheStats ResultCache::stats() const {
   MutexLock lock(mutex_);
   return stats_;
@@ -259,10 +236,8 @@ size_t ResultCache::num_entries() const {
 
 bool ResultCache::ValidateInvariants() const {
   MutexLock lock(mutex_);
-  if (ring_.size() != entries_.size()) return false;
   int64_t bytes = 0;
   for (const auto& [key, entry] : entries_) {
-    if (*entry.ring_pos != key) return false;
     int64_t entry_bytes = 0;
     for (const ChunkData& data : entry.chunks) {
       if (data.gb != entry.gb) return false;
@@ -276,13 +251,7 @@ bool ResultCache::ValidateInvariants() const {
   }
   if (bytes != bytes_used_) return false;
   if (bytes_used_ > config_.capacity_bytes) return false;
-  if (hand_ != ring_.end()) {
-    if (entries_.find(*hand_) == entries_.end()) return false;
-  }
-  for (const ResultCacheKey& key : ring_) {
-    if (entries_.find(key) == entries_.end()) return false;
-  }
-  return true;
+  return ring_.Validate(entries_, [](const Entry&) { return true; });
 }
 
 }  // namespace aac

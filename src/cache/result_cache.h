@@ -3,13 +3,13 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cache/cache_entry.h"
+#include "cache/clock_ring.h"
 #include "chunks/chunk_grid.h"
 #include "schema/level_vector.h"
 #include "storage/chunk_data.h"
@@ -75,9 +75,9 @@ struct ResultCacheStats {
 /// query — the engine's fold output trimmed to the key's value ranges, so
 /// the payload is the answer, not the covering chunks — with its own benefit
 /// weight (the tuples of fold + backend work a future hit avoids) and
-/// logical byte accounting, under the same weighted-CLOCK discipline as the
-/// chunk cache (ReplacementPolicy::NormalizedWeight compresses benefit to a
-/// bounded clock weight). Admission is cost-based: answers cheaper to
+/// logical byte accounting, under the same weighted CLOCK (a ClockRing) as
+/// the chunk cache (ReplacementPolicy::NormalizedWeight compresses benefit
+/// to a bounded clock weight). Admission is cost-based: answers cheaper to
 /// recompute than `Config::min_admit_cost_tuples` are not worth a slot, and
 /// no entry may take more than `Config::max_entry_fraction` of capacity.
 ///
@@ -153,16 +153,14 @@ class ResultCache : public CacheListener {
   void OnUpdate(const CacheKey& key, int64_t tuples) override;
   void OnEvict(const CacheKey& key) override;
 
-  void Clear();
-
   ResultCacheStats stats() const;
   void ResetStats();
   int64_t bytes_used() const;
   size_t num_entries() const;
 
   /// Structural self-check: byte accounting matches entry sums, the ring
-  /// and map round-trip, the hand points into the ring, capacity holds.
-  /// For tests on a quiesced cache.
+  /// and map round-trip (ClockRing::Validate), capacity holds. For tests
+  /// on a quiesced cache.
   bool ValidateInvariants() const;
 
  private:
@@ -173,14 +171,13 @@ class ResultCache : public CacheListener {
     std::vector<ChunkId> chunk_ids;
     int64_t bytes = 0;
     double benefit = 0.0;  // recompute cost in tuples
-    double clock_value = 0.0;
-    std::list<ResultCacheKey>::iterator ring_pos;
+    ClockRing<ResultCacheKey>::Position ring_pos;
   };
 
   using EntryMap = std::unordered_map<ResultCacheKey, Entry, ResultCacheKeyHash>;
 
   /// Frees at least `needed` bytes by sweeping the CLOCK ring; returns true
-  /// on success. `protect` (may be null) is skipped without decrement — the
+  /// on success. `protect` (may be null) is ineligible — the
   /// replace-in-place path must not evict the key it is replacing.
   bool EvictFor(int64_t needed, const ResultCacheKey* protect)
       AAC_REQUIRES(mutex_);
@@ -195,8 +192,7 @@ class ResultCache : public CacheListener {
   const Config config_;
   mutable Mutex mutex_{LockRank::kResultCache, "result_cache"};
   EntryMap entries_ AAC_GUARDED_BY(mutex_);
-  std::list<ResultCacheKey> ring_ AAC_GUARDED_BY(mutex_);
-  std::list<ResultCacheKey>::iterator hand_ AAC_GUARDED_BY(mutex_);
+  ClockRing<ResultCacheKey> ring_ AAC_GUARDED_BY(mutex_);
   int64_t bytes_used_ AAC_GUARDED_BY(mutex_) = 0;
   ResultCacheStats stats_ AAC_GUARDED_BY(mutex_);
 };

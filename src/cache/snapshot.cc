@@ -33,10 +33,24 @@ bool ReadCell(std::FILE* f, Cell* cell, int num_dims) {
   return ok;
 }
 
+// True when every value id of `cell` lies inside `chunk` of `gb`.
+bool InChunk(const ChunkGrid& grid, GroupById gb, ChunkId chunk,
+             const Cell& cell) {
+  const ChunkCoords coords = grid.CoordsOf(gb, chunk);
+  for (int d = 0; d < grid.schema().num_dims(); ++d) {
+    const auto [begin, end] = grid.layout(d).ValueRange(
+        grid.lattice().LevelOf(gb)[d], coords[static_cast<size_t>(d)]);
+    const int32_t v = cell.values[static_cast<size_t>(d)];
+    if (v < begin || v >= end) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-bool CacheSnapshot::Save(const ChunkCache& cache, int num_dims,
+bool CacheSnapshot::Save(const ChunkCache& cache, const ChunkGrid& grid,
                          const std::string& path) {
+  const int num_dims = grid.schema().num_dims();
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     std::fprintf(stderr, "snapshot: cannot open %s for writing\n",
@@ -78,8 +92,9 @@ bool CacheSnapshot::Save(const ChunkCache& cache, int num_dims,
   return ok;
 }
 
-int64_t CacheSnapshot::Load(const std::string& path, int num_dims,
+int64_t CacheSnapshot::Load(const std::string& path, const ChunkGrid& grid,
                             ChunkCache* cache) {
+  const int num_dims = grid.schema().num_dims();
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     std::fprintf(stderr, "snapshot: cannot open %s\n", path.c_str());
@@ -127,9 +142,10 @@ int64_t CacheSnapshot::Load(const std::string& path, int num_dims,
     ok = ok && std::fread(&source, sizeof(source), 1, f) == 1;
     ok = ok && std::fread(&benefit, sizeof(benefit), 1, f) == 1;
     ok = ok && std::fread(&cells, sizeof(cells), 1, f) == 1;
-    // Entry-level sanity: negative ids, unknown provenance or a cell count
-    // the remaining bytes cannot possibly hold mean corruption.
-    ok = ok && gb >= 0 && chunk >= 0 && source <= 1 && cells >= 0 &&
+    // Entry-level sanity: ids outside the grid (listeners index by them),
+    // unknown provenance or an impossible cell count mean corruption.
+    ok = ok && gb >= 0 && gb < grid.lattice().num_groupbys() && chunk >= 0 &&
+         chunk < grid.NumChunks(gb) && source <= 1 && cells >= 0 &&
          cells <= (file_bytes - std::ftell(f)) / cell_bytes;
     if (!ok) break;
     ChunkData data;
@@ -137,7 +153,7 @@ int64_t CacheSnapshot::Load(const std::string& path, int num_dims,
     data.chunk = chunk;
     data.cells.resize(static_cast<size_t>(cells));
     for (auto& cell : data.cells) {
-      ok = ok && ReadCell(f, &cell, num_dims);
+      ok = ok && ReadCell(f, &cell, num_dims) && InChunk(grid, gb, chunk, cell);
     }
     if (!ok) break;
     if (cache->Insert(std::move(data), benefit,

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "cache/chunk_cache.h"
+#include "chunks/chunk_grid.h"
 
 namespace aac {
 
@@ -20,13 +21,14 @@ namespace aac {
 class CacheSnapshot {
  public:
   /// Writes all cache entries to `path`. Returns false on I/O failure.
-  static bool Save(const ChunkCache& cache, int num_dims,
+  static bool Save(const ChunkCache& cache, const ChunkGrid& grid,
                    const std::string& path);
 
   /// Inserts the snapshot's entries into `cache` (normal admission applies:
   /// a smaller cache loads what fits). Returns the number of chunks
-  /// restored, or -1 on a corrupt/unreadable snapshot.
-  static int64_t Load(const std::string& path, int num_dims,
+  /// restored, or -1 on a corrupt/unreadable snapshot, or on any id outside
+  /// `grid` or outside its chunk.
+  static int64_t Load(const std::string& path, const ChunkGrid& grid,
                       ChunkCache* cache);
 };
 

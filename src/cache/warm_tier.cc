@@ -20,19 +20,12 @@ constexpr int64_t kFlightWaitSliceNanos = 2 * 1000 * 1000;
 WarmTier::WarmTier(Config config) : config_(std::move(config)) {
   AAC_CHECK_GE(config_.capacity_bytes, 0);
   AAC_CHECK_GT(config_.num_dims, 0);
-  MutexLock lock(mutex_);
-  hand_ = ring_.end();
 }
 
 WarmTier::~WarmTier() = default;
 
 void WarmTier::OnDemote(const CacheEntryInfo& info, ChunkData&& data) {
-  const bool gated =
-      info.bytes <= 0 ||
-      (config_.min_benefit_per_byte > 0.0 &&
-       info.benefit <
-           config_.min_benefit_per_byte * static_cast<double>(info.bytes));
-  if (gated) {
+  if (info.bytes <= 0) {
     MutexLock lock(mutex_);
     ++stats_.offers;
     ++stats_.gate_rejected;
@@ -57,12 +50,7 @@ void WarmTier::OnDemote(const CacheEntryInfo& info, ChunkData&& data) {
     }
     // Re-demotion over a stale resident copy replaces it.
     auto existing = entries_.find(info.key);
-    if (existing != entries_.end()) {
-      bytes_used_ -= static_cast<int64_t>(existing->second.blob->size());
-      if (hand_ == existing->second.ring_pos) ++hand_;
-      ring_.erase(existing->second.ring_pos);
-      entries_.erase(existing);
-    }
+    if (existing != entries_.end()) DropEntry(existing);
     const int64_t needed = bytes_used_ + encoded - config_.capacity_bytes;
     if (needed > 0 && !EvictFor(needed, &spilled)) {
       ++stats_.capacity_rejected;
@@ -70,10 +58,8 @@ void WarmTier::OnDemote(const CacheEntryInfo& info, ChunkData&& data) {
       Entry entry;
       entry.blob = std::move(blob);
       entry.info = info;
-      entry.clock_value = ReplacementPolicy::NormalizedWeight(info.benefit);
-      ring_.push_back(info.key);
-      entry.ring_pos = std::prev(ring_.end());
-      if (hand_ == ring_.end()) hand_ = entry.ring_pos;
+      entry.ring_pos = ring_.Add(
+          info.key, ReplacementPolicy::NormalizedWeight(info.benefit));
       bytes_used_ += encoded;
       entries_.emplace(info.key, std::move(entry));
       ++stats_.admits;
@@ -101,10 +87,7 @@ void WarmTier::OnErase(const CacheKey& key) {
     MutexLock lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      bytes_used_ -= static_cast<int64_t>(it->second.blob->size());
-      if (hand_ == it->second.ring_pos) ++hand_;
-      ring_.erase(it->second.ring_pos);
-      entries_.erase(it);
+      DropEntry(it);
       ++stats_.erased;
     }
   }
@@ -136,8 +119,8 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
       if (it != entries_.end()) {
         blob = it->second.blob;
         info = it->second.info;
-        it->second.clock_value =
-            ReplacementPolicy::NormalizedWeight(info.benefit);
+        ring_.Refresh(it->second.ring_pos,
+                      ReplacementPolicy::NormalizedWeight(info.benefit));
       } else if (config_.disk != nullptr && config_.disk->Contains(key)) {
         from_disk = true;
       } else {
@@ -230,12 +213,7 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
         if (!from_disk) {
           // Drop the corrupt resident blob so it is never probed again.
           auto it = entries_.find(key);
-          if (it != entries_.end() && it->second.blob == blob) {
-            bytes_used_ -= static_cast<int64_t>(it->second.blob->size());
-            if (hand_ == it->second.ring_pos) ++hand_;
-            ring_.erase(it->second.ring_pos);
-            entries_.erase(it);
-          }
+          if (it != entries_.end() && it->second.blob == blob) DropEntry(it);
         }
       }
     }
@@ -284,42 +262,29 @@ bool WarmTier::ValidateInvariants() const {
   for (const auto& [key, entry] : entries_) {
     if (entry.blob == nullptr) return false;
     if (!(key == entry.info.key)) return false;
-    if (!(*entry.ring_pos == key)) return false;
     bytes += static_cast<int64_t>(entry.blob->size());
   }
   if (bytes != bytes_used_) return false;
   if (bytes_used_ > config_.capacity_bytes) return false;
-  if (ring_.size() != entries_.size()) return false;
-  for (const CacheKey& key : ring_) {
-    if (entries_.count(key) == 0) return false;
-  }
-  if (hand_ != ring_.end() && entries_.count(*hand_) == 0) return false;
-  return true;
+  return ring_.Validate(entries_, [](const Entry&) { return true; });
 }
 
 bool WarmTier::EvictFor(int64_t needed, std::vector<Entry>* spilled) {
-  int64_t freed = 0;
-  int64_t budget = static_cast<int64_t>(ring_.size()) * 64 + 64;
-  while (freed < needed && budget-- > 0 && !ring_.empty()) {
-    if (hand_ == ring_.end()) hand_ = ring_.begin();
-    auto it = entries_.find(*hand_);
-    AAC_CHECK(it != entries_.end());
-    Entry& entry = it->second;
-    if (entry.clock_value <= 0.0) {
-      const int64_t size = static_cast<int64_t>(entry.blob->size());
-      freed += size;
-      bytes_used_ -= size;
-      ++stats_.evictions;
-      if (hand_ == entry.ring_pos) ++hand_;
-      ring_.erase(entry.ring_pos);
-      spilled->push_back(std::move(entry));
-      entries_.erase(it);
-      continue;
-    }
-    entry.clock_value -= 1.0;
-    ++hand_;
-  }
-  return freed >= needed;
+  return ring_.Sweep(
+      entries_, needed, [](const CacheKey&, const Entry&) { return true; },
+      [&](EntryMap::iterator it) AAC_NO_THREAD_SAFETY_ANALYSIS {
+        spilled->push_back(DropEntry(it));
+        ++stats_.evictions;
+        return static_cast<int64_t>(spilled->back().blob->size());
+      });
+}
+
+WarmTier::Entry WarmTier::DropEntry(EntryMap::iterator it) {
+  Entry entry = std::move(it->second);
+  bytes_used_ -= static_cast<int64_t>(entry.blob->size());
+  ring_.Erase(entry.ring_pos);
+  entries_.erase(it);
+  return entry;
 }
 
 }  // namespace aac

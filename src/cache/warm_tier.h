@@ -2,12 +2,12 @@
 #define AAC_CACHE_WARM_TIER_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/chunk_cache.h"
+#include "cache/clock_ring.h"
 #include "cache/disk_tier.h"
 #include "storage/chunk_data.h"
 #include "util/deadline.h"
@@ -21,7 +21,7 @@ namespace aac {
 struct WarmTierStats {
   int64_t offers = 0;            // OnDemote calls from the hot tier
   int64_t admits = 0;            // offers that became RAM entries
-  int64_t gate_rejected = 0;     // benefit/byte below the demotion gate
+  int64_t gate_rejected = 0;     // empty victims, never worth a slot
   int64_t capacity_rejected = 0; // encoded blob larger than the budget
   int64_t evictions = 0;         // CLOCK victims leaving warm RAM
   int64_t spills = 0;            // victims the disk tier admitted
@@ -57,12 +57,12 @@ struct WarmProbeResult {
 
 /// Second cache tier: chunks demoted from the hot ChunkCache, held
 /// *compressed* in RAM (chunk_codec blobs) under an encoded-byte budget
-/// with weighted-CLOCK replacement, and optionally spilled to a DiskTier
-/// when evicted from here too.
+/// with benefit-weighted CLOCK replacement (ClockRing), and optionally
+/// spilled to a DiskTier when evicted from here too.
 ///
 /// Demotion (DemotionSink, driven by the hot cache with no locks held):
-/// offers below the benefit-per-byte gate are dropped — junk is not worth
-/// compressing; the rest are encoded OFF this tier's mutex, then indexed.
+/// empty victims are dropped; the rest are encoded OFF this tier's mutex,
+/// then indexed.
 /// OnErase (fired by every hot insert and removal) purges the key from
 /// warm RAM and disk, keeping residency effectively single-tier.
 ///
@@ -85,9 +85,6 @@ class WarmTier : public DemotionSink {
     int64_t capacity_bytes = 0;
     /// Dimensionality handed to the codec (Cell coordinate slots in use).
     int num_dims = 0;
-    /// Demotion gate: offers with benefit/logical-byte below this are
-    /// dropped. 0 admits everything.
-    double min_benefit_per_byte = 0.0;
     /// Optional third tier; not owned, may be null. Must be Open()ed.
     DiskTier* disk = nullptr;
   };
@@ -133,8 +130,7 @@ class WarmTier : public DemotionSink {
     /// entry is concurrently erased.
     std::shared_ptr<const std::vector<uint8_t>> blob;
     CacheEntryInfo info;
-    double clock_value = 0.0;
-    std::list<CacheKey>::iterator ring_pos;
+    ClockRing<CacheKey>::Position ring_pos;
   };
 
   /// One single-flighted decode. Followers hold the shared_ptr across the
@@ -159,13 +155,15 @@ class WarmTier : public DemotionSink {
   bool EvictFor(int64_t needed, std::vector<Entry>* spilled)
       AAC_REQUIRES(mutex_);
 
+  /// Unindexes `it` (bytes, ring and map) and returns its entry.
+  Entry DropEntry(EntryMap::iterator it) AAC_REQUIRES(mutex_);
+
   const Config config_;
   mutable Mutex mutex_{LockRank::kWarmTier, "warm_tier"};
   CondVar flight_cv_;  // notified when any flight completes
   EntryMap entries_ AAC_GUARDED_BY(mutex_);
   FlightMap flights_ AAC_GUARDED_BY(mutex_);
-  std::list<CacheKey> ring_ AAC_GUARDED_BY(mutex_);
-  std::list<CacheKey>::iterator hand_ AAC_GUARDED_BY(mutex_);
+  ClockRing<CacheKey> ring_ AAC_GUARDED_BY(mutex_);
   int64_t bytes_used_ AAC_GUARDED_BY(mutex_) = 0;  // encoded resident bytes
   WarmTierStats stats_ AAC_GUARDED_BY(mutex_);
 };

@@ -154,8 +154,18 @@ std::string QueryEngine::ExplainQuery(const Query& query) {
     out += " — cache-only]";
   }
   out += "\n";
+  // Probe every chunk first: as in ExecuteQuery, a bypass pays the backend's
+  // fixed overhead only when no chunk goes to the backend anyway.
+  std::vector<std::unique_ptr<PlanNode>> plans;
+  plans.reserve(chunks.size());
+  bool backend_query_pending = false;
   for (ChunkId chunk : chunks) {
-    std::unique_ptr<PlanNode> plan = strategy_->FindPlan(gb, chunk);
+    plans.push_back(strategy_->FindPlan(gb, chunk));
+    backend_query_pending |= plans.back() == nullptr;
+  }
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const ChunkId chunk = chunks[i];
+    const PlanNode* plan = plans[i].get();
     out += "  chunk ";
     out += std::to_string(chunk);
     out += ": ";
@@ -172,17 +182,12 @@ std::string QueryEngine::ExplainQuery(const Query& query) {
       out += "direct cache hit\n";
       continue;
     }
-    if (config_.cost_based_bypass && backend_trusted) {
-      const double cache_ns =
-          plan->estimated_cost * config_.cache_aggregation_ns_per_tuple;
-      const double backend_ns = static_cast<double>(
-          backend_->EstimateMarginalChunkCostNanos(gb, chunk));
-      if (backend_ns < cache_ns) {
-        out += "computable (est ";
-        out += std::to_string(static_cast<int64_t>(plan->estimated_cost));
-        out += " tuples) but BYPASSED -> backend\n";
-        continue;
-      }
+    if (Bypasses(gb, *plan, backend_trusted, backend_query_pending)) {
+      backend_query_pending = true;
+      out += "computable (est ";
+      out += std::to_string(static_cast<int64_t>(plan->estimated_cost));
+      out += " tuples) but BYPASSED -> backend\n";
+      continue;
     }
     out += "aggregate ";
     out += std::to_string(plan->LeafCount());
@@ -192,6 +197,23 @@ std::string QueryEngine::ExplainQuery(const Query& query) {
     out += plan->ToString(grid_->lattice(), /*indent=*/2);
   }
   return out;
+}
+
+bool QueryEngine::Bypasses(GroupById gb, const PlanNode& plan,
+                           bool backend_trusted,
+                           bool backend_query_pending) const {
+  if (!config_.cost_based_bypass || !backend_trusted || plan.cached) {
+    return false;
+  }
+  const double cache_ns =
+      plan.estimated_cost * config_.cache_aggregation_ns_per_tuple;
+  double backend_ns = static_cast<double>(
+      backend_->EstimateMarginalChunkCostNanos(gb, plan.key.chunk));
+  if (!backend_query_pending) {
+    backend_ns +=
+        static_cast<double>(backend_->cost_model().fixed_query_overhead_ns);
+  }
+  return backend_ns < cache_ns;
 }
 
 std::vector<ChunkId> QueryEngine::FetchWithRetry(GroupById gb,
@@ -361,35 +383,19 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     }
   }
 
-  // Cost-based bypass (paper Section 5.2): a computable chunk whose
-  // estimated aggregation time exceeds the backend's marginal cost joins
-  // the backend query instead. The per-query fixed overhead is charged to
-  // the first bypassed chunk only when no chunk is missing anyway.
-  if (config_.cost_based_bypass && backend_trusted) {
-    std::vector<std::unique_ptr<PlanNode>> kept;
-    kept.reserve(plans.size());
-    for (auto& plan : plans) {
-      if (plan->cached) {
-        kept.push_back(std::move(plan));
-        continue;
-      }
-      const double cache_ns =
-          plan->estimated_cost * config_.cache_aggregation_ns_per_tuple;
-      double backend_ns = static_cast<double>(
-          backend_->EstimateMarginalChunkCostNanos(gb, plan->key.chunk));
-      if (missing.empty()) {
-        backend_ns += static_cast<double>(
-            backend_->cost_model().fixed_query_overhead_ns);
-      }
-      if (backend_ns < cache_ns) {
-        missing.push_back(plan->key.chunk);
-        ++s.chunks_bypassed;
-      } else {
-        kept.push_back(std::move(plan));
-      }
+  // Cost-based bypass: a computable chunk the backend fetches more cheaply
+  // joins the backend query instead.
+  std::vector<std::unique_ptr<PlanNode>> kept;
+  kept.reserve(plans.size());
+  for (auto& plan : plans) {
+    if (Bypasses(gb, *plan, backend_trusted, !missing.empty())) {
+      missing.push_back(plan->key.chunk);
+      ++s.chunks_bypassed;
+    } else {
+      kept.push_back(std::move(plan));
     }
-    plans = std::move(kept);
   }
+  plans = std::move(kept);
   s.lookup_ms += lookup_timer.ElapsedMillis();
 
   // --- Aggregation phase: answer cached/computable chunks. ---

@@ -306,6 +306,15 @@ class QueryEngine {
                                       std::vector<ChunkData>* fetched,
                                       ExecContext* ctx, QueryStats* s);
 
+  /// The cost-based bypass of paper Section 5.2, which ExecuteQuery applies
+  /// and ExplainQuery reports: true when fetching `plan`'s chunk is
+  /// estimated cheaper than aggregating it. The chunk pays the backend's
+  /// fixed per-query overhead unless `backend_query_pending` (another chunk
+  /// of the query goes to the backend anyway). Never for a direct hit, with
+  /// the bypass off, or while the backend is not trusted.
+  bool Bypasses(GroupById gb, const PlanNode& plan, bool backend_trusted,
+                bool backend_query_pending) const;
+
   const ChunkGrid* grid_;
   ChunkCache* cache_;
   LookupStrategy* strategy_;

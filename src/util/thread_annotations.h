@@ -83,7 +83,10 @@
 /// Escape hatch: the function's body is not analyzed. Used only for
 /// documented quiesced-only accessors (construction-time seeding, test
 /// oracles on an idle structure) where the discipline is ownership-based
-/// rather than lock-based; every use carries a comment saying why.
+/// rather than lock-based, and for the callbacks a store hands to
+/// ClockRing::Sweep under its lock (the analysis does not carry a held lock
+/// into a lambda; see ClockRing). Every other use carries a comment saying
+/// why.
 #define AAC_NO_THREAD_SAFETY_ANALYSIS \
   AAC_THREAD_ANNOTATION_ATTRIBUTE_(no_thread_safety_analysis)
 

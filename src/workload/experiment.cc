@@ -123,7 +123,6 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     warm_config.capacity_bytes = static_cast<int64_t>(
         config.warm_fraction * static_cast<double>(capacity));
     warm_config.num_dims = cube_->schema().num_dims();
-    warm_config.min_benefit_per_byte = config.warm_min_benefit_per_byte;
     warm_config.disk = disk_tier_.get();
     warm_tier_ = std::make_unique<WarmTier>(warm_config);
     cache_->set_demotion_sink(warm_tier_.get());

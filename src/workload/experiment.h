@@ -87,10 +87,6 @@ struct ExperimentConfig {
   /// holds roughly as much as the hot tier itself). 0 disables tiering.
   double warm_fraction = 0.0;
 
-  /// Demotion gate: hot victims with benefit per logical byte below this
-  /// are dropped instead of compressed. 0 admits everything.
-  double warm_min_benefit_per_byte = 0.0;
-
   /// Spill file for the optional third tier; empty disables disk spill.
   /// Only meaningful with warm_fraction > 0.
   std::string disk_spill_path;

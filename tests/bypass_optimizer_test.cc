@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/query_engine.h"
 #include "core/vcmc.h"
@@ -19,18 +20,23 @@ class BypassTest : public ::testing::Test {
     strategy_ = std::make_unique<VcmcStrategy>(
         env_.cube.grid.get(), env_.cache.get(), env_.size_model.get());
     env_.cache->AddListener(strategy_->listener());
-    // Never cache results so repeated queries exercise the same decision.
-    config.cache_computed_results = false;
-    config.cache_backend_results = false;
-    engine_ = std::make_unique<QueryEngine>(
-        env_.cube.grid.get(), env_.cache.get(), strategy_.get(),
-        env_.backend.get(), env_.benefit.get(), env_.clock.get(), config);
+    BuildEngine(config);
     // Warm with the base level directly (not via the engine, which would
     // skip caching under this config).
     const GroupById base = env_.lattice().base_id();
     for (ChunkId c = 0; c < env_.grid().NumChunks(base); ++c) {
       CacheChunkFromBackend(env_, base, c);
     }
+  }
+
+  // (Re)builds the engine over the fixture's cache and strategy.
+  void BuildEngine(QueryEngine::Config config) {
+    // Never cache results so repeated queries exercise the same decision.
+    config.cache_computed_results = false;
+    config.cache_backend_results = false;
+    engine_ = std::make_unique<QueryEngine>(
+        env_.cube.grid.get(), env_.cache.get(), strategy_.get(),
+        env_.backend.get(), env_.benefit.get(), env_.clock.get(), config);
   }
 
   TestEnv env_;
@@ -93,6 +99,39 @@ TEST_F(BypassTest, DirectHitsAreNeverBypassed) {
   engine_->ExecuteQuery(q, &stats);
   EXPECT_EQ(stats.chunks_bypassed, 0);
   EXPECT_EQ(stats.chunks_direct, stats.chunks_requested);
+}
+
+// The one computable chunk of the top group-by costs its backend marginal
+// cost plus half the fixed per-query overhead to aggregate. With nothing
+// else missing, a bypass would pay the whole overhead, so the chunk is
+// aggregated, and EXPLAIN must say so too.
+TEST_F(BypassTest, ExplainChargesTheFixedOverheadLikeExecution) {
+  QueryEngine::Config config;
+  config.cost_based_bypass = true;
+  Setup(config);
+  const GroupById top = env_.lattice().top_id();
+  ASSERT_EQ(env_.grid().NumChunks(top), 1);
+  const std::unique_ptr<PlanNode> plan = strategy_->FindPlan(top, 0);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_FALSE(plan->cached);
+  ASSERT_GT(plan->estimated_cost, 0.0);
+  const double marginal =
+      static_cast<double>(env_.backend->EstimateMarginalChunkCostNanos(top, 0));
+  const double overhead = static_cast<double>(
+      env_.backend->cost_model().fixed_query_overhead_ns);
+  config.cache_aggregation_ns_per_tuple =
+      (marginal + overhead / 2) / plan->estimated_cost;
+  BuildEngine(config);
+
+  const Query q = Query::WholeLevel(env_.schema(), env_.lattice().LevelOf(top));
+  const std::string explain = engine_->ExplainQuery(q);
+  QueryStats stats;
+  engine_->ExecuteQuery(q, &stats);
+  EXPECT_EQ(stats.chunks_bypassed, 0);
+  EXPECT_EQ(stats.chunks_aggregated, 1);
+  EXPECT_EQ(explain.find("BYPASSED"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("aggregate "), std::string::npos)
+      << explain;
 }
 
 TEST_F(BypassTest, RandomStreamStaysCorrectWithBypass) {

@@ -72,7 +72,7 @@ struct TieredEnv {
 };
 
 TieredEnv MakeTieredEnv(int64_t hot_capacity, int64_t warm_capacity,
-                        double gate = 0.0, int64_t disk_capacity = 0,
+                        int64_t disk_capacity = 0,
                         const std::string& disk_path = "") {
   TieredEnv t;
   t.env = MakeTestEnv(MakeThreeDimCube(), /*density=*/0.5, /*seed=*/11,
@@ -87,7 +87,6 @@ TieredEnv MakeTieredEnv(int64_t hot_capacity, int64_t warm_capacity,
   WarmTier::Config wc;
   wc.capacity_bytes = warm_capacity;
   wc.num_dims = t.env.schema().num_dims();
-  wc.min_benefit_per_byte = gate;
   wc.disk = t.disk.get();
   t.warm = std::make_unique<WarmTier>(wc);
   t.env.cache->set_demotion_sink(t.warm.get());
@@ -149,17 +148,34 @@ TEST(TieredCacheTest, DemotionLedgerMatchesAcrossTiers) {
   EXPECT_TRUE(t.warm->ValidateInvariants());
 }
 
-// The benefit-per-byte gate drops junk instead of compressing it.
+// The demotion gate drops empty victims, whatever their benefit, instead
+// of compressing them; every other victim passes it.
 TEST(TieredCacheTest, DemotionGateRejectsLowBenefitVictims) {
   TieredEnv t = MakeTieredEnv(/*hot_capacity=*/2500,
-                              /*warm_capacity=*/1 << 20, /*gate=*/1e18);
+                              /*warm_capacity=*/1 << 20);
   FillBase(t);
-  const WarmTierStats warm = t.warm->stats();
-  EXPECT_GT(warm.offers, 0);
-  EXPECT_EQ(warm.gate_rejected, warm.offers);
-  EXPECT_EQ(warm.admits, 0);
-  EXPECT_EQ(t.warm->num_entries(), 0u);
-  EXPECT_EQ(t.warm->bytes_used(), 0);
+  const WarmTierStats before = t.warm->stats();
+  const size_t resident = t.warm->num_entries();
+  EXPECT_GT(before.offers, 0);
+  EXPECT_EQ(before.gate_rejected, 0);
+
+  const CacheKey empty_key{t.env.lattice().top_id(), 0};
+  ASSERT_FALSE(t.warm->Contains(empty_key));
+  CacheEntryInfo info;
+  info.key = empty_key;
+  info.bytes = 0;
+  info.benefit = 1e18;
+  ChunkData empty;
+  empty.gb = empty_key.gb;
+  empty.chunk = empty_key.chunk;
+  t.warm->OnDemote(info, std::move(empty));
+
+  const WarmTierStats after = t.warm->stats();
+  EXPECT_EQ(after.offers, before.offers + 1);
+  EXPECT_EQ(after.gate_rejected, 1);
+  EXPECT_EQ(after.admits, before.admits);
+  EXPECT_FALSE(t.warm->Contains(empty_key));
+  EXPECT_EQ(t.warm->num_entries(), resident);
   EXPECT_TRUE(t.warm->ValidateInvariants());
 }
 
@@ -217,7 +233,7 @@ TEST(TieredCacheTest, ExpiredDeadlineProbesMiss) {
 TEST(TieredCacheTest, WarmEvictionSpillsToDiskAndPromotesBack) {
   const std::string path = testing::TempDir() + "/aac_spill_test.bin";
   TieredEnv t = MakeTieredEnv(/*hot_capacity=*/2500, /*warm_capacity=*/512,
-                              /*gate=*/0.0, /*disk_capacity=*/1 << 20, path);
+                              /*disk_capacity=*/1 << 20, path);
   const GroupById base = t.env.lattice().base_id();
   const ChunkId chunks = t.env.grid().NumChunks(base);
   std::vector<ChunkData> truth;
@@ -340,7 +356,7 @@ TEST(TieredCacheTest, CorruptedExtentReadsAsMiss) {
 TEST(TieredCacheTest, RemovePurgesAllTiers) {
   const std::string path = testing::TempDir() + "/aac_purge_test.bin";
   TieredEnv t = MakeTieredEnv(/*hot_capacity=*/2500, /*warm_capacity=*/512,
-                              /*gate=*/0.0, /*disk_capacity=*/1 << 20, path);
+                              /*disk_capacity=*/1 << 20, path);
   FillBase(t);
   const GroupById base = t.env.lattice().base_id();
   const ChunkId chunks = t.env.grid().NumChunks(base);

@@ -133,10 +133,14 @@ def check_raw_locks():
 
 ANNOTATION_TABLE = [
     # ChunkCache: per-shard state and the eviction helpers that assume the
-    # shard lock is held.
+    # shard lock is held. A ClockRing has no lock of its own, so every
+    # store's ring is pinned to the store's mutex.
     ("src/cache/chunk_cache.h",
      r"entries\s+AAC_GUARDED_BY\(mutex\)",
      "Shard::entries must be AAC_GUARDED_BY(mutex)"),
+    ("src/cache/chunk_cache.h",
+     r"rings\s+AAC_GUARDED_BY\(mutex\)",
+     "Shard::rings must be AAC_GUARDED_BY(mutex)"),
     ("src/cache/chunk_cache.h",
      r"EvictFor\([^;]*\)\s*AAC_REQUIRES\(shard\.mutex\)",
      "EvictFor must carry AAC_REQUIRES(shard.mutex)"),
@@ -218,6 +222,9 @@ ANNOTATION_TABLE = [
      r"flights_\s+AAC_GUARDED_BY\(mutex_\)",
      "WarmTier::flights_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/warm_tier.h",
+     r"ring_\s+AAC_GUARDED_BY\(mutex_\)",
+     "WarmTier::ring_ must be AAC_GUARDED_BY(mutex_)"),
+    ("src/cache/warm_tier.h",
      r"bytes_used_\s+AAC_GUARDED_BY\(mutex_\)",
      "WarmTier::bytes_used_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/warm_tier.h",
@@ -231,6 +238,9 @@ ANNOTATION_TABLE = [
     ("src/cache/disk_tier.h",
      r"entries_\s+AAC_GUARDED_BY\(mutex_\)",
      "DiskTier::entries_ must be AAC_GUARDED_BY(mutex_)"),
+    ("src/cache/disk_tier.h",
+     r"ring_\s+AAC_GUARDED_BY\(mutex_\)",
+     "DiskTier::ring_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/disk_tier.h",
      r"live_bytes_\s+AAC_GUARDED_BY\(mutex_\)",
      "DiskTier::live_bytes_ must be AAC_GUARDED_BY(mutex_)"),
