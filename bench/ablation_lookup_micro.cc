@@ -109,6 +109,9 @@ void InsertEvictLoop(benchmark::State& state) {
   config.data.num_tuples = 50'000;
   config.cache_fraction = 2.0;
   config.preload = true;
+  // The experiment's own strategy listens to the same cache; a maintaining
+  // one (the default VCMC) would be timed beside the one under test.
+  config.strategy = StrategyKind::kNoAgg;
   Experiment exp(config);
   Strategy strategy = [&] {
     if constexpr (std::is_same_v<Strategy, VcmStrategy>) {

@@ -68,10 +68,11 @@ BackendResult FaultInjectingBackend::ExecuteChunkQuery(
   }
   edge += config_.latency_spike_rate;
   if (u < edge) {
+    constexpr int64_t kLatencySpikeNanos = 25'000'000;
     ++stats_.latency_spikes;
-    if (clock_ != nullptr) clock_->Charge(config_.latency_spike_ns);
+    if (clock_ != nullptr) clock_->Charge(kLatencySpikeNanos);
     BackendResult result = inner_->ExecuteChunkQuery(gb, chunks);
-    result.charged_nanos += config_.latency_spike_ns;
+    result.charged_nanos += kLatencySpikeNanos;
     return result;
   }
   ++stats_.clean;

@@ -30,13 +30,12 @@ struct FaultConfig {
   double partial_result_rate = 0.0;
   double partial_keep_fraction = 0.5;
 
-  /// Call succeeds but `latency_spike_ns` extra is charged (lock contention,
-  /// checkpoint stall on the shared RDBMS).
+  /// Call succeeds but 25 ms extra is charged (lock contention, checkpoint
+  /// stall on the shared RDBMS).
   double latency_spike_rate = 0.0;
 
   int64_t error_latency_ns = 2'000'000;     // fast failure round trip
   int64_t timeout_ns = 50'000'000;          // client-side timeout budget
-  int64_t latency_spike_ns = 25'000'000;    // extra latency on a spike
 
   uint64_t seed = 1;
 

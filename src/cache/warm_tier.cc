@@ -1,6 +1,5 @@
 #include "cache/warm_tier.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "cache/replacement.h"
@@ -9,13 +8,6 @@
 #include "util/stopwatch.h"
 
 namespace aac {
-namespace {
-
-/// Follower re-check cadence: short enough that a cancelled token is
-/// noticed promptly, long enough to not thrash the mutex.
-constexpr int64_t kFlightWaitSliceNanos = 2 * 1000 * 1000;
-
-}  // namespace
 
 WarmTier::WarmTier(Config config) : config_(std::move(config)) {
   AAC_CHECK_GE(config_.capacity_bytes, 0);
@@ -103,109 +95,77 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
     return false;
   }
 
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
   std::shared_ptr<const std::vector<uint8_t>> blob;
   CacheEntryInfo info;
   bool from_disk = false;
   {
     MutexLock lock(mutex_);
-    auto fit = flights_.find(key);
-    if (fit != flights_.end()) {
-      flight = fit->second;
-      ++flight->waiters;  // registered before the leader can publish
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      blob = it->second.blob;
+      info = it->second.info;
+      ring_.Refresh(it->second.ring_pos,
+                    ReplacementPolicy::NormalizedWeight(info.benefit));
+    } else if (config_.disk != nullptr && config_.disk->Contains(key)) {
+      from_disk = true;
     } else {
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        blob = it->second.blob;
-        info = it->second.info;
-        ring_.Refresh(it->second.ring_pos,
-                      ReplacementPolicy::NormalizedWeight(info.benefit));
-      } else if (config_.disk != nullptr && config_.disk->Contains(key)) {
-        from_disk = true;
-      } else {
-        ++stats_.misses;
-        return false;
-      }
-      flight = std::make_shared<Flight>();
-      flights_.emplace(key, flight);
-      leader = true;
-    }
-  }
-
-  if (!leader) {
-    // Follower: wait for the leader's decode, deadline-bounded.
-    MutexLock lock(mutex_);
-    while (!flight->done) {
-      if (ctx != nullptr && ctx->ShouldAbort()) {
-        ++stats_.misses;
-        return false;
-      }
-      int64_t wait_ns = kFlightWaitSliceNanos;
-      if (ctx != nullptr && ctx->deadline.has_deadline()) {
-        wait_ns = std::min(wait_ns, ctx->deadline.remaining_ns());
-      }
-      flight_cv_.WaitForNanos(mutex_, wait_ns);
-    }
-    if (!flight->ok) {
       ++stats_.misses;
       return false;
     }
-    out->data = flight->data;
-    out->info = flight->info;
-    out->from_disk = flight->from_disk;
-    out->decode_ns = 0;
-    ++stats_.coalesced_decodes;
-    if (flight->from_disk) {
-      ++stats_.disk_hits;
-    } else {
-      ++stats_.hits;
+  }
+
+  // Present: join the key's decode or lead it. No warm lock is held here,
+  // because the single-flight locks rank before kWarmTier.
+  std::shared_ptr<DecodeFlight::Slot> slot = decodes_.JoinOrLead(key);
+  if (slot != nullptr) {
+    // Follower: sleep on this key's slot until its leader resolves or
+    // `ctx` aborts, then take a copy of the leader's result.
+    const ExecContext no_deadline;
+    const bool ok =
+        decodes_.AwaitWithDeadline(*slot, ctx != nullptr ? *ctx : no_deadline,
+                                   out) == DecodeFlight::AwaitStatus::kOk;
+    MutexLock lock(mutex_);
+    if (!ok) {
+      ++stats_.misses;
+      return false;
     }
+    out->decode_ns = 0;  // the leader paid for the decode
+    ++stats_.coalesced_decodes;
+    ++(out->from_disk ? stats_.disk_hits : stats_.hits);
     return true;
   }
 
-  // Leader: decode off the mutex; followers block on flight_cv_ meanwhile.
+  // Leader: decode off the mutex; followers sleep on the slot meanwhile.
   bool ok = false;
   bool decode_failed = false;
-  ChunkData data;
-  int64_t decode_ns = 0;
+  WarmProbeResult result;
   if (ctx == nullptr || !ctx->ShouldAbort()) {
     if (from_disk) {
       std::vector<uint8_t> disk_blob;
-      CacheEntryInfo disk_info;
-      if (config_.disk->Read(key, &disk_blob, &disk_info)) {
+      if (config_.disk->Read(key, &disk_blob, &info)) {
         Stopwatch decode_timer;
         ok = DecodeChunk(config_.num_dims, disk_blob.data(), disk_blob.size(),
-                         &data);
-        decode_ns = decode_timer.ElapsedNanos();
-        if (ok) {
-          info = disk_info;
-        } else {
+                         &result.data);
+        result.decode_ns = decode_timer.ElapsedNanos();
+        if (!ok) {
           decode_failed = true;
           config_.disk->Erase(key);
         }
       }
     } else {
       Stopwatch decode_timer;
-      ok = DecodeChunk(config_.num_dims, blob->data(), blob->size(), &data);
-      decode_ns = decode_timer.ElapsedNanos();
+      ok = DecodeChunk(config_.num_dims, blob->data(), blob->size(),
+                       &result.data);
+      result.decode_ns = decode_timer.ElapsedNanos();
       decode_failed = !ok;
     }
   }
 
   {
     MutexLock lock(mutex_);
-    stats_.decode_ns += decode_ns;
+    stats_.decode_ns += result.decode_ns;
     if (ok) {
-      if (flight->waiters > 0) flight->data = data;  // copy for followers
-      flight->info = info;
-      flight->from_disk = from_disk;
-      flight->ok = true;
-      if (from_disk) {
-        ++stats_.disk_hits;
-      } else {
-        ++stats_.hits;
-      }
+      ++(from_disk ? stats_.disk_hits : stats_.hits);
     } else {
       ++stats_.misses;
       if (decode_failed) {
@@ -217,15 +177,15 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
         }
       }
     }
-    flight->done = true;
-    flights_.erase(key);
-    flight_cv_.NotifyAll();
   }
-  if (!ok) return false;
-  out->data = std::move(data);
-  out->info = info;
-  out->from_disk = from_disk;
-  out->decode_ns = decode_ns;
+  if (!ok) {
+    decodes_.Fail(key);
+    return false;
+  }
+  result.info = info;
+  result.from_disk = from_disk;
+  decodes_.Publish(key, result);  // copies only if a follower waits
+  *out = std::move(result);
   return true;
 }
 
@@ -256,8 +216,8 @@ size_t WarmTier::num_entries() const {
 }
 
 bool WarmTier::ValidateInvariants() const {
+  if (decodes_.in_flight() != 0) return false;
   MutexLock lock(mutex_);
-  if (!flights_.empty()) return false;
   int64_t bytes = 0;
   for (const auto& [key, entry] : entries_) {
     if (entry.blob == nullptr) return false;

@@ -9,6 +9,7 @@
 #include "cache/chunk_cache.h"
 #include "cache/clock_ring.h"
 #include "cache/disk_tier.h"
+#include "cache/single_flight.h"
 #include "storage/chunk_data.h"
 #include "util/deadline.h"
 #include "util/lockdep.h"
@@ -67,17 +68,20 @@ struct WarmProbeResult {
 /// warm RAM and disk, keeping residency effectively single-tier.
 ///
 /// Promotion (Probe, called by the query engine on a hot miss): warm RAM
-/// first, then disk. The decode runs OFF the mutex on a shared blob
-/// reference, and is single-flighted per key — concurrent probes for the
-/// same chunk elect one leader; followers wait deadline-bounded on a
-/// shared CondVar and copy the leader's result, so a hot promotion storm
-/// costs one decode. Aborted/expired contexts bail out as misses.
+/// first, then disk. A miss returns before any flight exists. A present
+/// key's read and decode run OFF the mutex on a shared blob reference, and
+/// are single-flighted per key (SingleFlight<WarmProbeResult>): concurrent
+/// probes for the same chunk elect one leader; followers wait
+/// deadline-bounded on that key's slot and copy the leader's result, so a
+/// hot promotion storm costs one decode. Aborted/expired contexts bail out
+/// as misses.
 ///
 /// Lock order (DESIGN.md §14): hot shard -> warm -> disk, strictly
 /// one-way. The hot cache calls OnDemote/OnErase only after releasing its
 /// shard lock; this tier calls the disk tier either under its own mutex
 /// (Contains) or with no lock held (Admit/Read/Erase); the disk tier never
-/// calls out.
+/// calls out. The decode flight's locks rank before kWarmTier, so this
+/// tier enters them with no lock held.
 class WarmTier : public DemotionSink {
  public:
   struct Config {
@@ -133,21 +137,8 @@ class WarmTier : public DemotionSink {
     ClockRing<CacheKey>::Position ring_pos;
   };
 
-  /// One single-flighted decode. Followers hold the shared_ptr across the
-  /// map erase; `done` flips exactly once, under mutex_. `waiters` lets the
-  /// leader skip the result copy when nobody joined.
-  struct Flight {
-    bool done = false;
-    bool ok = false;
-    int waiters = 0;
-    ChunkData data;
-    CacheEntryInfo info;
-    bool from_disk = false;
-  };
-
   using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
-  using FlightMap =
-      std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash>;
+  using DecodeFlight = SingleFlight<WarmProbeResult>;
 
   /// Frees at least `needed` encoded bytes via the CLOCK sweep, moving the
   /// victims' entries into `*spilled` for the caller to offer to the disk
@@ -159,10 +150,10 @@ class WarmTier : public DemotionSink {
   Entry DropEntry(EntryMap::iterator it) AAC_REQUIRES(mutex_);
 
   const Config config_;
+  /// One decode per key at a time; entered with no lock of this tier held.
+  DecodeFlight decodes_;
   mutable Mutex mutex_{LockRank::kWarmTier, "warm_tier"};
-  CondVar flight_cv_;  // notified when any flight completes
   EntryMap entries_ AAC_GUARDED_BY(mutex_);
-  FlightMap flights_ AAC_GUARDED_BY(mutex_);
   ClockRing<CacheKey> ring_ AAC_GUARDED_BY(mutex_);
   int64_t bytes_used_ AAC_GUARDED_BY(mutex_) = 0;  // encoded resident bytes
   WarmTierStats stats_ AAC_GUARDED_BY(mutex_);

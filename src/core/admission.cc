@@ -6,17 +6,6 @@
 
 namespace aac {
 
-namespace {
-
-// A queued waiter re-checks its deadline at least this often even when no
-// slot frees up, and at cancel-poll granularity when only a CancelToken is
-// set (a token can fire at any moment; a deadline cannot move closer than
-// its remaining budget).
-constexpr int64_t kMaxWaitSliceNanos = 1'000'000'000;
-constexpr int64_t kCancelPollNanos = 2'000'000;
-
-}  // namespace
-
 const char* AdmissionOutcomeName(AdmissionOutcome outcome) {
   switch (outcome) {
     case AdmissionOutcome::kAdmitted:
@@ -68,21 +57,16 @@ AdmissionOutcome AdmissionController::Admit(const ExecContext& ctx) {
     ++queued;
     peak_queued_ = std::max<int64_t>(peak_queued_,
                                      queued_interactive_ + queued_batch_);
-    while (!HasCapacityLocked(qc)) {
-      if (ctx.ShouldAbort()) {
-        --queued;
-        ++expired_in_queue_;
-        return AdmissionOutcome::kDeadlineExpiredInQueue;
-      }
-      if (!ctx.deadline.has_deadline() && ctx.cancel == nullptr) {
-        slot_freed_.Wait(mutex_);
-        continue;
-      }
-      int64_t slice = std::min(ctx.deadline.remaining_ns(), kMaxWaitSliceNanos);
-      if (ctx.cancel != nullptr) slice = std::min(slice, kCancelPollNanos);
-      slot_freed_.WaitForNanos(mutex_, slice);
-    }
+    // The predicate runs with mutex_ held (WaitUntil's contract); the
+    // analysis sees the lambda as a separate function.
+    const bool admitted = slot_freed_.WaitUntil(
+        mutex_, ctx,
+        [&]() AAC_NO_THREAD_SAFETY_ANALYSIS { return HasCapacityLocked(qc); });
     --queued;
+    if (!admitted) {
+      ++expired_in_queue_;
+      return AdmissionOutcome::kDeadlineExpiredInQueue;
+    }
   }
   ++running_;
   if (qc == QueryClass::kBatch) ++running_batch_;

@@ -7,9 +7,9 @@
 #include <memory>
 #include <vector>
 
+#include "cache/single_flight.h"
 #include "core/admission.h"
 #include "core/query_engine.h"
-#include "core/single_flight.h"
 #include "storage/morsel_pool.h"
 #include "util/deadline.h"
 #include "util/lockdep.h"
@@ -119,7 +119,7 @@ class ConcurrentQueryEngine {
   int64_t engines_created() const;
 
   /// The shared fetch-coalescing group (e.g. for coalesced() reporting).
-  SingleFlight& single_flight() { return single_flight_; }
+  SingleFlight<ChunkData>& single_flight() { return single_flight_; }
 
   /// The shared rollup-plan cache (hit/miss stats, manual Clear()).
   RollupPlanCache& rollup_plan_cache() { return rollup_plans_; }
@@ -129,7 +129,7 @@ class ConcurrentQueryEngine {
   void Return(std::unique_ptr<QueryEngine> engine) AAC_EXCLUDES(pool_mutex_);
 
   EngineFactory factory_;
-  SingleFlight single_flight_;
+  SingleFlight<ChunkData> single_flight_;
   RollupPlanCache rollup_plans_;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<MorselPool> morsel_pool_;

@@ -528,11 +528,11 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
       // fetch it and publish the result) or follow (another query's fetch
       // for the same chunk is in flight — wait for its result instead of
       // issuing a duplicate backend call).
+      using Flight = SingleFlight<ChunkData>;
       std::vector<ChunkId> lead;
-      std::vector<std::pair<ChunkId, std::shared_ptr<SingleFlight::Slot>>>
-          follow;
+      std::vector<std::pair<ChunkId, std::shared_ptr<Flight::Slot>>> follow;
       for (ChunkId chunk : missing) {
-        std::shared_ptr<SingleFlight::Slot> slot =
+        std::shared_ptr<Flight::Slot> slot =
             layers_.single_flight->JoinOrLead(CacheKey{gb, chunk});
         if (slot == nullptr) {
           lead.push_back(chunk);
@@ -556,16 +556,16 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
         ChunkData data;
         switch (
             layers_.single_flight->AwaitWithDeadline(*slot, *ctx, &data)) {
-          case SingleFlight::AwaitStatus::kOk:
+          case Flight::AwaitStatus::kOk:
             ++s.chunks_coalesced;
             coalesced_results.push_back(std::move(data));
             break;
-          case SingleFlight::AwaitStatus::kLeaderFailed:
+          case Flight::AwaitStatus::kLeaderFailed:
             // The leader failed; its failure may have been breaker- or
             // deadline-local, so try once ourselves before giving up.
             retry_self.push_back(chunk);
             break;
-          case SingleFlight::AwaitStatus::kDeadline:
+          case Flight::AwaitStatus::kDeadline:
             // This follower's own deadline fired before the leader's fetch
             // landed: detach and give the chunk up. The leader keeps
             // fetching, so the cache still warms for later queries.

@@ -9,12 +9,12 @@
 #include "cache/benefit.h"
 #include "cache/chunk_cache.h"
 #include "cache/result_cache.h"
+#include "cache/single_flight.h"
 #include "cache/warm_tier.h"
 #include "core/circuit_breaker.h"
 #include "core/executor.h"
 #include "core/query.h"
 #include "core/retry_policy.h"
-#include "core/single_flight.h"
 #include "core/strategy.h"
 #include "util/deadline.h"
 #include "util/sim_clock.h"
@@ -156,7 +156,7 @@ struct QueryResult {
 struct EngineLayers {
   /// Coalesces concurrent fetches of the same (gb, chunk) into one backend
   /// call.
-  SingleFlight* single_flight = nullptr;
+  SingleFlight<ChunkData>* single_flight = nullptr;
   /// Ancestor-offset tables built once per (from, to, chunk) for all
   /// engines instead of once per engine (see Aggregator::set_plan_cache).
   RollupPlanCache* plan_cache = nullptr;

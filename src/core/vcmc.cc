@@ -16,20 +16,12 @@ VcmcStrategy::VcmcStrategy(const ChunkGrid* grid, const ChunkCache* cache,
     : grid_(grid),
       cache_(cache),
       size_model_(size_model),
-      indexer_(grid),
-      counts_(&indexer_, cache) {
+      indexer_(grid) {
   AAC_CHECK(grid != nullptr);
   AAC_CHECK(cache != nullptr);
   AAC_CHECK(size_model != nullptr);
-  // Seed the membership mirror from the cache (setup is single-threaded;
-  // the listener hooks maintain it from here on). Cached indices are
-  // collected outside the lock — the analysis is per-function, so guarded
-  // fields are not written from inside the ForEach lambda.
-  std::vector<size_t> seeded;
-  cache->ForEach([&](const CacheEntryInfo& info) {
-    seeded.push_back(
-        static_cast<size_t>(indexer_.IndexOf(info.key.gb, info.key.chunk)));
-  });
+  // Setup is single-threaded; the listener hooks maintain both arrays from
+  // here on.
   auto [costs, parents] = ComputeCostsFromScratch();
 
   const Lattice& lattice = grid_->lattice();
@@ -42,8 +34,6 @@ VcmcStrategy::VcmcStrategy(const ChunkGrid* grid, const ChunkCache* cache,
   }
 
   WriterMutexLock lock(mutex_);
-  cached_.assign(static_cast<size_t>(indexer_.size()), 0);
-  for (size_t idx : seeded) cached_[idx] = 1;
   costs_ = std::move(costs);
   best_parents_ = std::move(parents);
   queued_epoch_.assign(static_cast<size_t>(indexer_.size()), 0);
@@ -52,7 +42,7 @@ VcmcStrategy::VcmcStrategy(const ChunkGrid* grid, const ChunkCache* cache,
 bool VcmcStrategy::IsComputable(GroupById gb, ChunkId chunk) {
   ++metrics_.nodes_visited;
   ReaderMutexLock lock(mutex_);
-  return counts_.IsComputable(gb, chunk);
+  return costs_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] != kInf;
 }
 
 double VcmcStrategy::CostOf(GroupById gb, ChunkId chunk) const {
@@ -67,30 +57,31 @@ int8_t VcmcStrategy::BestParentOf(GroupById gb, ChunkId chunk) const {
 
 int64_t VcmcStrategy::SpaceOverheadBytes() const {
   ReaderMutexLock lock(mutex_);
-  return counts_.SpaceBytes() +
-         static_cast<int64_t>(costs_.size() * sizeof(double)) +
+  return static_cast<int64_t>(costs_.size() * sizeof(double)) +
          static_cast<int64_t>(best_parents_.size() * sizeof(int8_t));
 }
 
 void VcmcStrategy::OnInsert(const CacheKey& key, int64_t tuples) {
   (void)tuples;  // costs use the size model, not actual tuple counts
   WriterMutexLock lock(mutex_);
-  cached_[static_cast<size_t>(indexer_.IndexOf(key.gb, key.chunk))] = 1;
-  // Counts first: cost evaluation reads path-completeness from them.
-  counts_.OnChunkInserted(key.gb, key.chunk);
+  // Residency first: Evaluate reads it from the best parent. The cost is
+  // left for the propagation, which compares it with the new one.
+  best_parents_[static_cast<size_t>(indexer_.IndexOf(key.gb, key.chunk))] =
+      kSelf;
   RecomputeAndPropagate(key.gb, key.chunk);
 }
 
 void VcmcStrategy::OnEvict(const CacheKey& key) {
   WriterMutexLock lock(mutex_);
-  cached_[static_cast<size_t>(indexer_.IndexOf(key.gb, key.chunk))] = 0;
-  counts_.OnChunkEvicted(key.gb, key.chunk);
+  best_parents_[static_cast<size_t>(indexer_.IndexOf(key.gb, key.chunk))] =
+      kNone;
   RecomputeAndPropagate(key.gb, key.chunk);
 }
 
 std::pair<double, int8_t> VcmcStrategy::Evaluate(GroupById gb,
                                                  ChunkId chunk) const {
-  if (cached_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] != 0) {
+  if (best_parents_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] ==
+      kSelf) {
     return {0.0, kSelf};
   }
   const Lattice& lattice = grid_->lattice();
@@ -204,12 +195,14 @@ VcmcStrategy::ComputeCostsFromScratch() const {
 std::unique_ptr<PlanNode> VcmcStrategy::FindPlan(GroupById gb, ChunkId chunk) {
   ++metrics_.nodes_visited;
   ReaderMutexLock lock(mutex_);
-  if (!counts_.IsComputable(gb, chunk)) return nullptr;
+  if (costs_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] == kInf) {
+    return nullptr;
+  }
   return Build(gb, chunk);
 }
 
-// Precondition: computable, and the caller holds mutex_ (shared) so counts,
-// costs and best parents form one consistent view. Follows the BestParent
+// Precondition: computable, and the caller holds mutex_ (shared) so costs
+// and best parents form one consistent view. Follows the BestParent
 // pointers, so exactly the least-cost plan is constructed.
 std::unique_ptr<PlanNode> VcmcStrategy::Build(GroupById gb, ChunkId chunk) {
   ++metrics_.nodes_visited;

@@ -8,8 +8,8 @@
 
 #include "cache/chunk_cache.h"
 #include "chunks/chunk_size_model.h"
+#include "core/chunk_indexer.h"
 #include "core/strategy.h"
-#include "core/virtual_counts.h"
 #include "util/lockdep.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -26,19 +26,23 @@ namespace aac {
 /// least cost of any chunk is available instantaneously, which a cost-based
 /// optimizer can compare against the backend estimate (Section 5.2).
 ///
-/// Maintenance: on top of the count updates, an insert/evict recomputes the
-/// affected chunk's cost and propagates toward aggregated levels while
+/// The two arrays carry everything VCM's counts do: a chunk is computable
+/// exactly when its cost is finite, and resident exactly when its best
+/// parent is kSelf. So VCMC keeps no count array and no membership mirror.
+///
+/// Maintenance: an insert/evict sets the key's best parent to kSelf/kNone,
+/// then recomputes its cost and propagates toward aggregated levels while
 /// stored costs keep changing (the paper: updates propagate both when a
 /// chunk becomes newly computable and when its least cost changes).
 ///
-/// Concurrency: counts, costs, best parents and a membership bitset sit
-/// behind one shared_mutex (lookups shared, listener callbacks exclusive).
-/// The bitset mirrors cache membership so the steady-state read and
-/// maintenance paths never call back into the cache — listener callbacks
-/// run under a cache shard lock and the global lock order is "cache shard
-/// -> strategy" (DESIGN.md, Concurrency model). `ComputeCostsFromScratch`
-/// is the one exception: it reads the cache directly and is only for
-/// construction and quiesced-cache test oracles.
+/// Concurrency: costs and best parents sit behind one shared_mutex
+/// (lookups shared, listener callbacks exclusive). Residency is read from
+/// the best parents, so the steady-state read and maintenance paths never
+/// call back into the cache — listener callbacks run under a cache shard
+/// lock and the global lock order is "cache shard -> strategy" (DESIGN.md,
+/// Concurrency model). `ComputeCostsFromScratch` is the one exception: it
+/// reads the cache directly and is only for construction and
+/// quiesced-cache test oracles.
 class VcmcStrategy : public LookupStrategy, public CacheListener {
  public:
   /// All pointers must outlive the strategy. Register `listener()` on the
@@ -52,8 +56,9 @@ class VcmcStrategy : public LookupStrategy, public CacheListener {
   std::unique_ptr<PlanNode> FindPlan(GroupById gb, ChunkId chunk) override;
   CacheListener* listener() override { return this; }
 
-  /// Count (1B) + cost (8B) + best-parent (1B) per chunk (paper Table 3;
-  /// the paper assumed a 4-byte cost, we store doubles).
+  /// Cost (8B) + best-parent (1B) per chunk. Paper Table 3 counts a 1B
+  /// count and a 4-byte cost too; we derive computability from the cost
+  /// and store doubles.
   int64_t SpaceOverheadBytes() const override;
 
   // CacheListener (invoked under a cache shard lock; never calls the cache):
@@ -69,12 +74,6 @@ class VcmcStrategy : public LookupStrategy, public CacheListener {
   static constexpr int8_t kSelf = -1;
   static constexpr int8_t kNone = -2;
   int8_t BestParentOf(GroupById gb, ChunkId chunk) const;
-
-  /// Read access for tests and experiments. Quiesced use only: returns a
-  /// reference to guarded state without a lock pin (see VcmStrategy::counts).
-  const VirtualCounts& counts() const AAC_NO_THREAD_SAFETY_ANALYSIS {
-    return counts_;
-  }
 
   /// From-scratch recomputation of (cost, best parent) for every chunk, in
   /// topological order; the incremental maintenance must agree (tested).
@@ -101,11 +100,9 @@ class VcmcStrategy : public LookupStrategy, public CacheListener {
   const ChunkSizeModel* size_model_;
   ChunkIndexer indexer_;
   mutable SharedMutex mutex_{LockRank::kStrategy, "vcmc"};
-  VirtualCounts counts_ AAC_GUARDED_BY(mutex_);
-  /// Mirror of cache membership (1 = cached), indexed like costs_;
-  /// maintained by the listener hooks so Evaluate never reads the cache.
-  std::vector<uint8_t> cached_ AAC_GUARDED_BY(mutex_);
   std::vector<double> costs_ AAC_GUARDED_BY(mutex_);
+  /// kSelf exactly for cached chunks: the listener hooks keep it so, and
+  /// Evaluate reads residency here instead of from the cache.
   std::vector<int8_t> best_parents_ AAC_GUARDED_BY(mutex_);
   // Immutable after construction (sized/filled once, then read-only).
   std::vector<int16_t> level_sums_;  // per group-by, for topo ordering

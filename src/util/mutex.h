@@ -1,6 +1,7 @@
 #ifndef AAC_UTIL_MUTEX_H_
 #define AAC_UTIL_MUTEX_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <source_location>
 #endif
 
+#include "util/deadline.h"
 #include "util/lockdep.h"
 #include "util/thread_annotations.h"
 
@@ -250,10 +252,8 @@ class CondVar {
   /// Like Wait, but gives up after `nanos` of real time. Returns true when
   /// notified, false on timeout (<= 0 nanos times out immediately without
   /// releasing the mutex). Spurious wakeups are possible either way;
-  /// callers loop on their predicate and their remaining budget — this is
-  /// the primitive behind every deadline-bounded wait (single-flight
-  /// followers, admission queues), so no waiter can block past its query's
-  /// deadline.
+  /// callers loop on their predicate and their remaining budget. The one
+  /// such loop in src/ is WaitUntil below (lint rule R9).
   bool WaitForNanos(Mutex& mu, int64_t nanos) AAC_REQUIRES(mu) {
     if (nanos <= 0) return false;
 #if defined(AAC_LOCKDEP)
@@ -264,6 +264,36 @@ class CondVar {
         cv_.wait_for(lock, std::chrono::nanoseconds(nanos));
     lock.release();  // ownership returns to the caller's scope
     return status == std::cv_status::no_timeout;
+  }
+
+  /// The deadline-bounded wait behind every waiter that serves a query
+  /// (admission queues, single-flight followers): waits until `ready()`
+  /// holds or `ctx` aborts, whichever comes first, and returns whether
+  /// `ready()` holds. `ready` is evaluated with `mu` held, before
+  /// `ctx.ShouldAbort()` on every pass, so a resolved wait never reports an
+  /// abort. With neither a deadline nor a cancel token the wait blocks
+  /// until notified. Otherwise it wakes at the deadline and at least once a
+  /// second (remaining_ns() is effectively infinite without a deadline, and
+  /// wait_for on a huge duration overflows the clock), and every 2 ms while
+  /// a cancel token is set: a token has no wakeup channel of its own, and
+  /// can fire at any moment, whereas a deadline cannot move closer than its
+  /// remaining budget.
+  template <typename Ready>
+  bool WaitUntil(Mutex& mu, const ExecContext& ctx, Ready ready)
+      AAC_REQUIRES(mu) {
+    constexpr int64_t kMaxSliceNanos = 1'000'000'000;
+    constexpr int64_t kCancelPollNanos = 2'000'000;
+    while (!ready()) {
+      if (ctx.ShouldAbort()) return false;
+      if (!ctx.deadline.has_deadline() && ctx.cancel == nullptr) {
+        Wait(mu);
+        continue;
+      }
+      int64_t nanos = std::min(ctx.deadline.remaining_ns(), kMaxSliceNanos);
+      if (ctx.cancel != nullptr) nanos = std::min(nanos, kCancelPollNanos);
+      WaitForNanos(mu, nanos);
+    }
+    return true;
   }
 
   void NotifyOne() { cv_.notify_one(); }

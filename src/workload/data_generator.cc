@@ -46,8 +46,6 @@ std::vector<Cell> GenerateFactData(const Schema& schema,
   // dimension (APB-1's per-month records).
   const int dd = config.dense_dim;
   AAC_CHECK_LT(dd, nd);
-  AAC_CHECK(config.dense_run_fraction > 0.0 &&
-            config.dense_run_fraction <= 1.0);
   const auto dense_card =
       static_cast<int32_t>(schema.dimension(dd).cardinality(base[dd]));
   while (static_cast<int64_t>(cells.size()) < config.num_tuples) {
@@ -57,9 +55,8 @@ std::vector<Cell> GenerateFactData(const Schema& schema,
       proto.values[static_cast<size_t>(d)] = static_cast<int32_t>(
           samplers[static_cast<size_t>(d)]->Sample(rng));
     }
-    // Run length averages dense_run_fraction of the dimension; jitter ±50%.
-    const double target = config.dense_run_fraction *
-                          static_cast<double>(dense_card);
+    // Run length averages 80% of the dimension; jitter ±50%.
+    const double target = 0.8 * static_cast<double>(dense_card);
     const auto run = static_cast<int32_t>(std::clamp(
         target * (0.5 + rng.UniformDouble()), 1.0,
         static_cast<double>(dense_card)));

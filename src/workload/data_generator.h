@@ -30,11 +30,10 @@ struct DataGenConfig {
   /// every month of each product/store/channel combination; with
   /// `dense_dim` set (to the time dimension), each sampled combination of
   /// the other dimensions carries a contiguous run of leaf values covering
-  /// `dense_run_fraction` of that dimension. This is what makes rolling up
+  /// 80% of that dimension on average. This is what makes rolling up
   /// the dense dimension collapse tuple counts — the structure behind the
   /// paper's ~10x fastest-vs-slowest aggregation-path spread.
   int dense_dim = -1;
-  double dense_run_fraction = 0.8;
 
   uint64_t seed = 42;
 };

@@ -137,7 +137,8 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
       break;
     case StrategyKind::kEsmc:
       strategy_ = std::make_unique<EsmcStrategy>(
-          &cube_->grid(), cache_.get(), size_model_.get(), config.esmc_budget);
+          &cube_->grid(), cache_.get(), size_model_.get(),
+          /*visit_budget=*/20'000'000);
       break;
     case StrategyKind::kVcm:
       strategy_ = std::make_unique<VcmStrategy>(&cube_->grid(), cache_.get());

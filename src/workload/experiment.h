@@ -93,9 +93,6 @@ struct ExperimentConfig {
 
   /// Live-byte budget for the disk tier (encoded bytes).
   int64_t disk_spill_bytes = 0;
-
-  /// ESMC search budget (node visits per lookup).
-  int64_t esmc_budget = 20'000'000;
 };
 
 /// Owns a fully wired middle tier + backend for one experiment

@@ -12,8 +12,8 @@
 #include "backend/fault_injector.h"
 #include "cache/chunk_cache.h"
 #include "cache/replacement.h"
+#include "cache/single_flight.h"
 #include "core/concurrent_engine.h"
-#include "core/single_flight.h"
 #include "core/vcmc.h"
 #include "test_env.h"
 #include "util/rng.h"
@@ -146,7 +146,7 @@ TEST(CacheConcurrencyTest, ConcurrentReplaceInPlaceKeepsOneEntry) {
 
 TEST(SingleFlightTest, ExactlyOneLeaderAndFollowersGetPublishedData) {
   constexpr int kThreads = 6;
-  SingleFlight sf;
+  SingleFlight<ChunkData> sf;
   std::atomic<int> leaders{0};
   std::atomic<int> followers_ok{0};
   std::atomic<int> arrived{0};
@@ -154,7 +154,7 @@ TEST(SingleFlightTest, ExactlyOneLeaderAndFollowersGetPublishedData) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      std::shared_ptr<SingleFlight::Slot> slot = sf.JoinOrLead(key);
+      std::shared_ptr<SingleFlight<ChunkData>::Slot> slot = sf.JoinOrLead(key);
       // Barrier: everyone joins the flight before the leader publishes,
       // otherwise a late thread would simply start (and lead) a new one.
       ++arrived;
@@ -178,10 +178,10 @@ TEST(SingleFlightTest, ExactlyOneLeaderAndFollowersGetPublishedData) {
 }
 
 TEST(SingleFlightTest, FailedFlightWakesFollowersEmptyHanded) {
-  SingleFlight sf;
+  SingleFlight<ChunkData> sf;
   const CacheKey key{1, 1};
   ASSERT_EQ(sf.JoinOrLead(key), nullptr);  // this test leads
-  std::shared_ptr<SingleFlight::Slot> slot = sf.JoinOrLead(key);
+  std::shared_ptr<SingleFlight<ChunkData>::Slot> slot = sf.JoinOrLead(key);
   ASSERT_NE(slot, nullptr);
   std::thread follower([&] {
     ChunkData data;
@@ -193,12 +193,57 @@ TEST(SingleFlightTest, FailedFlightWakesFollowersEmptyHanded) {
 }
 
 TEST(SingleFlightTest, DistinctKeysAreIndependentFlights) {
-  SingleFlight sf;
+  SingleFlight<ChunkData> sf;
   EXPECT_EQ(sf.JoinOrLead({1, 1}), nullptr);
   EXPECT_EQ(sf.JoinOrLead({1, 2}), nullptr);  // different chunk: own flight
   EXPECT_NE(sf.JoinOrLead({1, 1}), nullptr);
   sf.Publish({1, 1}, MakeChunk(1, 1, 1));
   sf.Fail({1, 2});
+}
+
+// A published value that counts its copies, to see what Publish stores.
+struct CopyCounted {
+  int payload = 0;
+  std::atomic<int>* copies = nullptr;
+
+  CopyCounted() = default;
+  CopyCounted(int p, std::atomic<int>* c) : payload(p), copies(c) {}
+  CopyCounted(const CopyCounted& other)
+      : payload(other.payload), copies(other.copies) {
+    if (copies != nullptr) ++*copies;
+  }
+  CopyCounted& operator=(const CopyCounted& other) {
+    payload = other.payload;
+    copies = other.copies;
+    if (copies != nullptr) ++*copies;
+    return *this;
+  }
+};
+
+TEST(SingleFlightTest, PublishWithNoFollowerCopiesNothing) {
+  SingleFlight<CopyCounted> sf;
+  std::atomic<int> copies{0};
+  const CacheKey key{3, 7};
+  ASSERT_EQ(sf.JoinOrLead(key), nullptr);
+  sf.Publish(key, CopyCounted(9, &copies));
+  EXPECT_EQ(copies.load(), 0);
+  EXPECT_EQ(sf.in_flight(), 0u);
+}
+
+TEST(SingleFlightTest, FollowerJoinedBeforePublishReceivesTheValue) {
+  SingleFlight<CopyCounted> sf;
+  std::atomic<int> copies{0};
+  const CacheKey key{3, 8};
+  ASSERT_EQ(sf.JoinOrLead(key), nullptr);  // this test leads
+  std::shared_ptr<SingleFlight<CopyCounted>::Slot> slot = sf.JoinOrLead(key);
+  ASSERT_NE(slot, nullptr);
+  CopyCounted got;
+  std::thread follower([&] { EXPECT_TRUE(sf.Await(*slot, &got)); });
+  sf.Publish(key, CopyCounted(9, &copies));
+  follower.join();
+  EXPECT_EQ(got.payload, 9);
+  EXPECT_EQ(copies.load(), 2);  // into the slot, then out to the follower
+  EXPECT_EQ(sf.coalesced(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -94,11 +94,12 @@ TEST_F(ConcurrentEngineTest, ManyThreadsManyQueriesAllCorrect) {
   EXPECT_EQ(concurrent_->queries_executed(), kThreads * kQueriesPerThread);
 
   // Summary state is consistent after the storm.
-  const std::vector<uint8_t> scratch = strategy_->counts().ComputeFromScratch();
+  const auto [costs, parents] = strategy_->ComputeCostsFromScratch();
   for (GroupById gb = 0; gb < env_.lattice().num_groupbys(); ++gb) {
     for (ChunkId c = 0; c < env_.grid().NumChunks(gb); ++c) {
-      ASSERT_EQ(strategy_->counts().CountOf(gb, c),
-                scratch[OracleIndex(env_, gb, c)]);
+      ASSERT_EQ(strategy_->CostOf(gb, c), costs[OracleIndex(env_, gb, c)]);
+      ASSERT_EQ(strategy_->BestParentOf(gb, c),
+                parents[OracleIndex(env_, gb, c)]);
     }
   }
 }
@@ -315,11 +316,11 @@ TEST(ConcurrentEngineWrites, WritesAtABarrierKeepAnswersExact) {
   EXPECT_TRUE(env.cache->ValidateInvariants());
   EXPECT_TRUE(warm.ValidateInvariants());
   EXPECT_TRUE(results.ValidateInvariants());
-  const std::vector<uint8_t> scratch = strategy.counts().ComputeFromScratch();
+  const auto [costs, parents] = strategy.ComputeCostsFromScratch();
   for (GroupById gb = 0; gb < env.lattice().num_groupbys(); ++gb) {
     for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
-      ASSERT_EQ(strategy.counts().CountOf(gb, c),
-                scratch[OracleIndex(env, gb, c)]);
+      ASSERT_EQ(strategy.CostOf(gb, c), costs[OracleIndex(env, gb, c)]);
+      ASSERT_EQ(strategy.BestParentOf(gb, c), parents[OracleIndex(env, gb, c)]);
     }
   }
 }

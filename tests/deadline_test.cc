@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "backend/backend.h"
-#include "core/single_flight.h"
+#include "cache/single_flight.h"
 #include "storage/aggregator.h"
 #include "storage/fact_table.h"
 #include "test_util.h"
 #include "util/deadline.h"
+#include "util/mutex.h"
+#include "util/sleep.h"
+#include "util/stopwatch.h"
 #include "workload/experiment.h"
 
 namespace aac {
@@ -140,21 +144,88 @@ TEST(AggregatorCancel, NullContextCostsNoCheckpoints) {
 }
 
 // ---------------------------------------------------------------------------
+// CondVar::WaitUntil, the one deadline-bounded wait
+// ---------------------------------------------------------------------------
+
+TEST(CondVarWaitUntil, ReadyPredicateWinsOverAnExpiredDeadline) {
+  Mutex mu{LockRank::kAdmission, "t.wait_until"};
+  CondVar cv;
+  ExecContext ctx;
+  ctx.deadline = Deadline::AfterNanos(-1);
+  MutexLock lock(mu);
+  EXPECT_TRUE(cv.WaitUntil(mu, ctx, [] { return true; }));
+}
+
+TEST(CondVarWaitUntil, ReturnsFalseWhenTheDeadlinePassesFirst) {
+  Mutex mu{LockRank::kAdmission, "t.wait_until"};
+  CondVar cv;
+  ExecContext ctx;
+  ctx.deadline = Deadline::AfterNanos(2'000'000);  // 2 ms
+  MutexLock lock(mu);
+  EXPECT_FALSE(cv.WaitUntil(mu, ctx, [] { return false; }));
+  EXPECT_TRUE(ctx.deadline.expired());
+}
+
+// A cancel token has no wakeup channel: nobody notifies, and without a
+// deadline only the cancel poll ends the wait, well before the one-second
+// slice would.
+TEST(CondVarWaitUntil, ReturnsFalseSoonAfterAnotherThreadCancels) {
+  Mutex mu{LockRank::kAdmission, "t.wait_until"};
+  CondVar cv;
+  CancelToken token;
+  ExecContext ctx;
+  ctx.cancel = &token;
+  std::thread canceller([&] {
+    SleepForNanos(20'000'000);  // 20 ms
+    token.Cancel();
+  });
+  Stopwatch timer;
+  {
+    MutexLock lock(mu);
+    EXPECT_FALSE(cv.WaitUntil(mu, ctx, [] { return false; }));
+  }
+  EXPECT_LT(timer.ElapsedNanos(), 500'000'000);
+  canceller.join();
+}
+
+TEST(CondVarWaitUntil, ReturnsTrueWhenNotifiedReadyBeforeTheDeadline) {
+  Mutex mu{LockRank::kAdmission, "t.wait_until"};
+  CondVar cv;
+  bool ready = false;
+  ExecContext ctx;
+  ctx.deadline = Deadline::AfterNanos(INT64_C(60'000'000'000));  // 60 s
+  std::thread notifier([&] {
+    SleepForNanos(5'000'000);  // 5 ms
+    {
+      MutexLock lock(mu);
+      ready = true;
+    }
+    cv.NotifyAll();
+  });
+  {
+    MutexLock lock(mu);
+    EXPECT_TRUE(cv.WaitUntil(mu, ctx, [&] { return ready; }));
+  }
+  EXPECT_FALSE(ctx.deadline.expired());
+  notifier.join();
+}
+
+// ---------------------------------------------------------------------------
 // Single-flight follower detach
 // ---------------------------------------------------------------------------
 
 TEST(SingleFlightDeadline, FollowerDetachesWhenItsDeadlineFiresFirst) {
-  SingleFlight sf;
+  SingleFlight<ChunkData> sf;
   const CacheKey key{0, 0};
   ASSERT_EQ(sf.JoinOrLead(key), nullptr);  // we lead...
-  std::shared_ptr<SingleFlight::Slot> slot = sf.JoinOrLead(key);
+  std::shared_ptr<SingleFlight<ChunkData>::Slot> slot = sf.JoinOrLead(key);
   ASSERT_NE(slot, nullptr);  // ...and follow ourselves; nobody publishes yet
 
   ExecContext ctx;
   ctx.deadline = Deadline::AfterNanos(2'000'000);  // 2 ms
   ChunkData out;
   EXPECT_EQ(sf.AwaitWithDeadline(*slot, ctx, &out),
-            SingleFlight::AwaitStatus::kDeadline);
+            SingleFlight<ChunkData>::AwaitStatus::kDeadline);
   EXPECT_EQ(sf.detached(), 1);
 
   // The flight is unaffected by the detach: the leader still publishes and
@@ -165,15 +236,15 @@ TEST(SingleFlightDeadline, FollowerDetachesWhenItsDeadlineFiresFirst) {
   sf.Publish(key, data);
   ExecContext patient;
   EXPECT_EQ(sf.AwaitWithDeadline(*slot, patient, &out),
-            SingleFlight::AwaitStatus::kOk);
+            SingleFlight<ChunkData>::AwaitStatus::kOk);
   EXPECT_EQ(out.chunk, 0);
 }
 
 TEST(SingleFlightDeadline, CancelTokenUnblocksAwait) {
-  SingleFlight sf;
+  SingleFlight<ChunkData> sf;
   const CacheKey key{0, 1};
   ASSERT_EQ(sf.JoinOrLead(key), nullptr);
-  std::shared_ptr<SingleFlight::Slot> slot = sf.JoinOrLead(key);
+  std::shared_ptr<SingleFlight<ChunkData>::Slot> slot = sf.JoinOrLead(key);
   ASSERT_NE(slot, nullptr);
 
   CancelToken token;
@@ -182,7 +253,7 @@ TEST(SingleFlightDeadline, CancelTokenUnblocksAwait) {
   ctx.cancel = &token;
   ChunkData out;
   EXPECT_EQ(sf.AwaitWithDeadline(*slot, ctx, &out),
-            SingleFlight::AwaitStatus::kDeadline);
+            SingleFlight<ChunkData>::AwaitStatus::kDeadline);
   sf.Fail(key);  // leader cleanup
 }
 

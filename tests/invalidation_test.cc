@@ -157,13 +157,14 @@ TEST_F(InvalidationTest, CountsStayConsistentAfterInvalidation) {
   ApplyFactUpdates(table(), env_.cache.get(),
                    {MakeCell(5, 3, 9.0), MakeCell(9, 6, 4.0)});
 
-  // Virtual counts were maintained through the eviction listeners.
-  const std::vector<uint8_t> scratch = strategy_->counts().ComputeFromScratch();
+  // Costs and best parents were maintained through the eviction listeners.
+  const auto [costs, parents] = strategy_->ComputeCostsFromScratch();
   const Lattice& lat = env_.lattice();
   for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
     for (ChunkId c = 0; c < env_.grid().NumChunks(gb); ++c) {
-      ASSERT_EQ(strategy_->counts().CountOf(gb, c),
-                scratch[OracleIndex(env_, gb, c)]);
+      ASSERT_EQ(strategy_->CostOf(gb, c), costs[OracleIndex(env_, gb, c)]);
+      ASSERT_EQ(strategy_->BestParentOf(gb, c),
+                parents[OracleIndex(env_, gb, c)]);
     }
   }
 }
@@ -422,7 +423,7 @@ TEST_F(WriteProtocolTest, PatchedCacheEqualsRefetch) {
     for (ChunkId c = 0; c < grid.NumChunks(gb); ++c) {
       const size_t i = OracleIndex(env_, gb, c);
       ASSERT_EQ(vcm_->counts().CountOf(gb, c), counts[i]);
-      ASSERT_EQ(vcmc_->counts().CountOf(gb, c), counts[i]);
+      ASSERT_EQ(vcmc_->IsComputable(gb, c), counts[i] > 0);
       ASSERT_EQ(vcmc_->CostOf(gb, c), costs[i]);
       ASSERT_EQ(vcmc_->BestParentOf(gb, c), parents[i]);
       std::unique_ptr<PlanNode> plan = vcm_->FindPlan(gb, c);

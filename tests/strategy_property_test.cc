@@ -127,12 +127,12 @@ TEST_P(EnginePressureTest, AllStrategiesAnswerCorrectlyUnderEviction) {
       // Summary state stays consistent with a from-scratch recomputation
       // even under eviction churn.
       if (i % 20 == 19) {
-        const std::vector<uint8_t> scratch =
-            vcmc.counts().ComputeFromScratch();
+        const auto [costs, parents] = vcmc.ComputeCostsFromScratch();
         for (GroupById g = 0; g < lat.num_groupbys(); ++g) {
           for (ChunkId c = 0; c < env.grid().NumChunks(g); ++c) {
-            ASSERT_EQ(vcmc.counts().CountOf(g, c),
-                      scratch[OracleIndex(env, g, c)]);
+            ASSERT_EQ(vcmc.CostOf(g, c), costs[OracleIndex(env, g, c)]);
+            ASSERT_EQ(vcmc.BestParentOf(g, c),
+                      parents[OracleIndex(env, g, c)]);
           }
         }
       }

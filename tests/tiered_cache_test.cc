@@ -581,5 +581,103 @@ TEST(TieredCacheTest, ConcurrentPromotersCoalesceOntoOneDecode) {
   EXPECT_TRUE(t.warm->ValidateInvariants());
 }
 
+// The same storm over a chunk that lives only on the disk tier: probers
+// coalesce onto one disk read and decode per flight, and every one of them
+// reports a disk hit.
+TEST(TieredCacheTest, ConcurrentDiskPromotersCoalesceOntoOneReadAndDecode) {
+  const std::string path = testing::TempDir() + "/aac_disk_coalesce_test.bin";
+  TieredEnv t = MakeTieredEnv(/*hot_capacity=*/64 << 20,
+                              /*warm_capacity=*/64 << 20,
+                              /*disk_capacity=*/64 << 20, path);
+  const GroupById base = t.env.lattice().base_id();
+  const CacheKey key{base, 0};
+  // Big enough that the read and decode outlast a scheduling quantum (see
+  // ConcurrentPromotersCoalesceOntoOneDecode).
+  ChunkData truth;
+  truth.gb = base;
+  truth.chunk = 0;
+  truth.cells.reserve(60'000);
+  for (int32_t i = 0; i < 60'000; ++i) {
+    Cell c;
+    c.values[0] = i / 100;
+    c.values[1] = i % 100;
+    c.values[2] = (i * 7) % 13;
+    InitCellAggregates(c, static_cast<double>(i % 977));
+    truth.cells.push_back(c);
+  }
+  CanonicalizeChunkData(t.env.schema().num_dims(), &truth);
+  std::vector<uint8_t> blob;
+  EncodeChunk(t.env.schema().num_dims(), truth, &blob);
+
+  CacheEntryInfo info;
+  info.key = key;
+  info.bytes = truth.LogicalBytes(kTupleBytes);
+  info.benefit = 500.0;
+  info.source = ChunkSource::kBackend;
+
+  constexpr int kThreads = 4;
+  constexpr int kMaxRounds = 200;
+  int64_t coalesced_total = 0;
+
+  for (int round = 0; round < kMaxRounds; ++round) {
+    // Put the chunk on disk only: not hot, not in warm RAM.
+    t.env.cache->Remove(key);
+    ASSERT_TRUE(t.disk->Admit(info, blob));
+    ASSERT_EQ(t.warm->num_entries(), 0u);
+    ASSERT_TRUE(t.warm->Contains(key));
+    const WarmTierStats before = t.warm->stats();
+    const DiskTierStats disk_before = t.disk->stats();
+
+    std::atomic<int> at_probe{0};
+    std::atomic<int> at_promote{0};
+    std::atomic<int> disk_hits{0};
+    std::atomic<bool> bit_mismatch{false};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&] {
+        ++at_probe;
+        while (at_probe.load() < kThreads) std::this_thread::yield();
+        WarmProbeResult probe;
+        const bool hit = t.warm->Probe(key, nullptr, &probe);
+        if (hit && probe.from_disk) ++disk_hits;
+        if (hit && !BitIdentical(truth, probe.data)) bit_mismatch = true;
+        // No promotion (whose OnErase purges the disk copy) starts until
+        // every probe has resolved.
+        ++at_promote;
+        while (at_promote.load() < kThreads) std::this_thread::yield();
+        if (hit) {
+          t.env.cache->Insert(std::move(probe.data), probe.info.benefit,
+                              probe.info.source);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    ASSERT_EQ(disk_hits.load(), kThreads);
+    ASSERT_FALSE(bit_mismatch.load());
+    const WarmTierStats after = t.warm->stats();
+    EXPECT_EQ(after.disk_hits - before.disk_hits, kThreads);
+    EXPECT_EQ(after.hits - before.hits, 0);
+    const int64_t coalesced =
+        after.coalesced_decodes - before.coalesced_decodes;
+    EXPECT_GE(coalesced, 0);
+    EXPECT_LT(coalesced, kThreads);  // someone always reads and decodes
+    // One disk read per flight: every prober either led or coalesced.
+    EXPECT_EQ(t.disk->stats().hits - disk_before.hits, kThreads - coalesced);
+    coalesced_total += coalesced;
+    EXPECT_FALSE(t.warm->Contains(key));  // promotion purged the disk copy
+
+    if (coalesced_total > 0 && round >= 3) break;
+  }
+  EXPECT_GE(coalesced_total, 1);
+
+  EXPECT_EQ(t.env.cache->TotalPinCount(), 0);
+  EXPECT_TRUE(t.env.cache->ValidateInvariants());
+  EXPECT_TRUE(t.warm->ValidateInvariants());
+  EXPECT_TRUE(t.disk->ValidateInvariants());
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace aac

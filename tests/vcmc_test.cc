@@ -3,9 +3,11 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <vector>
 
 #include "core/esmc.h"
 #include "core/memo_esmc.h"
+#include "core/vcm.h"
 #include "core/vcmc.h"
 #include "test_env.h"
 
@@ -14,6 +16,18 @@ namespace {
 
 constexpr int64_t kBigCache = 1'000'000;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+void ExpectBestParentsMatchScratch(const TestEnv& env,
+                                   const VcmcStrategy& vcmc) {
+  const auto [costs, parents] = vcmc.ComputeCostsFromScratch();
+  const Lattice& lat = env.lattice();
+  for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
+    for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
+      EXPECT_EQ(vcmc.BestParentOf(gb, c), parents[OracleIndex(env, gb, c)])
+          << lat.LevelOf(gb).ToString() << "#" << c;
+    }
+  }
+}
 
 void ExpectCostsMatchScratch(const TestEnv& env, const VcmcStrategy& vcmc) {
   const auto [costs, parents] = vcmc.ComputeCostsFromScratch();
@@ -98,11 +112,14 @@ TEST(Vcmc, CostsMatchScratchAfterInsertsAndDeletes) {
     }
   }
   ExpectCostsMatchScratch(env, vcmc);
-  // Counts stay consistent with costs: finite cost iff computable.
+  ExpectBestParentsMatchScratch(env, vcmc);
+  // Computability (a finite cost) agrees with VCM's virtual counts,
+  // recomputed from scratch: non-zero iff computable (paper Property 1).
+  VcmStrategy vcm(env.cube.grid.get(), env.cache.get());
+  const std::vector<uint8_t> counts = vcm.counts().ComputeFromScratch();
   for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
     for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
-      EXPECT_EQ(vcmc.CostOf(gb, c) != kInf,
-                vcmc.counts().IsComputable(gb, c));
+      EXPECT_EQ(vcmc.IsComputable(gb, c), counts[OracleIndex(env, gb, c)] > 0);
     }
   }
 }
@@ -210,13 +227,13 @@ TEST(Vcmc, SpaceOverheadCountsAllArrays) {
   VcmcStrategy vcmc(env.cube.grid.get(), env.cache.get(),
                     env.size_model.get());
   const int64_t chunks = env.grid().TotalChunksAllGroupBys();
-  // 1 byte count + 8 byte cost + 1 byte best-parent per chunk.
-  EXPECT_EQ(vcmc.SpaceOverheadBytes(), chunks * 10);
+  // 8 byte cost + 1 byte best-parent per chunk.
+  EXPECT_EQ(vcmc.SpaceOverheadBytes(), chunks * 9);
 }
 
 TEST(Vcmc, CostDropsWhenCheaperLevelArrives) {
   // Paper Table 2's observation: inserting chunks of (6,2,3,0,0) after the
-  // base level does not change counts but does change costs.
+  // base level does not change computability but does change costs.
   TestEnv env = MakeTestEnv(MakeSmallCube(), 1.0, 10, kBigCache);
   VcmcStrategy vcmc(env.cube.grid.get(), env.cache.get(),
                     env.size_model.get());
@@ -227,14 +244,15 @@ TEST(Vcmc, CostDropsWhenCheaperLevelArrives) {
     CacheChunkFromBackend(env, base, c);
   }
   const double before = vcmc.CostOf(lat.top_id(), 0);
-  const int32_t count_before = vcmc.counts().CountOf(lat.top_id(), 0);
+  ASSERT_TRUE(vcmc.IsComputable(lat.top_id(), 0));
   const GroupById mid = lat.IdOf(LevelVector{1, 1});
   for (ChunkId c = 0; c < env.grid().NumChunks(mid); ++c) {
     CacheChunkFromBackend(env, mid, c);
   }
   EXPECT_LT(vcmc.CostOf(lat.top_id(), 0), before);
-  EXPECT_GE(vcmc.counts().CountOf(lat.top_id(), 0), count_before);
+  EXPECT_TRUE(vcmc.IsComputable(lat.top_id(), 0));
   ExpectCostsMatchScratch(env, vcmc);
+  ExpectBestParentsMatchScratch(env, vcmc);
 }
 
 }  // namespace

@@ -55,6 +55,12 @@ it enforces the invariants that keep the clang gate meaningful:
       order, fails this linter even on machines that never run an
       AAC_LOCKDEP build — the rank table only means something if it is
       total.
+  R9  CondVar::WaitForNanos is called only inside src/util/mutex.h. Every
+      deadline-bounded wait in src/ goes through CondVar::WaitUntil, the
+      one loop that checks readiness, then the context, and wakes at the
+      deadline, once a second and every 2 ms under a cancel token — a
+      hand-copied loop drifts from it (tests/lockdep_test.cc, which tests
+      the primitive itself, is outside src/ and so exempt).
 
 Exit status 0 with no output (beyond the summary) when clean; 1 with one
 line per finding otherwise.
@@ -155,11 +161,18 @@ ANNOTATION_TABLE = [
     ("src/core/circuit_breaker.h",
      r"TransitionIfCooledDown\(\)\s*AAC_REQUIRES\(mutex_\)",
      "TransitionIfCooledDown must carry AAC_REQUIRES(mutex_)"),
-    # SingleFlight: slot payload is published under the slot mutex.
-    ("src/core/single_flight.h",
+    # SingleFlight (backend fetches and warm-tier decodes): the slot's
+    # outcome and value are published under the slot mutex.
+    ("src/cache/single_flight.h",
      r"done\s+AAC_GUARDED_BY\(mutex\)",
      "Slot::done must be AAC_GUARDED_BY(mutex)"),
-    ("src/core/single_flight.h",
+    ("src/cache/single_flight.h",
+     r"ok\s+AAC_GUARDED_BY\(mutex\)",
+     "Slot::ok must be AAC_GUARDED_BY(mutex)"),
+    ("src/cache/single_flight.h",
+     r"value\s+AAC_GUARDED_BY\(mutex\)",
+     "Slot::value must be AAC_GUARDED_BY(mutex)"),
+    ("src/cache/single_flight.h",
      r"inflight_\s+AAC_GUARDED_BY\(mutex_\)",
      "inflight_ must be AAC_GUARDED_BY(mutex_)"),
     # VCM / VCMC strategies: shared_mutex discipline over the count tables.
@@ -169,6 +182,12 @@ ANNOTATION_TABLE = [
     ("src/core/vcm.h",
      r"Build\([^;]*\)[^;]*AAC_REQUIRES_SHARED\(mutex_\)",
      "VcmStrategy::Build must carry AAC_REQUIRES_SHARED(mutex_)"),
+    ("src/core/vcmc.h",
+     r"costs_\s+AAC_GUARDED_BY\(mutex_\)",
+     "VcmcStrategy::costs_ must be AAC_GUARDED_BY(mutex_)"),
+    ("src/core/vcmc.h",
+     r"best_parents_\s+AAC_GUARDED_BY\(mutex_\)",
+     "VcmcStrategy::best_parents_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/core/vcmc.h",
      r"Evaluate\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
      "VcmcStrategy::Evaluate must carry AAC_REQUIRES(mutex_)"),
@@ -212,15 +231,13 @@ ANNOTATION_TABLE = [
     ("src/cache/result_cache.h",
      r"EvictFor\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
      "ResultCache::EvictFor must carry AAC_REQUIRES(mutex_)"),
-    # Warm tier: entries, the single-flight decode map and the CLOCK ring
-    # all mutate under the one warm mutex; EvictFor hands victims to the
-    # disk tier only after unlocking, so it must prove the lock is held.
+    # Warm tier: entries and the CLOCK ring mutate under the one warm
+    # mutex (decodes single-flight through SingleFlight, pinned above);
+    # EvictFor hands victims to the disk tier only after unlocking, so it
+    # must prove the lock is held.
     ("src/cache/warm_tier.h",
      r"entries_\s+AAC_GUARDED_BY\(mutex_\)",
      "WarmTier::entries_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/cache/warm_tier.h",
-     r"flights_\s+AAC_GUARDED_BY\(mutex_\)",
-     "WarmTier::flights_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/warm_tier.h",
      r"ring_\s+AAC_GUARDED_BY\(mutex_\)",
      "WarmTier::ring_ must be AAC_GUARDED_BY(mutex_)"),
@@ -333,7 +350,7 @@ def check_fold_hot_path():
 CONCURRENCY_MARKERS = re.compile(
     r"#\s*include\s*(<thread>"
     r"|\"core/concurrent_engine\.h\""
-    r"|\"core/single_flight\.h\""
+    r"|\"cache/single_flight\.h\""
     r"|\"cache/chunk_cache\.h\""
     r"|\"storage/rollup_plan\.h\""
     r"|\"storage/fold_kernel\.h\""
@@ -515,9 +532,9 @@ LOCK_RANK_TABLE = [
      "AdmissionController's mutex must declare LockRank::kAdmission"),
     ("src/core/concurrent_engine.h", r"pool_mutex_\{LockRank::kEnginePool,",
      "the engine pool mutex must declare LockRank::kEnginePool"),
-    ("src/core/single_flight.h", r"mutex\{LockRank::kSingleFlightSlot,",
+    ("src/cache/single_flight.h", r"mutex\{LockRank::kSingleFlightSlot,",
      "SingleFlight::Slot::mutex must declare LockRank::kSingleFlightSlot"),
-    ("src/core/single_flight.h", r"mutex_\{LockRank::kSingleFlightMap,",
+    ("src/cache/single_flight.h", r"mutex_\{LockRank::kSingleFlightMap,",
      "SingleFlight::mutex_ must declare LockRank::kSingleFlightMap"),
     ("src/cache/chunk_cache.h", r"mutex\{LockRank::kCacheShard,",
      "ChunkCache::Shard::mutex must declare LockRank::kCacheShard"),
@@ -593,6 +610,27 @@ def check_lock_ranks():
                     "place in the global order (src/util/lockdep.h)")
 
 
+# --------------------------------------------------------------------------
+# R9: one deadline-bounded wait. CondVar::WaitUntil owns the timed-wait
+# loop; nothing else in src/ calls the raw timed wait under it.
+# --------------------------------------------------------------------------
+
+TIMED_WAIT = re.compile(r"\bWaitForNanos\s*\(")
+
+
+def check_one_wait():
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc") or path == WRAPPER:
+            continue
+        for lineno, code in source_lines(path):
+            if TIMED_WAIT.search(code):
+                finding(
+                    path, lineno, "R9-one-wait",
+                    "CondVar::WaitForNanos outside src/util/mutex.h — wait "
+                    "through CondVar::WaitUntil(mu, ctx, ready)",
+                )
+
+
 def main():
     check_raw_locks()
     check_annotation_table()
@@ -602,6 +640,7 @@ def main():
     check_raw_sleeps()
     check_intrinsics_confined()
     check_lock_ranks()
+    check_one_wait()
     if findings:
         for line in findings:
             print(line)
