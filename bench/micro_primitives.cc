@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives the
 // lookup algorithms lean on: chunk-number mapping across levels, lattice
-// navigation, and fact-table chunk scans. Not a paper experiment; used to
-// keep the primitives' costs in check.
+// navigation, fact-table chunk scans and the measured chunk-size model's
+// construction. Not a paper experiment; used to keep the primitives' costs
+// in check.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 
 #include "storage/aggregator.h"
 #include "storage/fact_table.h"
+#include "storage/measured_size_model.h"
 #include "util/rng.h"
 #include "workload/apb_schema.h"
 #include "workload/data_generator.h"
@@ -118,6 +120,26 @@ void BM_AggregateBaseChunkToTop(benchmark::State& state) {
   state.SetItemsProcessed(tuples);
 }
 BENCHMARK(BM_AggregateBaseChunkToTop);
+
+// The measured model's construction over bench/e2e's data (APB-1, 120k
+// tuples, time-dense, seed 1), which every set-up pays. Real time, since
+// the constructor counts on every core.
+void BM_MeasuredSizeModel(benchmark::State& state) {
+  static const FactTable* table = [] {
+    DataGenConfig config;
+    config.num_tuples = 120'000;
+    config.dense_dim = 2;
+    config.seed = 1;
+    return new FactTable(&Cube().grid(),
+                         GenerateFactData(Cube().schema(), config));
+  }();
+  const GroupById top = Cube().lattice().top_id();
+  for (auto _ : state) {
+    const MeasuredChunkSizeModel model(&Cube().grid(), table);
+    benchmark::DoNotOptimize(model.ExpectedGroupByTuples(top));
+  }
+}
+BENCHMARK(BM_MeasuredSizeModel)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace aac

@@ -19,13 +19,16 @@ namespace aac {
 /// this is the "estimated group-by sizes" the paper cites from [SDN98],
 /// done exactly.
 ///
-/// Construction makes one flat pass over the fact tuples per group-by:
-/// each base value maps to its cell and chunk at the group-by's level
-/// through precomputed tables, and distinct cells are counted by
-/// test-and-set in a bitmap of the group-by's cell space when that space
-/// has at most 2^24 cells (2 MB), or by sorting one (cell, chunk) key per
-/// tuple otherwise. Both buffers are freed when construction ends; the
-/// model keeps only one count per chunk and per group-by.
+/// Construction counts each group-by on its own, on one worker per core
+/// (the caller among them); a worker writes only the counts of the
+/// group-bys it claims, so workers share no lock. Each chunk is counted from
+/// the base chunks that aggregate into it (`ChunkGrid::ForEachParentChunk`
+/// over `FactTable::ChunkSlice`): per-dimension tables map each base value
+/// to its ancestor's offset inside that ancestor's chunk, and distinct cells
+/// are counted by test-and-set in a bitmap of one chunk (at most 21 KB on
+/// APB-1), clearing only the words it touched. A chunk spanning more than
+/// 2^24 cells sorts its offsets instead. The model keeps one count per chunk
+/// and per group-by.
 ///
 /// The model is a snapshot of the table at set-up: `FactTable::ApplyInserts`
 /// does not refresh it. Its sizes steer path costs and benefit weights,
@@ -33,7 +36,7 @@ namespace aac {
 /// result.
 class MeasuredChunkSizeModel : public ChunkSizeModel {
  public:
-  /// `grid` and `table` must outlive the model.
+  /// `table` must be built over `grid`; both must outlive the model.
   MeasuredChunkSizeModel(const ChunkGrid* grid, const FactTable* table,
                          int64_t bytes_per_tuple = 20);
 

@@ -65,8 +65,8 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   }
   table_ = std::make_unique<FactTable>(
       &cube_->grid(),
-      config.cells.empty() ? GenerateFactData(cube_->schema(), config.data)
-                           : config.cells);
+      config_.cells.empty() ? GenerateFactData(cube_->schema(), config.data)
+                            : std::move(config_.cells));
   if (config.measured_sizes) {
     size_model_ = std::make_unique<MeasuredChunkSizeModel>(
         &cube_->grid(), table_.get(), config.bytes_per_tuple);

@@ -59,11 +59,11 @@ struct ExperimentConfig {
 
   /// Use exact measured chunk sizes instead of the analytic occupancy
   /// model. Improves cost-based path choices on correlated data. Costs one
-  /// flat pass over the fact tuples per group-by at setup, counting cells
-  /// in a bitmap (at most 2 MB) or a sorted key array, both freed when the
-  /// model is built. The sizes are a setup snapshot that later inserts do
-  /// not refresh; they steer costs, never answers. See
-  /// storage/measured_size_model.h.
+  /// pass over the fact tuples per group-by at setup, split over every
+  /// core, counting each chunk's cells in a bitmap of one chunk (at most
+  /// 21 KB on APB-1) that is freed when the model is built. The sizes are
+  /// a setup snapshot that later inserts do not refresh; they steer costs,
+  /// never answers. See storage/measured_size_model.h.
   bool measured_sizes = false;
 
   StrategyKind strategy = StrategyKind::kVcmc;
@@ -102,6 +102,7 @@ class Experiment {
  public:
   explicit Experiment(const ExperimentConfig& config);
 
+  /// The configuration, except that `cells` is consumed: table() holds them.
   const ExperimentConfig& config() const { return config_; }
   const Cube& cube() const { return *cube_; }
   const Schema& schema() const { return cube_->schema(); }

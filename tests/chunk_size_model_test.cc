@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -87,18 +89,18 @@ TEST(ChunkSizeModel, OversizedTupleCountClampsDensity) {
 
 // Brute-force reference for MeasuredChunkSizeModel: per group-by, the set
 // of distinct cells the fact tuples map to, each counted in the chunk
-// ChunkOfCell names. Also checks that chunk counts sum to the group-by
-// count, that the base count is the table size, and that no group-by holds
-// more cells than any of its lattice parents.
-void ExpectMeasuredMatchesOracle(const ChunkGrid& grid,
-                                 const FactTable& table) {
-  const MeasuredChunkSizeModel model(&grid, &table);
+// ChunkOfCell names.
+struct OracleCounts {
+  std::vector<int64_t> groupby;             // per group-by
+  std::vector<std::vector<int64_t>> chunk;  // per group-by, per chunk
+};
+
+OracleCounts CountByBruteForce(const ChunkGrid& grid, const FactTable& table) {
   const Lattice& lattice = grid.lattice();
   const Schema& schema = grid.schema();
   const LevelVector& base = schema.base_level();
   const int nd = schema.num_dims();
-  EXPECT_EQ(model.ExpectedGroupByTuples(lattice.base_id()),
-            static_cast<double>(table.num_tuples()));
+  OracleCounts oracle;
   for (GroupById gb = 0; gb < lattice.num_groupbys(); ++gb) {
     const LevelVector& lv = lattice.LevelOf(gb);
     std::set<std::array<int32_t, kMaxDims>> cells;
@@ -110,13 +112,31 @@ void ExpectMeasuredMatchesOracle(const ChunkGrid& grid,
       }
       cells.insert(mapped);
     }
-    std::vector<int64_t> expected(static_cast<size_t>(grid.NumChunks(gb)), 0);
+    std::vector<int64_t> chunks(static_cast<size_t>(grid.NumChunks(gb)), 0);
     for (const auto& cell : cells) {
-      ++expected[static_cast<size_t>(grid.ChunkOfCell(gb, cell.data()))];
+      ++chunks[static_cast<size_t>(grid.ChunkOfCell(gb, cell.data()))];
     }
+    oracle.groupby.push_back(static_cast<int64_t>(cells.size()));
+    oracle.chunk.push_back(std::move(chunks));
+  }
+  return oracle;
+}
+
+// Checks every count of `model` against `oracle`, and also that chunk
+// counts sum to the group-by count, that the base count is the table size,
+// and that no group-by holds more cells than any of its lattice parents.
+void ExpectModelMatchesOracle(const MeasuredChunkSizeModel& model,
+                              const ChunkGrid& grid, const FactTable& table,
+                              const OracleCounts& oracle) {
+  const Lattice& lattice = grid.lattice();
+  EXPECT_EQ(model.ExpectedGroupByTuples(lattice.base_id()),
+            static_cast<double>(table.num_tuples()));
+  for (GroupById gb = 0; gb < lattice.num_groupbys(); ++gb) {
     ASSERT_EQ(model.ExpectedGroupByTuples(gb),
-              static_cast<double>(cells.size()))
+              static_cast<double>(oracle.groupby[static_cast<size_t>(gb)]))
         << "group-by " << gb;
+    const std::vector<int64_t>& expected =
+        oracle.chunk[static_cast<size_t>(gb)];
     double sum = 0;
     for (ChunkId c = 0; c < grid.NumChunks(gb); ++c) {
       ASSERT_EQ(model.ExpectedChunkTuples(gb, c),
@@ -133,33 +153,48 @@ void ExpectMeasuredMatchesOracle(const ChunkGrid& grid,
   }
 }
 
+void ExpectMeasuredMatchesOracle(const ChunkGrid& grid,
+                                 const FactTable& table) {
+  const MeasuredChunkSizeModel model(&grid, &table);
+  ExpectModelMatchesOracle(model, grid, table,
+                           CountByBruteForce(grid, table));
+}
+
+// Whether some level has chunks of unequal width. Then a cell's offset must
+// come from its own chunk's value range, at strides from the widest chunks.
+bool HasUnequalChunkWidths(const ChunkGrid& grid) {
+  for (int d = 0; d < grid.schema().num_dims(); ++d) {
+    const DimensionChunkLayout& layout = grid.layout(d);
+    for (int l = 0; l < grid.schema().dimension(d).num_levels(); ++l) {
+      for (int32_t k = 1; k < layout.num_chunks(l); ++k) {
+        if (layout.ChunkWidth(l, k) != layout.ChunkWidth(l, 0)) return true;
+      }
+    }
+  }
+  return false;
+}
+
 // APB-1 at 5k tuples: (dense_dim, seed).
 class MeasuredChunkSizeModelApb
     : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 
 TEST_P(MeasuredChunkSizeModelApb, MatchesOracle) {
   const ApbCube cube;
-  // The model counts group-bys of at most 2^24 cells in a bitmap and sorts
-  // the rest; APB-1's lattice has group-bys on both sides, so both run.
-  constexpr int64_t kBitmapLimit = int64_t{1} << 24;
-  int dense = 0;
-  int sparse = 0;
-  for (GroupById gb = 0; gb < cube.lattice().num_groupbys(); ++gb) {
-    if (cube.schema().NumCells(cube.lattice().LevelOf(gb)) <= kBitmapLimit) {
-      ++dense;
-    } else {
-      ++sparse;
-    }
-  }
-  EXPECT_GT(dense, 0);
-  EXPECT_GT(sparse, 0);
+  const ChunkGrid& grid = cube.grid();
+  // The model counts each chunk from the base chunks that aggregate into
+  // it, so some chunk must read more than one of them.
+  EXPECT_GT(grid.NumParentChunks(cube.lattice().top_id(), 0,
+                                 cube.lattice().base_id()),
+            1);
+  // APB-1 chunks each level evenly; NonUniformHierarchiesMatchOracle and
+  // ChunksOver2To24CellsMatchOracle cover levels of unequal chunk widths.
 
   DataGenConfig data;
   data.num_tuples = 5000;
   data.dense_dim = std::get<0>(GetParam());
   data.seed = std::get<1>(GetParam());
   const FactTable table(&cube.grid(), GenerateFactData(cube.schema(), data));
-  ExpectMeasuredMatchesOracle(cube.grid(), table);
+  ExpectMeasuredMatchesOracle(grid, table);
 }
 
 INSTANTIATE_TEST_SUITE_P(DenseDimAndSeed, MeasuredChunkSizeModelApb,
@@ -178,6 +213,7 @@ TEST(MeasuredChunkSizeModel, WebCubeMatchesOracle) {
 TEST(MeasuredChunkSizeModel, NonUniformHierarchiesMatchOracle) {
   // Explicit non-uniform parent maps and chunk boundaries.
   const TestCube three = MakeThreeDimCube();
+  EXPECT_TRUE(HasUnequalChunkWidths(*three.grid));
   const FactTable table(three.grid.get(), RandomBaseCells(three, 0.4, 5));
   ExpectMeasuredMatchesOracle(*three.grid, table);
   for (uint64_t seed = 0; seed < 10; ++seed) {
@@ -204,6 +240,78 @@ TEST(MeasuredChunkSizeModel, EmptyAndOneTupleTables) {
   const MeasuredChunkSizeModel single_model(cube.grid.get(), &single);
   for (GroupById gb = 0; gb < cube.lattice->num_groupbys(); ++gb) {
     EXPECT_EQ(single_model.ExpectedGroupByTuples(gb), 1.0);
+  }
+}
+
+TEST(MeasuredChunkSizeModel, ChunksOver2To24CellsMatchOracle) {
+  // Three dimensions of 1 / 300 / 600 values, one chunk per level except
+  // a's leaf level, which splits into chunks of 100 and 500 values. The
+  // chunk at the 300-value levels holds 27M cells, more than the 2^24 a
+  // bitmap covers, so it sorts its keys; group-by (600, 300, 300) has a
+  // chunk on each side of that bound.
+  TestCube cube;
+  std::vector<Dimension> dims;
+  for (const char* name : {"a", "b", "c"}) {
+    dims.push_back(Dimension::Uniform(name, 1, {300, 2}));
+  }
+  cube.schema = std::make_unique<Schema>(std::move(dims));
+  cube.lattice = std::make_unique<Lattice>(cube.schema.get());
+  cube.layouts.push_back(std::make_unique<DimensionChunkLayout>(
+      &cube.schema->dimension(0),
+      std::vector<std::vector<int32_t>>{{0}, {0}, {0, 100}}));
+  for (int d = 1; d < 3; ++d) {
+    cube.layouts.push_back(std::make_unique<DimensionChunkLayout>(
+        DimensionChunkLayout::UniformValuesPerChunk(
+            &cube.schema->dimension(d), {1, 300, 600})));
+  }
+  std::vector<const DimensionChunkLayout*> ptrs;
+  for (const auto& l : cube.layouts) ptrs.push_back(l.get());
+  cube.grid = std::make_unique<ChunkGrid>(cube.lattice.get(), std::move(ptrs));
+  const ChunkGrid& grid = *cube.grid;
+  EXPECT_TRUE(HasUnequalChunkWidths(grid));
+  constexpr int64_t kBitmapCells = int64_t{1} << 24;
+  const GroupById mixed = cube.lattice->IdOf(LevelVector{2, 1, 1});
+  ASSERT_EQ(grid.NumChunks(mixed), 2);
+  EXPECT_LE(grid.CellsInChunk(mixed, 0), kBitmapCells);
+  EXPECT_GT(grid.CellsInChunk(mixed, 1), kBitmapCells);
+
+  // Sibling pairs: a's leaf values 2k and 2k+1 share one 300-level value,
+  // so the sorted keys of the large chunks hold duplicates.
+  Rng rng(3);
+  std::vector<Cell> cells;
+  for (int i = 0; i < 1500; ++i) {
+    Cell cell;
+    for (int d = 0; d < 3; ++d) {
+      cell.values[static_cast<size_t>(d)] =
+          static_cast<int32_t>(rng.Uniform(600));
+    }
+    InitCellAggregates(cell, 1.0);
+    cells.push_back(cell);
+    cell.values[0] ^= 1;
+    cells.push_back(cell);
+  }
+  const FactTable table(&grid, std::move(cells));
+  ExpectMeasuredMatchesOracle(grid, table);
+}
+
+TEST(MeasuredChunkSizeModel, ConcurrentConstructionsAgree) {
+  // Four constructions at once over one table, each with its own workers.
+  const ApbCube cube;
+  DataGenConfig data;
+  data.num_tuples = 5000;
+  data.dense_dim = 2;
+  const FactTable table(&cube.grid(), GenerateFactData(cube.schema(), data));
+  const OracleCounts oracle = CountByBruteForce(cube.grid(), table);
+  std::array<std::unique_ptr<MeasuredChunkSizeModel>, 4> models;
+  std::vector<std::thread> threads;
+  for (auto& model : models) {
+    threads.emplace_back([&cube, &table, &model] {
+      model = std::make_unique<MeasuredChunkSizeModel>(&cube.grid(), &table);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& model : models) {
+    ExpectModelMatchesOracle(*model, cube.grid(), table, oracle);
   }
 }
 

@@ -100,6 +100,8 @@ TEST(Experiment, ExplicitCellsReplaceGenerator) {
   Experiment exp(config);
   EXPECT_EQ(exp.table().num_tuples(), 1);
   EXPECT_DOUBLE_EQ(exp.table().tuples()[0].measure, 42.0);
+  // The rows moved into the table; the experiment keeps no second copy.
+  EXPECT_TRUE(exp.config().cells.empty());
 }
 
 TEST(WorkloadRunner, CompleteHitPercentMath) {

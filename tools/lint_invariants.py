@@ -355,6 +355,7 @@ CONCURRENCY_MARKERS = re.compile(
     r"|\"storage/rollup_plan\.h\""
     r"|\"storage/fold_kernel\.h\""
     r"|\"storage/morsel_pool\.h\""
+    r"|\"storage/measured_size_model\.h\""
     r"|\"workload/parallel_runner\.h\")"
 )
 
