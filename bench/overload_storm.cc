@@ -3,7 +3,7 @@
 // no deadlines, no admission control — every arrival executes to completion
 // no matter how stale) against the guarded configuration (per-query
 // deadlines anchored at the scheduled arrival time + bounded admission in
-// front of the engine pool).
+// front of the engine).
 //
 // Open loop means arrival times are fixed up front and do not slow down
 // when the server falls behind — the realistic overload shape. Latency is

@@ -359,7 +359,7 @@ CaseResult RunCase(const std::string& name, const Cube& cube, GroupById from,
     if (lanes > 1) {
       pool = std::make_unique<MorselPool>(lanes - 1);
       lane_agg.set_morsel_pool(pool.get());
-      lane_agg.set_morsel_min_cells(1);
+      pool->set_min_cells(1);
     }
     ChunkData lane_out;
     std::vector<int64_t> ns;

@@ -3,8 +3,8 @@
 // threads over one shared sharded cache. With the cache warm, queries are
 // answered by real middle-tier CPU work (strategy probes, in-cache
 // aggregation, chunk copies), so wall-clock throughput measures how well
-// the sharded locks, shared_mutex strategies and engine pool actually
-// scale. Speedup is bounded by the machine's core count — on a single-core
+// the sharded locks, shared_mutex strategies and the one shared engine
+// actually scale. Speedup is bounded by the machine's core count — on a single-core
 // host every thread count collapses to ~1x and only the absence of
 // slowdown (lock overhead) is observable.
 
@@ -29,7 +29,7 @@ void Run() {
   Experiment exp(config);
   bench::PrintBanner("thread scaling: parallel query execution",
                      "scalability extension (not in the paper): sharded "
-                     "cache + engine pool vs a serial run",
+                     "cache + one shared engine vs a serial run",
                      exp);
   std::printf("hardware threads available: %u\n\n",
               std::thread::hardware_concurrency());

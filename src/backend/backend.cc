@@ -20,7 +20,10 @@ const char* BackendStatusName(BackendStatus status) {
 
 BackendServer::BackendServer(const FactTable* table,
                              const BackendCostModel& model, SimClock* clock)
-    : table_(table), model_(model), clock_(clock), aggregator_(&table->grid()) {
+    : table_(table),
+      model_(model),
+      clock_(clock),
+      aggregator_(&table->grid(), &arena_) {
   AAC_CHECK(table_ != nullptr);
 }
 

@@ -98,9 +98,10 @@ struct BackendStats {
 /// to the paper's single SQL statement for all missing chunks of a query.
 /// Always succeeds; wrap in a FaultInjectingBackend to exercise failures.
 ///
-/// Thread-safe: ExecuteChunkQuery serializes internally (the shared stats
-/// and aggregator mutate per call), modeling the one shared RDBMS
-/// connection of the paper's middle tier. Estimates are read-only and
+/// Thread-safe: ExecuteChunkQuery serializes internally (the shared stats,
+/// aggregator and fold arena mutate per call), modeling the one shared
+/// RDBMS connection of the paper's middle tier. Its folds use the server's
+/// own arena, not the calling client thread's. Estimates are read-only and
 /// lock-free.
 class BackendServer : public Backend {
  public:
@@ -138,6 +139,7 @@ class BackendServer : public Backend {
   BackendCostModel model_;
   SimClock* clock_;
   mutable Mutex mutex_{LockRank::kBackend, "backend"};
+  FoldArena arena_ AAC_GUARDED_BY(mutex_);
   Aggregator aggregator_ AAC_GUARDED_BY(mutex_);
   BackendStats stats_ AAC_GUARDED_BY(mutex_);
 };

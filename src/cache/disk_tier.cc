@@ -6,6 +6,7 @@
 
 #include "cache/replacement.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace aac {
 namespace {
@@ -14,19 +15,6 @@ constexpr uint32_t kExtentMagic = 0x53434141;  // "AACS" little-endian
 
 // Compaction rewrites the file once this share of its bytes is dead.
 constexpr double kCompactDeadFraction = 0.5;
-
-// FNV-1a (chunk_file's checksum constants).
-constexpr uint64_t kFnvSeed = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t Fnv1a(const uint8_t* data, size_t size) {
-  uint64_t h = kFnvSeed;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Fixed-size extent header. Written verbatim (packed, little-endian on
 /// every platform this repo targets); `header_fnv` covers every prior
@@ -99,8 +87,7 @@ bool DiskTier::Admit(const CacheEntryInfo& info,
   header.source = static_cast<uint8_t>(info.source);
   header.blob_len = static_cast<uint32_t>(blob.size());
   header.blob_fnv = Fnv1a(blob.data(), blob.size());
-  header.header_fnv =
-      Fnv1a(reinterpret_cast<const uint8_t*>(&header), kHeaderFnvCovered);
+  header.header_fnv = Fnv1a(&header, kHeaderFnvCovered);
 
   const int64_t offset = file_bytes_;
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
@@ -153,8 +140,7 @@ bool DiskTier::Read(const CacheKey& key, std::vector<uint8_t>* blob,
     // a rebased or overwritten extent must not masquerade as this key.
     torn = header.magic != kExtentMagic ||
            header.header_fnv !=
-               Fnv1a(reinterpret_cast<const uint8_t*>(&header),
-                     kHeaderFnvCovered) ||
+               Fnv1a(&header, kHeaderFnvCovered) ||
            header.gb != static_cast<int64_t>(key.gb) ||
            header.chunk != static_cast<int64_t>(key.chunk) ||
            static_cast<int64_t>(header.blob_len) != entry.blob_bytes;

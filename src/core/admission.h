@@ -11,9 +11,9 @@
 
 namespace aac {
 
-/// Knobs for the engine pool's admission controller.
+/// Knobs for ConcurrentQueryEngine's admission controller.
 struct AdmissionConfig {
-  /// Queries allowed to run concurrently (the pool's execution slots).
+  /// Queries allowed to run concurrently (the engine's execution slots).
   int max_concurrent = 8;
 
   /// Of those, at most this many batch-class queries — interactive work
@@ -27,7 +27,7 @@ struct AdmissionConfig {
   int max_queued_batch = 8;
 
   /// Shed batch queries outright while the circuit breaker is not closed:
-  /// with the backend unreachable the pool's capacity is better spent on
+  /// with the backend unreachable the engine's capacity is better spent on
   /// interactive queries the cache can still answer.
   bool shed_batch_when_breaker_open = true;
 };
@@ -53,13 +53,13 @@ struct AdmissionStats {
   int64_t peak_queued = 0;  // high-water mark of the wait queue
 };
 
-/// Bounded-concurrency admission control for the engine pool.
+/// Bounded-concurrency admission control in front of ConcurrentQueryEngine.
 ///
-/// The seed pool admitted every caller instantly and let the OS scheduler
-/// arbitrate: under an open-loop storm arriving faster than the pool can
+/// Without it every caller is admitted instantly and the OS scheduler
+/// arbitrates: under an open-loop storm arriving faster than the engine can
 /// drain, latency grows without bound and every query eventually misses its
 /// deadline — goodput collapses to zero while the machine stays busy. This
-/// controller keeps the pool at a fixed multiprogramming level and converts
+/// controller keeps the engine at a fixed multiprogramming level and converts
 /// overload into *typed, immediate* rejections (load shedding) instead of
 /// unbounded queueing delay, the classic admission-control trade: serve
 /// fewer queries entirely rather than all queries too late.

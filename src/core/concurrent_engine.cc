@@ -7,69 +7,43 @@
 
 namespace aac {
 
-ConcurrentQueryEngine::ConcurrentQueryEngine(EngineFactory factory)
-    : factory_(std::move(factory)) {
-  AAC_CHECK(factory_ != nullptr);
-  layers_.single_flight = &single_flight_;
-  layers_.plan_cache = &rollup_plans_;
-}
-
-std::unique_ptr<QueryEngine> ConcurrentQueryEngine::Borrow() {
-  {
-    MutexLock lock(pool_mutex_);
-    if (!idle_.empty()) {
-      std::unique_ptr<QueryEngine> engine = std::move(idle_.back());
-      idle_.pop_back();
-      return engine;
-    }
-    ++engines_created_;
-  }
-  // Build outside the lock: the factory may do nontrivial setup.
-  std::unique_ptr<QueryEngine> engine = factory_();
-  AAC_CHECK(engine != nullptr);
-  engine->Attach(layers_);
-  return engine;
+ConcurrentQueryEngine::ConcurrentQueryEngine(EngineFactory factory) {
+  AAC_CHECK(factory != nullptr);
+  engine_ = factory();
+  AAC_CHECK(engine_ != nullptr);
 }
 
 void ConcurrentQueryEngine::ConfigureMorsels(int num_helpers) {
-  AAC_CHECK_EQ(engines_created(), 0);  // configure before the first query
-  morsel_pool_ =
-      num_helpers > 0 ? std::make_unique<MorselPool>(num_helpers) : nullptr;
-  layers_.morsel_pool = morsel_pool_.get();
+  AAC_CHECK_EQ(queries_executed(), 0);  // configure before the first query
+  AAC_CHECK(morsel_pool_ == nullptr);   // the engine cannot detach a pool
+  if (num_helpers == 0) return;
+  morsel_pool_ = std::make_unique<MorselPool>(num_helpers);
+  engine_->Attach({.morsel_pool = morsel_pool_.get()});
 }
 
 void ConcurrentQueryEngine::ConfigureAdmission(const AdmissionConfig& config) {
+  // A query holding a slot would release it into the new controller, and a
+  // queued one would wait on the old controller's destroyed CondVar.
+  AAC_CHECK_EQ(queries_executed(), 0);  // configure before the first query
   admission_ = std::make_unique<AdmissionController>(config);
-  admission_->set_circuit_breaker(layers_.breaker);
+  admission_->set_circuit_breaker(shared_breaker_);
 }
 
 void ConcurrentQueryEngine::set_shared_breaker(CircuitBreaker* breaker) {
-  AAC_CHECK_EQ(engines_created(), 0);  // configure before the first query
-  layers_.breaker = breaker;
+  AAC_CHECK_EQ(queries_executed(), 0);  // configure before the first query
+  shared_breaker_ = breaker;
+  engine_->Attach({.breaker = breaker});
   if (admission_ != nullptr) admission_->set_circuit_breaker(breaker);
 }
 
 void ConcurrentQueryEngine::set_result_cache(ResultCache* result_cache) {
-  AAC_CHECK_EQ(engines_created(), 0);  // configure before the first query
-  layers_.result_cache = result_cache;
+  AAC_CHECK_EQ(queries_executed(), 0);  // configure before the first query
+  engine_->Attach({.result_cache = result_cache});
 }
 
 void ConcurrentQueryEngine::set_warm_tier(WarmTier* warm_tier) {
-  AAC_CHECK_EQ(engines_created(), 0);  // configure before the first query
-  layers_.warm_tier = warm_tier;
-}
-
-void ConcurrentQueryEngine::Return(std::unique_ptr<QueryEngine> engine) {
-  // Idle-engine hygiene: a query that folded a huge chunk leaves its
-  // engine's arena at that high-water mark; give the scratch back before
-  // the engine idles (outside the pool lock — the engine is still
-  // exclusively ours here). Helper arenas have the analogous post-job trim
-  // inside MorselPool.
-  if (engine->TrimFoldArenaIfAbove(kEngineArenaTrimBytes)) {
-    fold_arena_trims_.fetch_add(1, std::memory_order_relaxed);
-  }
-  MutexLock lock(pool_mutex_);
-  idle_.push_back(std::move(engine));
+  AAC_CHECK_EQ(queries_executed(), 0);  // configure before the first query
+  engine_->Attach({.warm_tier = warm_tier});
 }
 
 QueryResult ConcurrentQueryEngine::ExecuteQuery(const Query& query,
@@ -89,8 +63,8 @@ QueryResult ConcurrentQueryEngine::ExecuteQuery(const Query& query,
     const AdmissionOutcome outcome = admission_->Admit(*ctx);
     queue_wait_ms = queue_timer.ElapsedMillis();
     if (outcome != AdmissionOutcome::kAdmitted) {
-      // Resolved at the gate: typed result, no engine borrowed, no work
-      // done, no cache state touched.
+      // Resolved at the gate: typed result, no work done, no cache state
+      // touched.
       s = QueryStats();
       s.queue_wait_ms = queue_wait_ms;
       QueryResult result;
@@ -106,18 +80,11 @@ QueryResult ConcurrentQueryEngine::ExecuteQuery(const Query& query,
       return result;
     }
   }
-  std::unique_ptr<QueryEngine> engine = Borrow();
-  QueryResult result = engine->ExecuteQuery(query, ctx, &s);
-  s.queue_wait_ms = queue_wait_ms;  // the engine resets stats; set after
-  Return(std::move(engine));
-  if (gated) admission_->Release(ctx->query_class);
   queries_executed_.fetch_add(1, std::memory_order_relaxed);
+  QueryResult result = engine_->ExecuteQuery(query, ctx, &s);
+  s.queue_wait_ms = queue_wait_ms;  // the engine resets stats; set after
+  if (gated) admission_->Release(ctx->query_class);
   return result;
-}
-
-int64_t ConcurrentQueryEngine::engines_created() const {
-  MutexLock lock(pool_mutex_);
-  return engines_created_;
 }
 
 }  // namespace aac

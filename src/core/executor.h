@@ -49,8 +49,8 @@ struct ExecutionResult {
 /// inner nodes aggregate bottom-up through the Aggregator. All pins are
 /// released before Execute returns, on success and on failure alike.
 ///
-/// The executor itself is not thread-safe (the Aggregator accumulates a
-/// work counter); concurrent engines each own one.
+/// The executor is not thread-safe (its Aggregator accumulates work
+/// counters); QueryEngine builds one per query.
 class PlanExecutor {
  public:
   /// All pointers must outlive the executor.

@@ -3,17 +3,18 @@
 #include <cstdint>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace aac {
 
 namespace {
 
-inline void Fnv1a(uint64_t& h, uint64_t v) {
-  // 64-bit FNV-1a, one byte at a time so the digest is layout-independent.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ULL;
-  }
+// Folds `v` into the FNV-1a digest `h` least significant byte first, so
+// the digest is layout-independent.
+void Mix(uint64_t& h, uint64_t v) {
+  uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(v >> (i * 8));
+  h = Fnv1a(bytes, sizeof(bytes), h);
 }
 
 }  // namespace
@@ -38,14 +39,14 @@ ResultCacheKey CanonicalResultKey(const Schema& schema, const Query& query) {
   }
   // Slots at and beyond nd stay value-initialized {0, 0}.
 
-  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  Fnv1a(h, static_cast<uint64_t>(nd));
+  uint64_t h = kFnv1aOffsetBasis;
+  Mix(h, static_cast<uint64_t>(nd));
   for (int d = 0; d < nd; ++d) {
-    Fnv1a(h, static_cast<uint64_t>(key.level[d]));
-    Fnv1a(h, static_cast<uint64_t>(
-                 static_cast<uint32_t>(key.ranges[static_cast<size_t>(d)].first)));
-    Fnv1a(h, static_cast<uint64_t>(static_cast<uint32_t>(
-                 key.ranges[static_cast<size_t>(d)].second)));
+    Mix(h, static_cast<uint64_t>(key.level[d]));
+    Mix(h, static_cast<uint64_t>(
+               static_cast<uint32_t>(key.ranges[static_cast<size_t>(d)].first)));
+    Mix(h, static_cast<uint64_t>(static_cast<uint32_t>(
+               key.ranges[static_cast<size_t>(d)].second)));
   }
   key.digest = h;
   return key;

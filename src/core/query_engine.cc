@@ -5,7 +5,9 @@
 #include <utility>
 
 #include "cache/replacement.h"
+#include "core/executor.h"
 #include "core/query_canon.h"
+#include "storage/aggregator.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 
@@ -100,10 +102,7 @@ QueryEngine::QueryEngine(const ChunkGrid* grid, ChunkCache* cache,
       backend_(backend),
       benefit_(benefit),
       sim_clock_(sim_clock),
-      config_(config),
-      aggregator_(grid),
-      executor_(grid, cache, &aggregator_),
-      retry_(config.retry) {
+      config_(config) {
   AAC_CHECK(grid != nullptr);
   AAC_CHECK(cache != nullptr);
   AAC_CHECK(strategy != nullptr);
@@ -119,18 +118,32 @@ void QueryEngine::Attach(const EngineLayers& layers) {
   const auto attach = [](auto*& slot, auto* layer) {
     if (layer != nullptr) slot = layer;
   };
-  attach(layers_.single_flight, layers.single_flight);
-  attach(layers_.plan_cache, layers.plan_cache);
   attach(layers_.breaker, layers.breaker);
   attach(layers_.result_cache, layers.result_cache);
   attach(layers_.warm_tier, layers.warm_tier);
   attach(layers_.morsel_pool, layers.morsel_pool);
-  if (layers.plan_cache != nullptr) {
-    aggregator_.set_plan_cache(layers.plan_cache);
+}
+
+std::vector<QueryEngine::ChunkRoute> QueryEngine::RouteChunks(
+    GroupById gb, const std::vector<ChunkId>& chunks,
+    bool backend_trusted) const {
+  std::vector<ChunkRoute> routes;
+  routes.reserve(chunks.size());
+  bool backend_query_pending = false;
+  for (ChunkId chunk : chunks) {
+    routes.push_back(ChunkRoute{chunk, strategy_->FindPlan(gb, chunk)});
+    backend_query_pending |= routes.back().plan == nullptr;
   }
-  if (layers.morsel_pool != nullptr) {
-    aggregator_.set_morsel_pool(layers.morsel_pool);
+  // A bypassed chunk pays the backend's fixed overhead only when no chunk
+  // goes to the backend anyway, so probe every chunk first.
+  for (ChunkRoute& route : routes) {
+    if (route.plan != nullptr && Bypasses(gb, *route.plan, backend_trusted,
+                                          backend_query_pending)) {
+      route.bypassed = true;
+      backend_query_pending = true;
+    }
   }
+  return routes;
 }
 
 std::string QueryEngine::ExplainQuery(const Query& query) {
@@ -154,24 +167,14 @@ std::string QueryEngine::ExplainQuery(const Query& query) {
     out += " — cache-only]";
   }
   out += "\n";
-  // Probe every chunk first: as in ExecuteQuery, a bypass pays the backend's
-  // fixed overhead only when no chunk goes to the backend anyway.
-  std::vector<std::unique_ptr<PlanNode>> plans;
-  plans.reserve(chunks.size());
-  bool backend_query_pending = false;
-  for (ChunkId chunk : chunks) {
-    plans.push_back(strategy_->FindPlan(gb, chunk));
-    backend_query_pending |= plans.back() == nullptr;
-  }
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const ChunkId chunk = chunks[i];
-    const PlanNode* plan = plans[i].get();
+  for (const ChunkRoute& route : RouteChunks(gb, chunks, backend_trusted)) {
+    const PlanNode* plan = route.plan.get();
     out += "  chunk ";
-    out += std::to_string(chunk);
+    out += std::to_string(route.chunk);
     out += ": ";
     if (plan == nullptr) {
       if (layers_.warm_tier != nullptr &&
-          layers_.warm_tier->Contains(CacheKey{gb, chunk})) {
+          layers_.warm_tier->Contains(CacheKey{gb, route.chunk})) {
         out += "MISS -> warm tier (promote)\n";
       } else {
         out += backend_trusted ? "MISS -> backend\n" : "MISS -> UNAVAILABLE\n";
@@ -182,8 +185,7 @@ std::string QueryEngine::ExplainQuery(const Query& query) {
       out += "direct cache hit\n";
       continue;
     }
-    if (Bypasses(gb, *plan, backend_trusted, backend_query_pending)) {
-      backend_query_pending = true;
+    if (route.bypassed) {
       out += "computable (est ";
       out += std::to_string(static_cast<int64_t>(plan->estimated_cost));
       out += " tuples) but BYPASSED -> backend\n";
@@ -219,6 +221,7 @@ bool QueryEngine::Bypasses(GroupById gb, const PlanNode& plan,
 std::vector<ChunkId> QueryEngine::FetchWithRetry(GroupById gb,
                                                  std::vector<ChunkId> pending,
                                                  std::vector<ChunkData>* fetched,
+                                                 RetryPolicy& retry,
                                                  ExecContext* ctx,
                                                  QueryStats* stats) {
   QueryStats& s = *stats;
@@ -258,8 +261,8 @@ std::vector<ChunkId> QueryEngine::FetchWithRetry(GroupById gb,
       if (pending.empty()) break;
       // Partial result: the backend responded, so re-ask for the remainder
       // immediately — no backoff, but still under the attempt/deadline caps.
-      if (!retry_.AllowRetry(attempts, spent)) {
-        NoteAbort(s, attempts >= retry_.config().max_attempts
+      if (!retry.AllowRetry(attempts, spent)) {
+        NoteAbort(s, attempts >= retry.config().max_attempts
                          ? FetchAbortReason::kAttemptsExhausted
                          : FetchAbortReason::kRetryBudgetExhausted);
         break;
@@ -276,8 +279,8 @@ std::vector<ChunkId> QueryEngine::FetchWithRetry(GroupById gb,
         break;
       }
     }
-    if (!retry_.AllowRetry(attempts, spent)) {
-      NoteAbort(s, attempts >= retry_.config().max_attempts
+    if (!retry.AllowRetry(attempts, spent)) {
+      NoteAbort(s, attempts >= retry.config().max_attempts
                        ? FetchAbortReason::kAttemptsExhausted
                        : FetchAbortReason::kRetryBudgetExhausted);
       break;
@@ -289,12 +292,12 @@ std::vector<ChunkId> QueryEngine::FetchWithRetry(GroupById gb,
     // the deadline — the jitter draw is consumed either way, keeping the
     // seeded schedule deterministic.
     const int64_t retry_remaining =
-        retry_.config().deadline_ns > 0
-            ? retry_.config().deadline_ns - spent
+        retry.config().deadline_ns > 0
+            ? retry.config().deadline_ns - spent
             : std::numeric_limits<int64_t>::max();
     const int64_t query_remaining = ctx->deadline.remaining_ns();
     const int64_t remaining = std::min(retry_remaining, query_remaining);
-    const int64_t backoff = retry_.ClampedBackoffNanos(attempts, remaining);
+    const int64_t backoff = retry.ClampedBackoffNanos(attempts, remaining);
     if (backoff <= 0 || backoff >= remaining) {
       NoteAbort(s, query_remaining < retry_remaining
                        ? AbortReasonFor(*ctx)
@@ -316,12 +319,21 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, QueryStats* stats) {
 
 QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
                                       QueryStats* stats) {
+  // Every return leaves this thread at most FoldArena::kTrimBytes of fold
+  // scratch, so one huge fold does not pin its high-water memory for good.
+  struct TrimFoldArenaOnReturn {
+    ~TrimFoldArenaOnReturn() {
+      ThreadFoldArena().TrimIfAbove(FoldArena::kTrimBytes);
+    }
+  } trim_fold_arena_on_return;
   ExecContext unlimited;  // no deadline, no cancel token
   if (ctx == nullptr) ctx = &unlimited;
   QueryStats local;
   QueryStats& s = stats != nullptr ? *stats : local;
   s = QueryStats();
   QueryResult result;
+  const uint64_t query_number =
+      queries_begun_.fetch_add(1, std::memory_order_relaxed);
 
   const GroupById gb = grid_->lattice().IdOf(query.level);
   const std::vector<ChunkId> chunks = ChunksForQuery(*grid_, query);
@@ -369,33 +381,21 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   const bool backend_trusted =
       breaker == nullptr || breaker->state() == BreakerState::kClosed;
 
-  // --- Lookup phase: probe the strategy for every chunk. ---
+  // --- Lookup phase: probe the strategy for every chunk; the misses and
+  // then the bypassed chunks go to the backend. ---
   Stopwatch lookup_timer;
-  std::vector<std::unique_ptr<PlanNode>> plans;
+  const std::vector<ChunkRoute> routes =
+      RouteChunks(gb, chunks, backend_trusted);
   std::vector<ChunkId> missing;
-  plans.reserve(chunks.size());
-  for (ChunkId chunk : chunks) {
-    std::unique_ptr<PlanNode> plan = strategy_->FindPlan(gb, chunk);
-    if (plan == nullptr) {
-      missing.push_back(chunk);
-    } else {
-      plans.push_back(std::move(plan));
-    }
+  for (const ChunkRoute& route : routes) {
+    if (route.plan == nullptr) missing.push_back(route.chunk);
   }
-
-  // Cost-based bypass: a computable chunk the backend fetches more cheaply
-  // joins the backend query instead.
-  std::vector<std::unique_ptr<PlanNode>> kept;
-  kept.reserve(plans.size());
-  for (auto& plan : plans) {
-    if (Bypasses(gb, *plan, backend_trusted, !missing.empty())) {
-      missing.push_back(plan->key.chunk);
+  for (const ChunkRoute& route : routes) {
+    if (route.bypassed) {
+      missing.push_back(route.chunk);
       ++s.chunks_bypassed;
-    } else {
-      kept.push_back(std::move(plan));
     }
   }
-  plans = std::move(kept);
   s.lookup_ms += lookup_timer.ElapsedMillis();
 
   // --- Aggregation phase: answer cached/computable chunks. ---
@@ -410,49 +410,55 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     std::vector<CacheKey> group;
   };
   std::vector<ComputedInfo> computed;
-  // Arm cooperative cancellation for the fold kernels: checkpoints fire
-  // every few thousand cells, and an aborted fold emits nothing (pins
-  // released by the executor, arena wiped by the aggregator) — the chunks
-  // that WERE emitted before the abort are bit-identical to an uncancelled
-  // run's.
+  // The query's own fold state: its aggregator folds into this thread's
+  // arena and reads the engine's plan cache. Cooperative cancellation is
+  // armed for the fold kernels: checkpoints fire every few thousand cells,
+  // and an aborted fold emits nothing (pins released by the executor,
+  // arena wiped by the aggregator) — the chunks that WERE emitted before
+  // the abort are bit-identical to an uncancelled run's.
+  Aggregator aggregator(grid_);
+  aggregator.set_plan_cache(&plan_cache_);
+  aggregator.set_morsel_pool(layers_.morsel_pool);
+  aggregator.set_exec_context(ctx);
+  PlanExecutor executor(grid_, cache_, &aggregator);
   bool aborted = false;
-  aggregator_.set_exec_context(ctx);
-  const int64_t agg_checks_before = aggregator_.cancel_checks();
-  for (const auto& plan : plans) {
+  for (const ChunkRoute& route : routes) {
+    if (route.plan == nullptr || route.bypassed) continue;
+    const PlanNode& plan = *route.plan;
     if (!aborted) {
       ++s.cancel_checks;
       aborted = ctx->ShouldAbort();
     }
     if (aborted) {
       // Teardown: remaining chunks are neither computed nor fetched.
-      result.unavailable.push_back(plan->key.chunk);
+      result.unavailable.push_back(plan.key.chunk);
       continue;
     }
-    if (plan->cached) {
+    if (plan.cached) {
       ChunkData copy;
-      if (cache_->GetCopy(plan->key, &copy)) {
+      if (cache_->GetCopy(plan.key, &copy)) {
         results.push_back(std::move(copy));
         ++s.chunks_direct;
       } else {
         // Plans are advisory under concurrency: the chunk was evicted
         // between the strategy probe and this read. Fall back to the
         // backend instead of aborting.
-        missing.push_back(plan->key.chunk);
+        missing.push_back(plan.key.chunk);
       }
       continue;
     }
-    ExecutionResult exec = executor_.Execute(*plan);
+    ExecutionResult exec = executor.Execute(plan);
     if (exec.cancelled) {
       // Mid-fold abort. Do NOT reroute the chunk to the backend — the
       // query is being torn down, not rerouted.
       aborted = true;
-      result.unavailable.push_back(plan->key.chunk);
+      result.unavailable.push_back(plan.key.chunk);
       continue;
     }
     if (!exec.ok) {
       // A planned input vanished mid-plan (concurrent eviction); the
       // executor released its pins and produced nothing for this chunk.
-      missing.push_back(plan->key.chunk);
+      missing.push_back(plan.key.chunk);
       continue;
     }
     s.tuples_aggregated += exec.tuples_aggregated;
@@ -463,8 +469,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     results.push_back(std::move(exec.data));
     ++s.chunks_aggregated;
   }
-  aggregator_.set_exec_context(nullptr);
-  s.cancel_checks += aggregator_.cancel_checks() - agg_checks_before;
+  s.cancel_checks += aggregator.cancel_checks();
   s.aggregation_ms = agg_timer.ElapsedMillis();
 
   // --- Warm-tier probe: chunks neither cached nor computable may still
@@ -518,69 +523,64 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     missing.clear();
   }
   if (!missing.empty()) {
-    if (layers_.single_flight == nullptr) {
-      std::vector<ChunkId> failed =
-          FetchWithRetry(gb, std::move(missing), &backend_results, ctx, &s);
-      result.unavailable.insert(result.unavailable.end(), failed.begin(),
-                                failed.end());
-    } else {
-      // Single-flight: for each missing chunk either lead (this query will
-      // fetch it and publish the result) or follow (another query's fetch
-      // for the same chunk is in flight — wait for its result instead of
-      // issuing a duplicate backend call).
-      using Flight = SingleFlight<ChunkData>;
-      std::vector<ChunkId> lead;
-      std::vector<std::pair<ChunkId, std::shared_ptr<Flight::Slot>>> follow;
-      for (ChunkId chunk : missing) {
-        std::shared_ptr<Flight::Slot> slot =
-            layers_.single_flight->JoinOrLead(CacheKey{gb, chunk});
-        if (slot == nullptr) {
-          lead.push_back(chunk);
-        } else {
-          follow.emplace_back(chunk, std::move(slot));
-        }
+    // The query's own jitter stream: seeded by its number, so concurrent
+    // queries never share an RNG and a single-threaded run replays exactly.
+    RetryConfig retry_config = config_.retry;
+    retry_config.seed += query_number;
+    RetryPolicy retry(retry_config);
+    // Single-flight: for each missing chunk either lead (this query will
+    // fetch it and publish the result) or follow (another query's fetch
+    // for the same chunk is in flight — wait for its result instead of
+    // issuing a duplicate backend call).
+    using Flight = SingleFlight<ChunkData>;
+    std::vector<ChunkId> lead;
+    std::vector<std::pair<ChunkId, std::shared_ptr<Flight::Slot>>> follow;
+    for (ChunkId chunk : missing) {
+      std::shared_ptr<Flight::Slot> slot =
+          single_flight_.JoinOrLead(CacheKey{gb, chunk});
+      if (slot == nullptr) {
+        lead.push_back(chunk);
+      } else {
+        follow.emplace_back(chunk, std::move(slot));
       }
-      // Fetch led chunks FIRST, then wait on followed ones: every led key
-      // is published (or failed) before this thread blocks, so two queries
-      // leading/following each other's chunks cannot deadlock.
-      std::vector<ChunkId> failed =
-          FetchWithRetry(gb, lead, &backend_results, ctx, &s);
-      for (const ChunkData& data : backend_results) {
-        layers_.single_flight->Publish(CacheKey{gb, data.chunk}, data);
-      }
-      for (ChunkId chunk : failed) {
-        layers_.single_flight->Fail(CacheKey{gb, chunk});
-      }
-      std::vector<ChunkId> retry_self;
-      for (auto& [chunk, slot] : follow) {
-        ChunkData data;
-        switch (
-            layers_.single_flight->AwaitWithDeadline(*slot, *ctx, &data)) {
-          case Flight::AwaitStatus::kOk:
-            ++s.chunks_coalesced;
-            coalesced_results.push_back(std::move(data));
-            break;
-          case Flight::AwaitStatus::kLeaderFailed:
-            // The leader failed; its failure may have been breaker- or
-            // deadline-local, so try once ourselves before giving up.
-            retry_self.push_back(chunk);
-            break;
-          case Flight::AwaitStatus::kDeadline:
-            // This follower's own deadline fired before the leader's fetch
-            // landed: detach and give the chunk up. The leader keeps
-            // fetching, so the cache still warms for later queries.
-            ++s.sf_detached;
-            NoteAbort(s, AbortReasonFor(*ctx));
-            failed.push_back(chunk);
-            break;
-        }
-      }
-      std::vector<ChunkId> still_failed =
-          FetchWithRetry(gb, std::move(retry_self), &backend_results, ctx, &s);
-      failed.insert(failed.end(), still_failed.begin(), still_failed.end());
-      result.unavailable.insert(result.unavailable.end(), failed.begin(),
-                                failed.end());
     }
+    // Fetch led chunks FIRST, then wait on followed ones: every led key is
+    // published (or failed) before this thread blocks, so two queries
+    // leading/following each other's chunks cannot deadlock.
+    std::vector<ChunkId> failed =
+        FetchWithRetry(gb, lead, &backend_results, retry, ctx, &s);
+    for (const ChunkData& data : backend_results) {
+      single_flight_.Publish(CacheKey{gb, data.chunk}, data);
+    }
+    for (ChunkId chunk : failed) single_flight_.Fail(CacheKey{gb, chunk});
+    std::vector<ChunkId> retry_self;
+    for (auto& [chunk, slot] : follow) {
+      ChunkData data;
+      switch (single_flight_.AwaitWithDeadline(*slot, *ctx, &data)) {
+        case Flight::AwaitStatus::kOk:
+          ++s.chunks_coalesced;
+          coalesced_results.push_back(std::move(data));
+          break;
+        case Flight::AwaitStatus::kLeaderFailed:
+          // The leader failed; its failure may have been breaker- or
+          // deadline-local, so try once ourselves before giving up.
+          retry_self.push_back(chunk);
+          break;
+        case Flight::AwaitStatus::kDeadline:
+          // This follower's own deadline fired before the leader's fetch
+          // landed: detach and give the chunk up. The leader keeps
+          // fetching, so the cache still warms for later queries.
+          ++s.sf_detached;
+          NoteAbort(s, AbortReasonFor(*ctx));
+          failed.push_back(chunk);
+          break;
+      }
+    }
+    std::vector<ChunkId> still_failed = FetchWithRetry(
+        gb, std::move(retry_self), &backend_results, retry, ctx, &s);
+    failed.insert(failed.end(), still_failed.begin(), still_failed.end());
+    result.unavailable.insert(result.unavailable.end(), failed.begin(),
+                              failed.end());
     s.chunks_backend =
         static_cast<int64_t>(backend_results.size() + coalesced_results.size());
   }

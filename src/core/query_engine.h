@@ -1,6 +1,7 @@
 #ifndef AAC_CORE_QUERY_ENGINE_H_
 #define AAC_CORE_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -12,14 +13,17 @@
 #include "cache/single_flight.h"
 #include "cache/warm_tier.h"
 #include "core/circuit_breaker.h"
-#include "core/executor.h"
+#include "core/plan.h"
 #include "core/query.h"
 #include "core/retry_policy.h"
 #include "core/strategy.h"
+#include "storage/rollup_plan.h"
 #include "util/deadline.h"
 #include "util/sim_clock.h"
 
 namespace aac {
+
+class MorselPool;
 
 /// How completely a query was answered.
 enum class ResultStatus {
@@ -150,16 +154,10 @@ struct QueryResult {
   bool complete() const { return unavailable.empty(); }
 };
 
-/// The optional layers an engine can share with the other engines over the
+/// The optional layers an engine can share with other engines over the
 /// same cache. A null pointer means "no such layer"; each layer must
 /// outlive every engine it is attached to.
 struct EngineLayers {
-  /// Coalesces concurrent fetches of the same (gb, chunk) into one backend
-  /// call.
-  SingleFlight<ChunkData>* single_flight = nullptr;
-  /// Ancestor-offset tables built once per (from, to, chunk) for all
-  /// engines instead of once per engine (see Aggregator::set_plan_cache).
-  RollupPlanCache* plan_cache = nullptr;
   /// One backend-health signal for all engines; overrides the engine's own
   /// Config::circuit_breaker.
   CircuitBreaker* breaker = nullptr;
@@ -194,6 +192,13 @@ struct EngineLayers {
 /// cache-computable chunks are still answered (the bypass optimizer is
 /// suspended, since there is no backend to bypass to) and the rest are
 /// reported per-chunk in QueryResult::unavailable instead of aborting.
+///
+/// Thread-safe once its layers are attached: each query builds its own
+/// aggregator, plan executor and retry schedule and folds into its thread's
+/// FoldArena, so the only state queries share is what the paper's middle
+/// tier shares — the cache, the strategy's summaries, the backend — plus
+/// the engine's single-flight group, rollup-plan cache and breaker, all of
+/// which are thread-safe. One engine serves every thread.
 class QueryEngine {
  public:
   struct Config {
@@ -265,9 +270,9 @@ class QueryEngine {
 
   /// Attaches every non-null layer in `layers`, replacing any layer of the
   /// same kind attached before; null members leave the engine unchanged.
-  /// Without layers an engine never coalesces fetches, keeps a private plan
-  /// cache and its own breaker (if Config::circuit_breaker), and has no
-  /// result cache, warm tier or fold helpers.
+  /// Call before the first query. Without layers an engine uses its own
+  /// breaker (if Config::circuit_breaker) and has no result cache, warm
+  /// tier or fold helpers.
   void Attach(const EngineLayers& layers);
 
   /// The breaker consulted by the fetch path: the attached shared breaker
@@ -277,41 +282,41 @@ class QueryEngine {
     return layers_.breaker != nullptr ? layers_.breaker : breaker_.get();
   }
 
-  /// Heap bytes retained by this engine's fold arena.
-  int64_t fold_arena_retained_bytes() const {
-    return aggregator_.arena_retained_bytes();
-  }
-
-  /// Called when the engine goes idle (e.g. returned to its pool): gives
-  /// back fold scratch beyond `limit_bytes` so one huge fold does not pin
-  /// its high-water memory forever. Returns true when a trim happened.
-  bool TrimFoldArenaIfAbove(int64_t limit_bytes) {
-    return aggregator_.TrimArenaIfAbove(limit_bytes);
-  }
-
-  /// This engine's aggregator (fold counters, plan-cache stats).
-  const Aggregator& aggregator() const { return aggregator_; }
-
-  /// Test/bench access to fold-kernel and morsel knobs.
-  Aggregator& mutable_aggregator() { return aggregator_; }
-
  private:
+  /// One chunk's route: the strategy's plan for it (null when the cache
+  /// cannot answer it) and whether the cost-based bypass sends it to the
+  /// backend anyway.
+  struct ChunkRoute {
+    ChunkId chunk;
+    std::unique_ptr<PlanNode> plan;
+    bool bypassed = false;
+  };
+
+  /// Probes the strategy for every chunk of `chunks` and applies the
+  /// cost-based bypass to the computable ones, in chunk order: ExecuteQuery
+  /// runs the routes, ExplainQuery prints them.
+  std::vector<ChunkRoute> RouteChunks(GroupById gb,
+                                      const std::vector<ChunkId>& chunks,
+                                      bool backend_trusted) const;
+
   /// Fetches `missing` chunks with retry/backoff under the breaker and the
   /// query's deadline (backoff sleeps are clamped to the remaining budget
-  /// and the loop aborts, typed, once the deadline fires). Successfully
-  /// fetched chunks are appended to `fetched`; chunk ids that could not be
-  /// fetched remain in the returned vector.
+  /// and the loop aborts, typed, once the deadline fires). `retry` is the
+  /// query's own schedule. Successfully fetched chunks are appended to
+  /// `fetched`; chunk ids that could not be fetched remain in the returned
+  /// vector.
   std::vector<ChunkId> FetchWithRetry(GroupById gb,
                                       std::vector<ChunkId> missing,
                                       std::vector<ChunkData>* fetched,
-                                      ExecContext* ctx, QueryStats* s);
+                                      RetryPolicy& retry, ExecContext* ctx,
+                                      QueryStats* s);
 
-  /// The cost-based bypass of paper Section 5.2, which ExecuteQuery applies
-  /// and ExplainQuery reports: true when fetching `plan`'s chunk is
-  /// estimated cheaper than aggregating it. The chunk pays the backend's
-  /// fixed per-query overhead unless `backend_query_pending` (another chunk
-  /// of the query goes to the backend anyway). Never for a direct hit, with
-  /// the bypass off, or while the backend is not trusted.
+  /// The cost-based bypass of paper Section 5.2: true when fetching
+  /// `plan`'s chunk is estimated cheaper than aggregating it. The chunk
+  /// pays the backend's fixed per-query overhead unless
+  /// `backend_query_pending` (another chunk of the query goes to the
+  /// backend anyway). Never for a direct hit, with the bypass off, or while
+  /// the backend is not trusted.
   bool Bypasses(GroupById gb, const PlanNode& plan, bool backend_trusted,
                 bool backend_query_pending) const;
 
@@ -322,12 +327,17 @@ class QueryEngine {
   const BenefitModel* benefit_;
   SimClock* sim_clock_;
   Config config_;
-  Aggregator aggregator_;
-  PlanExecutor executor_;
-  RetryPolicy retry_;
   std::unique_ptr<CircuitBreaker> breaker_;
-  // The attached shared layers. plan_cache and morsel_pool are also handed
-  // to aggregator_, which is what reads them.
+  // Coalesces concurrent queries' fetches of the same (gb, chunk) into one
+  // backend call.
+  SingleFlight<ChunkData> single_flight_;
+  // Ancestor-offset tables every query's aggregator reads, built once per
+  // (from, to, chunk).
+  RollupPlanCache plan_cache_;
+  // Queries begun so far. A query's retry jitter is seeded with
+  // Config::retry.seed plus its number, so a single-threaded run replays
+  // exactly.
+  std::atomic<uint64_t> queries_begun_{0};
   EngineLayers layers_;
 };
 

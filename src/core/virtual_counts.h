@@ -9,7 +9,8 @@
 
 namespace aac {
 
-/// The virtual-count array of paper Section 4, shared by VCM and VCMC.
+/// The virtual-count array of paper Section 4, VCM's computability state
+/// (VCMC derives computability from its costs instead).
 ///
 /// For every chunk at every group-by level, maintains the *virtual count*:
 /// the number of lattice parents through which a complete computation path

@@ -33,8 +33,8 @@ Cell MakeCell(const RollupPlan& plan, int64_t off, const FoldState& s) {
 
 }  // namespace
 
-Aggregator::Aggregator(const ChunkGrid* grid)
-    : grid_(grid), plan_cache_(&owned_plan_cache_) {
+Aggregator::Aggregator(const ChunkGrid* grid, FoldArena* arena)
+    : grid_(grid), plan_cache_(&owned_plan_cache_), arena_(arena) {
   AAC_CHECK(grid_ != nullptr);
 }
 
@@ -167,7 +167,7 @@ Aggregator::WindowFoldOutcome Aggregator::FoldDenseWindow(
 
 bool Aggregator::FoldSpansDenseParallel(
     const RollupPlan& plan, const std::vector<std::span<const Cell>>& spans,
-    std::vector<Cell>* accumulator, int max_helpers) {
+    FoldArena& arena, std::vector<Cell>* accumulator, int max_helpers) {
   // Move the incoming accumulator cells aside: every lane reads them while
   // lane 0's emit would otherwise be writing the same vector.
   const std::vector<Cell> input = std::move(*accumulator);
@@ -184,10 +184,9 @@ bool Aggregator::FoldSpansDenseParallel(
         // cells >= total_lanes every window is non-empty.
         const int64_t lo = cells * lane / total_lanes;
         const int64_t hi = cells * (lane + 1) / total_lanes;
-        FoldArena& arena = lane == 0 ? arena_ : *helper_arena;
-        lane_res[static_cast<size_t>(lane)] =
-            FoldDenseWindow(plan, input, spans, arena, lo, hi, &abort,
-                            &lane_out[static_cast<size_t>(lane)]);
+        lane_res[static_cast<size_t>(lane)] = FoldDenseWindow(
+            plan, input, spans, lane == 0 ? arena : *helper_arena, lo, hi,
+            &abort, &lane_out[static_cast<size_t>(lane)]);
       });
 
   bool completed = true;
@@ -239,6 +238,7 @@ bool Aggregator::FoldSpans(const RollupPlan& plan,
       plan.cells <= kDenseCellLimit &&
       (plan.cells <= 4096 || plan.cells <= 4 * incoming);
 
+  FoldArena& arena = arena_ != nullptr ? *arena_ : ThreadFoldArena();
   last_fold_ = FoldInfo();
   last_fold_.used_dense = use_dense;
   last_fold_.shape_cells = plan.cells;
@@ -251,7 +251,7 @@ bool Aggregator::FoldSpans(const RollupPlan& plan,
     // serial fold, not a queued one), capped to half the helpers for
     // batch-class queries so batch rollups cannot monopolize the pool.
     int max_helpers = 0;
-    if (morsel_pool_ != nullptr && incoming >= morsel_min_cells_) {
+    if (morsel_pool_ != nullptr && incoming >= morsel_pool_->min_cells()) {
       max_helpers = morsel_pool_->num_helpers();
       if (exec_context_ != nullptr &&
           exec_context_->query_class == QueryClass::kBatch) {
@@ -261,13 +261,14 @@ bool Aggregator::FoldSpans(const RollupPlan& plan,
           std::min<int64_t>(max_helpers, plan.cells - 1));
     }
     if (max_helpers > 0) {
-      return FoldSpansDenseParallel(plan, spans, accumulator, max_helpers);
+      return FoldSpansDenseParallel(plan, spans, arena, accumulator,
+                                    max_helpers);
     }
     // Serial: one full-range window on the caller's arena. Passing the
     // accumulator as both input and output is safe — FoldDenseWindow reads
     // every input cell before its emit (or abort) clears the output.
     WindowFoldOutcome res =
-        FoldDenseWindow(plan, *accumulator, spans, arena_, 0, plan.cells,
+        FoldDenseWindow(plan, *accumulator, spans, arena, 0, plan.cells,
                         /*shared_abort=*/nullptr, accumulator);
     cancel_checks_ += res.cancel_checks;
     tuples_processed_ += res.tuples_scanned;
@@ -276,7 +277,7 @@ bool Aggregator::FoldSpans(const RollupPlan& plan,
     return res.completed;
   }
 
-  SparseFoldTable& table = arena_.sparse();
+  SparseFoldTable& table = arena.sparse();
   table.Reset(incoming);
   // No arena cleanup needed on abort: Reset() reinitializes the sparse
   // table at the next fold's entry.

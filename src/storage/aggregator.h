@@ -26,15 +26,17 @@ class MorselPool;
 /// paper's linear cost metric for comparing aggregation paths.
 ///
 /// The rollup kernel runs off precomputed RollupPlans (ancestor→offset
-/// tables, cached per (from, to, chunk) — shareable across an engine pool
-/// via set_plan_cache) and folds into a reusable per-aggregator FoldArena,
-/// so the steady-state inner loop is one table load and one add per
-/// dimension with no per-call allocation. The aggregator itself is not
-/// thread-safe (arena + counters); the plan cache is.
+/// tables, cached per (from, to, chunk) — shareable across aggregators via
+/// set_plan_cache) and folds into a reusable FoldArena, so the
+/// steady-state inner loop is one table load and one add per dimension with
+/// no per-call allocation. An aggregator is cheap to build: QueryEngine
+/// builds one per query. It is not thread-safe (counters, arena); the plan
+/// cache is.
 class Aggregator {
  public:
-  /// `grid` must outlive the aggregator.
-  explicit Aggregator(const ChunkGrid* grid);
+  /// `grid`, and `arena` when given, must outlive the aggregator. A null
+  /// `arena` means each fold uses the calling thread's ThreadFoldArena().
+  explicit Aggregator(const ChunkGrid* grid, FoldArena* arena = nullptr);
 
   /// Aggregates `sources` — chunks of group-by `from` — into chunk `chunk`
   /// of group-by `to`. Requires LevelOf(to) <= LevelOf(from) and that every
@@ -88,9 +90,9 @@ class Aggregator {
   /// Cumulative cancellation checkpoints evaluated inside fold loops.
   int64_t cancel_checks() const { return cancel_checks_; }
 
-  /// Shares `cache` as the rollup-plan cache (e.g. one cache for a whole
-  /// engine pool). Null restores the aggregator's private cache. The cache
-  /// must outlive the aggregator and must only ever be used with this
+  /// Shares `cache` as the rollup-plan cache (e.g. the engine's cache, read
+  /// by every query). Null restores the aggregator's private cache. The
+  /// cache must outlive the aggregator and must only ever be used with this
   /// aggregator's grid.
   void set_plan_cache(RollupPlanCache* cache) {
     plan_cache_ = cache != nullptr ? cache : &owned_plan_cache_;
@@ -108,14 +110,11 @@ class Aggregator {
 
   /// Attaches the shared helper pool for morsel-parallel dense folds (null
   /// = always fold serially). The pool must outlive the aggregator.
-  /// Helpers are borrowed opportunistically per fold — never waited for —
-  /// and batch-class queries (exec context) may take at most half of them,
-  /// so a big batch rollup cannot starve interactive folds.
+  /// Dense folds of at least MorselPool::min_cells() incoming cells borrow
+  /// helpers opportunistically — never waiting for one — and batch-class
+  /// queries (exec context) may take at most half of them, so a big batch
+  /// rollup cannot starve interactive folds.
   void set_morsel_pool(MorselPool* pool) { morsel_pool_ = pool; }
-
-  /// Minimum incoming cells before a dense fold tries to go parallel;
-  /// below it the fixed fan-out cost outweighs the win. Tests lower it.
-  void set_morsel_min_cells(int64_t cells) { morsel_min_cells_ = cells; }
 
   /// Debug/test introspection of the most recent fold.
   struct FoldInfo {
@@ -129,21 +128,6 @@ class Aggregator {
     FoldKernelKind kernel = FoldKernelKind::kScalar;  // dense kernel used
   };
   const FoldInfo& last_fold() const { return last_fold_; }
-
-  /// Dense scratch capacity currently retained by the fold arena.
-  int64_t arena_dense_capacity() const { return arena_.dense_capacity(); }
-
-  /// Heap bytes retained by the fold arena (see FoldArena::retained_bytes).
-  int64_t arena_retained_bytes() const { return arena_.retained_bytes(); }
-
-  /// Releases the fold arena's scratch when it exceeds `limit_bytes`
-  /// (engines call this when they go idle so one huge fold does not pin
-  /// its high-water scratch forever). Returns true when a trim happened.
-  bool TrimArenaIfAbove(int64_t limit_bytes) {
-    if (arena_.retained_bytes() <= limit_bytes) return false;
-    arena_.TrimToDefault();
-    return true;
-  }
 
  private:
   /// Outcome of folding one target-offset window (one lane's work).
@@ -184,7 +168,8 @@ class Aggregator {
   /// serial fold for any lane count (DESIGN.md §13).
   bool FoldSpansDenseParallel(const RollupPlan& plan,
                               const std::vector<std::span<const Cell>>& spans,
-                              std::vector<Cell>* accumulator, int max_helpers);
+                              FoldArena& arena, std::vector<Cell>* accumulator,
+                              int max_helpers);
 
   /// One cancellation checkpoint: true = abort the fold now.
   bool CancelCheckpoint() {
@@ -196,20 +181,15 @@ class Aggregator {
   const ChunkGrid* grid_;
   RollupPlanCache owned_plan_cache_;
   RollupPlanCache* plan_cache_;
-  FoldArena arena_;
+  FoldArena* arena_;  // null: the calling thread's
   FoldInfo last_fold_;
   const ExecContext* exec_context_ = nullptr;
   MorselPool* morsel_pool_ = nullptr;
   FoldKernelKind fold_kernel_ = DefaultFoldKernel();
-  int64_t morsel_min_cells_ = kDefaultMorselMinCells;
   bool last_fold_cancelled_ = false;
   int64_t cancel_checks_ = 0;
   int64_t tuples_processed_ = 0;
   int64_t fold_nanos_ = 0;
-
- public:
-  /// Default morsel threshold: folds smaller than this stay serial.
-  static constexpr int64_t kDefaultMorselMinCells = 64 * 1024;
 };
 
 }  // namespace aac

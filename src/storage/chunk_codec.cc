@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace aac {
 namespace {
@@ -18,19 +19,6 @@ constexpr size_t kChecksumBytes = 8;
 // Raw payload cost per cell beyond the coordinates: measure, count, min,
 // max.
 constexpr size_t kFoldStateBytes = 32;
-
-// FNV-1a, the same constants chunk_file.cc uses for its payload checksum.
-constexpr uint64_t kFnvSeed = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t Fnv1a(const uint8_t* data, size_t size) {
-  uint64_t h = kFnvSeed;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void PutBytes(std::vector<uint8_t>* out, const void* src, size_t n) {
   const auto* p = static_cast<const uint8_t*>(src);

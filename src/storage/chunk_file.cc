@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace aac {
 
@@ -11,17 +12,6 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'A', 'C', 'F'};
 constexpr uint32_t kVersion = 1;
-
-// FNV-1a over the serialized payload bytes.
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-constexpr uint64_t kFnvSeed = 14695981039346656037ULL;
 
 // One tuple's wire image.
 struct WireTuple {
@@ -52,7 +42,7 @@ bool WriteTuple(std::FILE* f, const Cell& cell, int num_dims,
   off += sizeof(double);
   std::memcpy(buf + off, &cell.max, sizeof(double));
   off += sizeof(double);
-  *checksum = Fnv1a(*checksum, buf, off);
+  *checksum = Fnv1a(buf, off, *checksum);
   return std::fwrite(buf, 1, off, f) == off;
 }
 
@@ -60,7 +50,7 @@ bool ReadTuple(std::FILE* f, Cell* cell, int num_dims, uint64_t* checksum) {
   unsigned char buf[sizeof(WireTuple)];
   const size_t size = WireTupleSize(num_dims);
   if (std::fread(buf, 1, size, f) != size) return false;
-  *checksum = Fnv1a(*checksum, buf, size);
+  *checksum = Fnv1a(buf, size, *checksum);
   size_t off = 0;
   std::memcpy(cell->values.data(), buf + off,
               sizeof(int32_t) * static_cast<size_t>(num_dims));
@@ -103,7 +93,7 @@ bool ChunkFileWriter::Write(const FactTable& table, const std::string& path) {
   i64(num_chunks);
   i64(num_tuples);
   const long checksum_pos = std::ftell(f);
-  uint64_t checksum = kFnvSeed;
+  uint64_t checksum = kFnv1aOffsetBasis;
   ok = ok && std::fwrite(&checksum, sizeof(checksum), 1, f) == 1;
 
   // Directory: tuple index at which each chunk starts.
@@ -175,7 +165,7 @@ bool ChunkFileReader::Open(const std::string& path, int expected_dims) {
   payload_start_ = std::ftell(file_);
 
   // Validate the payload checksum with one full read.
-  uint64_t actual = kFnvSeed;
+  uint64_t actual = kFnv1aOffsetBasis;
   Cell cell;
   for (int64_t i = 0; i < num_tuples_; ++i) {
     if (!ReadTuple(file_, &cell, num_dims_, &actual)) {
@@ -201,7 +191,7 @@ std::vector<Cell> ChunkFileReader::ReadChunk(ChunkId chunk) const {
       std::fseek(file_, static_cast<long>(payload_start_ + begin * tuple_size),
                  SEEK_SET),
       0);
-  uint64_t scratch = kFnvSeed;
+  uint64_t scratch = kFnv1aOffsetBasis;
   for (auto& cell : cells) {
     AAC_CHECK(ReadTuple(file_, &cell, num_dims_, &scratch));
   }
@@ -213,7 +203,7 @@ std::vector<Cell> ChunkFileReader::ReadAll() const {
   AAC_CHECK_EQ(std::fseek(file_, static_cast<long>(payload_start_), SEEK_SET),
                0);
   std::vector<Cell> cells(static_cast<size_t>(num_tuples_));
-  uint64_t scratch = kFnvSeed;
+  uint64_t scratch = kFnv1aOffsetBasis;
   for (auto& cell : cells) {
     AAC_CHECK(ReadTuple(file_, &cell, num_dims_, &scratch));
   }

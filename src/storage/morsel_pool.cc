@@ -47,7 +47,7 @@ int MorselPool::RunPartitioned(int max_helpers, const LaneFn& fn) {
     }
   }
   // Lane 0 always runs on the caller's thread, using the caller's own
-  // arena (null here; the Aggregator passes its member arena).
+  // arena (null here; the Aggregator folds lane 0 into its arena).
   fn(0, helpers + 1, nullptr);
   if (helpers > 0) {
     // `job` lives on this stack frame; helpers hold raw pointers to it, so
@@ -72,9 +72,7 @@ void MorselPool::HelperLoop(size_t index) {
     // Post-job hygiene: a giant fold must not pin its high-water scratch in
     // an idle helper forever. The arena is still helper-private here (we
     // have not rejoined the idle set), so the trim is race-free.
-    const bool trimmed =
-        arenas_[index].retained_bytes() > kHelperArenaTrimBytes;
-    if (trimmed) arenas_[index].TrimToDefault();
+    const bool trimmed = arenas_[index].TrimIfAbove(FoldArena::kTrimBytes);
     {
       MutexLock lock(mutex_);
       ++idle_;

@@ -13,8 +13,8 @@
 
 namespace aac {
 
-/// Helper-thread pool for morsel-parallel folds, shared by every engine of
-/// a ConcurrentQueryEngine pool.
+/// Helper-thread pool for morsel-parallel folds, shared by every query of a
+/// ConcurrentQueryEngine.
 ///
 /// Acquisition is strictly opportunistic: RunPartitioned() takes however
 /// many helpers are idle *right now* (up to the caller's cap) and never
@@ -29,8 +29,9 @@ namespace aac {
 ///
 /// Each helper owns a private FoldArena handed to the lane function it
 /// runs, so parallel lanes never share fold scratch. Helpers trim their
-/// arena back to default when it exceeds kHelperArenaTrimBytes after a job
-/// (the analogue of the engine-idle trim for engine-owned arenas).
+/// arena after each job when it retains more than FoldArena::kTrimBytes,
+/// the bound QueryEngine applies to a client thread's arena after each
+/// query.
 class MorselPool {
  public:
   /// Spawns `num_helpers` persistent helper threads (>= 0).
@@ -55,6 +56,15 @@ class MorselPool {
 
   int num_helpers() const { return static_cast<int>(helpers_.size()); }
 
+  /// Incoming cells below which a dense fold stays serial instead of
+  /// borrowing helpers: below it the fixed fan-out cost outweighs the win.
+  /// Tests and benches lower it. Set it before any fold uses the pool.
+  void set_min_cells(int64_t cells) { min_cells_ = cells; }
+  int64_t min_cells() const { return min_cells_; }
+
+  /// Default threshold: folds smaller than this stay serial.
+  static constexpr int64_t kDefaultMinCells = 64 * 1024;
+
   struct Stats {
     int64_t parallel_runs = 0;      // RunPartitioned calls that got >= 1 helper
     int64_t serial_runs = 0;        // calls that found no idle helper
@@ -75,9 +85,6 @@ class MorselPool {
   /// fully-idle condition; returns -1 when the pool is busy.
   int64_t IdleHelperArenaRetainedBytes() const;
 
-  /// Post-job trim threshold for helper arenas.
-  static constexpr int64_t kHelperArenaTrimBytes = int64_t{16} << 20;
-
  private:
   struct Job {
     const LaneFn* fn = nullptr;
@@ -92,6 +99,7 @@ class MorselPool {
 
   void HelperLoop(size_t index);
 
+  int64_t min_cells_ = kDefaultMinCells;  // written only before folds start
   mutable Mutex mutex_{LockRank::kMorselPool, "morsel_pool"};
   CondVar work_cv_;
   std::vector<Assignment> pending_ AAC_GUARDED_BY(mutex_);

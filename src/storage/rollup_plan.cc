@@ -139,4 +139,9 @@ void SparseFoldTable::Reset(int64_t expected) {
   mask_ = keys_.size() - 1;
 }
 
+FoldArena& ThreadFoldArena() {
+  thread_local FoldArena arena;
+  return arena;
+}
+
 }  // namespace aac

@@ -106,7 +106,7 @@ std::shared_ptr<const RollupPlan> BuildRollupPlan(const ChunkGrid& grid,
                                                   ChunkId chunk);
 
 /// Thread-safe cache of RollupPlans keyed by (from, to, chunk), shared by
-/// every Aggregator of an engine pool (reads take a shared lock; a miss
+/// every query's Aggregator in an engine (reads take a shared lock; a miss
 /// builds the plan outside the lock and publishes it under an exclusive
 /// lock). All sharers must aggregate over the same ChunkGrid — the key does
 /// not encode the grid.
@@ -242,15 +242,16 @@ class SparseFoldTable {
   size_t mask_ = 0;                // capacity - 1 (capacity is a power of 2)
 };
 
-/// Reusable scratch buffers for the rollup kernel, owned by an Aggregator
-/// and recycled across folds so dense multi-MB state arrays are not
-/// reallocated and re-zeroed per call. Buffers grow to the largest fold
-/// seen and are wiped incrementally: only the offsets actually touched by
-/// the previous fold are reset (the touched-offset list), so a fold of k
-/// cells into an N-cell chunk costs O(k), not O(N).
+/// Reusable scratch buffers for the rollup kernel, recycled across folds so
+/// dense multi-MB state arrays are not reallocated and re-zeroed per call.
+/// Buffers grow to the largest fold seen and are wiped incrementally: only
+/// the offsets actually touched by the previous fold are reset (the
+/// touched-offset list), so a fold of k cells into an N-cell chunk costs
+/// O(k), not O(N).
 ///
-/// Not thread-safe — each engine of a pool owns its aggregator (and thus
-/// its arena); only the RollupPlanCache is shared across threads.
+/// Not thread-safe. Each thread folds into its own (ThreadFoldArena()),
+/// each morsel helper into its own, and the backend server into its own
+/// under its mutex; only the RollupPlanCache is shared across threads.
 class FoldArena {
  public:
   /// Prepares the dense buffers for a chunk of `cells` cells. New capacity
@@ -287,8 +288,7 @@ class FoldArena {
 
   /// Heap bytes currently retained by every scratch buffer (dense states,
   /// occupancy bytes, touched list, sparse table). One huge fold leaves the
-  /// arena holding its high-water mark forever; engines call
-  /// TrimToDefault() when they go idle to give it back.
+  /// arena holding its high-water mark until TrimIfAbove() gives it back.
   int64_t retained_bytes() const {
     return static_cast<int64_t>(dense_states_.capacity() * sizeof(FoldState) +
                                 dense_occupied_.capacity() +
@@ -307,12 +307,29 @@ class FoldArena {
     sparse_.TrimToDefault();
   }
 
+  /// TrimToDefault() when more than `limit_bytes` are retained; returns
+  /// true when it trimmed. Same precondition as TrimToDefault().
+  bool TrimIfAbove(int64_t limit_bytes) {
+    if (retained_bytes() <= limit_bytes) return false;
+    TrimToDefault();
+    return true;
+  }
+
+  /// The retention bound an arena is trimmed to between uses: a thread's
+  /// after each QueryEngine query, a morsel helper's after each job.
+  static constexpr int64_t kTrimBytes = int64_t{16} << 20;
+
  private:
   std::vector<FoldState> dense_states_;
   std::vector<uint8_t> dense_occupied_;
   std::vector<int64_t> touched_;
   SparseFoldTable sparse_;
 };
+
+/// The calling thread's fold arena: an Aggregator built without an arena
+/// of its own folds into it, so every query a thread runs reuses the same
+/// scratch.
+FoldArena& ThreadFoldArena();
 
 }  // namespace aac
 

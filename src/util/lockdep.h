@@ -40,7 +40,7 @@ namespace aac {
 ///
 /// The table is a linear extension of the nesting the code actually
 /// performs (DESIGN.md §10):
-///   admission → engine pool → single-flight map → single-flight slot →
+///   admission → single-flight map → single-flight slot →
 ///   cache shard → {result cache, warm → disk, strategy} →
 ///   breaker → fault injector → backend → rollup plan cache → morsel pool
 /// The fold-time capabilities (rollup plan cache, morsel pool) rank LAST:
@@ -49,10 +49,11 @@ namespace aac {
 /// FaultInjectingBackend holds its mutex across that inner call, so every
 /// fold-time lock is reachable under both and must rank above them.
 /// Gaps between values leave room to slot a new capability between two
-/// existing ones without renumbering (renumbering fails lint R8).
+/// existing ones without renumbering (renumbering fails lint R8). A deleted
+/// rank's value stays retired and is never reused: 200 was the engine
+/// pool's.
 enum class LockRank : uint16_t {
   kAdmission = 100,        // admission gate: outermost, around engine work
-  kEnginePool = 200,       // ConcurrentQueryEngine idle-list swap mutex
   kSingleFlightMap = 300,  // SingleFlight in-flight map
   kSingleFlightSlot = 400, // SingleFlight::Slot publication state
   kCacheShard = 500,       // ChunkCache::Shard (same-rank: address order;
@@ -72,7 +73,6 @@ enum class LockRank : uint16_t {
 constexpr const char* LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kAdmission: return "kAdmission";
-    case LockRank::kEnginePool: return "kEnginePool";
     case LockRank::kSingleFlightMap: return "kSingleFlightMap";
     case LockRank::kSingleFlightSlot: return "kSingleFlightSlot";
     case LockRank::kCacheShard: return "kCacheShard";

@@ -152,11 +152,10 @@ class Experiment {
   /// Builds a fresh QueryEngine over the experiment's SHARED wiring (grid,
   /// cache, strategy, backend, benefit model, sim clock, warm tier) with
   /// the same engine config — engine() is built by it too, and it serves
-  /// as the EngineFactory for a ConcurrentQueryEngine pool.
-  /// Each returned engine carries its own scratch state (aggregator,
-  /// executor, retry, breaker) and so must be used by one thread at a time;
-  /// the shared structures are thread-safe. The Experiment must outlive
-  /// every engine it vends.
+  /// as the EngineFactory of a ConcurrentQueryEngine. Each returned engine
+  /// is thread-safe and has its own breaker (if the config asks for one),
+  /// single-flight group and rollup-plan cache. The Experiment must
+  /// outlive every engine it vends.
   std::unique_ptr<QueryEngine> NewEngine();
 
  private:

@@ -34,6 +34,7 @@ class ConcurrentEngineTest : public ::testing::Test {
         env_.cube.grid.get(), env_.cache.get(), env_.size_model.get());
     env_.cache->AddListener(strategy_->listener());
     concurrent_ = std::make_unique<ConcurrentQueryEngine>([this] {
+      factory_calls_.fetch_add(1);
       return std::make_unique<QueryEngine>(
           env_.cube.grid.get(), env_.cache.get(), strategy_.get(),
           env_.backend.get(), env_.benefit.get(), env_.clock.get(),
@@ -43,6 +44,7 @@ class ConcurrentEngineTest : public ::testing::Test {
 
   TestEnv env_;
   std::unique_ptr<VcmcStrategy> strategy_;
+  std::atomic<int> factory_calls_{0};
   std::unique_ptr<ConcurrentQueryEngine> concurrent_;
 };
 
@@ -104,8 +106,8 @@ TEST_F(ConcurrentEngineTest, ManyThreadsManyQueriesAllCorrect) {
   }
 }
 
-// Every pooled engine gets the shared result cache: each query from every
-// thread probes it, and only it.
+// The engine gets the shared result cache: each query from every thread
+// probes it, and only it.
 TEST_F(ConcurrentEngineTest, SharedResultCacheIsProbedByEveryQuery) {
   ResultCache::Config rc_config;
   rc_config.capacity_bytes = kBigCache;
@@ -169,8 +171,8 @@ WorkloadTotals RepeatLevels(const Experiment& exp, Run run) {
   return second;
 }
 
-// NewEngine attaches the experiment's warm tier, so a pool built from it
-// promotes from that tier without set_warm_tier.
+// NewEngine attaches the experiment's warm tier, so a ConcurrentQueryEngine
+// built from it promotes from that tier without set_warm_tier.
 TEST(ConcurrentEngineLayers, PoolOfExperimentEnginesPromotesFromWarmTier) {
   Experiment exp(TieredConfig());
   ASSERT_NE(exp.warm_tier(), nullptr);
@@ -325,15 +327,107 @@ TEST(ConcurrentEngineWrites, WritesAtABarrierKeepAnswersExact) {
   }
 }
 
-// Layers reach engines only when the pool creates them, so configuring a
-// pool after its first query aborts instead of missing the engines it has.
+// Eight threads drive a ConcurrentQueryEngine; the factory built the one
+// engine they all share, before the first query.
+TEST_F(ConcurrentEngineTest, FactoryBuildsOneEngineForEightThreads) {
+  EXPECT_EQ(factory_calls_.load(), 1);
+  constexpr int kThreads = 8;
+  constexpr int kQueriesPerThread = 10;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) * 53 + 1);
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        const GroupById gb = static_cast<GroupById>(
+            rng.Uniform(env_.lattice().num_groupbys()));
+        concurrent_->ExecuteQuery(
+            Query::WholeLevel(env_.schema(), env_.lattice().LevelOf(gb)),
+            nullptr);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(factory_calls_.load(), 1);
+  EXPECT_EQ(concurrent_->queries_executed(), kThreads * kQueriesPerThread);
+}
+
+// One QueryEngine serves eight threads at once, with a result cache and a
+// warm tier attached over a scarce hot cache, so queries fold, demote,
+// promote and share in-flight fetches side by side. Every answer equals a
+// backend fold, and the shared state is consistent afterwards.
+TEST(ConcurrentEngineShared, OneEngineServesEightThreadsExactly) {
+  TestEnv env = MakeTestEnv(MakeThreeDimCube(), 0.6, 73, /*capacity=*/1600,
+                            /*two_level_policy=*/true, /*bytes_per_tuple=*/10,
+                            /*num_shards=*/4);
+  VcmcStrategy strategy(env.cube.grid.get(), env.cache.get(),
+                        env.size_model.get());
+  env.cache->AddListener(strategy.listener());
+  WarmTier::Config warm_config;
+  warm_config.capacity_bytes = 1 << 20;
+  warm_config.num_dims = env.schema().num_dims();
+  WarmTier warm(warm_config);
+  env.cache->set_demotion_sink(&warm);
+  ResultCache::Config rc_config;
+  rc_config.capacity_bytes = 2000;
+  rc_config.bytes_per_tuple = 10;
+  ResultCache results(rc_config);
+  env.cache->AddListener(&results);
+  QueryEngine engine(env.cube.grid.get(), env.cache.get(), &strategy,
+                     env.backend.get(), env.benefit.get(), env.clock.get(),
+                     QueryEngine::Config());
+  engine.Attach({.result_cache = &results, .warm_tier = &warm});
+
+  constexpr int kThreads = 8;
+  constexpr int kQueriesPerThread = 25;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) * 71 + 9);
+      BackendServer oracle(env.table.get(), BackendCostModel(), nullptr);
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        const GroupById gb = static_cast<GroupById>(
+            rng.Uniform(env.lattice().num_groupbys()));
+        const Query q =
+            Query::WholeLevel(env.schema(), env.lattice().LevelOf(gb));
+        QueryResult result = engine.ExecuteQuery(q, nullptr);
+        std::vector<ChunkData> want =
+            oracle.ExecuteChunkQuery(gb, ChunksForQuery(env.grid(), q)).chunks;
+        std::vector<ChunkData>& got = result.chunks;
+        auto by_chunk = [](const ChunkData& a, const ChunkData& b) {
+          return a.chunk < b.chunk;
+        };
+        std::sort(got.begin(), got.end(), by_chunk);
+        std::sort(want.begin(), want.end(), by_chunk);
+        bool same = result.status == ResultStatus::kOk &&
+                    got.size() == want.size();
+        for (size_t k = 0; same && k < got.size(); ++k) {
+          same = ChunkDataEquals(env.schema().num_dims(), &got[k], &want[k]);
+        }
+        if (!same) ++wrong;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(results.stats().probes, kThreads * kQueriesPerThread);
+  EXPECT_EQ(env.cache->TotalPinCount(), 0);
+  EXPECT_TRUE(env.cache->ValidateInvariants());
+  EXPECT_TRUE(warm.ValidateInvariants());
+  EXPECT_TRUE(results.ValidateInvariants());
+}
+
+// Layers are attached to the engine as they are set, so configuring it
+// after its first query aborts instead of rewiring an engine that is
+// running queries.
 using ConcurrentEngineDeathTest = ConcurrentEngineTest;
 
 TEST_F(ConcurrentEngineDeathTest, LayerSettersAbortAfterTheFirstQuery) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   concurrent_->ExecuteQuery(
       Query::WholeLevel(env_.schema(), LevelVector{1, 1}), nullptr);
-  ASSERT_EQ(concurrent_->engines_created(), 1);
+  ASSERT_EQ(concurrent_->queries_executed(), 1);
 
   ResultCache results(ResultCache::Config{});
   WarmTier::Config warm_config;
@@ -345,6 +439,8 @@ TEST_F(ConcurrentEngineDeathTest, LayerSettersAbortAfterTheFirstQuery) {
   EXPECT_DEATH(concurrent_->set_warm_tier(&warm), "AAC_CHECK");
   EXPECT_DEATH(concurrent_->set_shared_breaker(&breaker), "AAC_CHECK");
   EXPECT_DEATH(concurrent_->ConfigureMorsels(2), "AAC_CHECK");
+  EXPECT_DEATH(concurrent_->ConfigureAdmission(AdmissionConfig{}),
+               "AAC_CHECK");
 }
 
 }  // namespace

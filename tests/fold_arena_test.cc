@@ -13,8 +13,8 @@ namespace aac {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FoldArena memory accounting and the engine-idle trim policy (satellite:
-// one huge fold must not pin its high-water scratch forever).
+// FoldArena memory accounting and the trim policy (one huge fold must not
+// pin its high-water scratch forever).
 // ---------------------------------------------------------------------------
 
 TEST(FoldArena, RetainedBytesTracksHighWaterAndTrims) {
@@ -45,9 +45,9 @@ TEST(FoldArena, RetainedBytesTracksHighWaterAndTrims) {
   }
 }
 
-// Aggregator-level trim: the regression the satellite asks for — a big
-// dense fold inflates the arena, TrimArenaIfAbove gives it back, and the
-// next fold is still bit-identical.
+// Trim between an aggregator's folds: a big dense fold inflates the arena
+// it folds into, TrimIfAbove gives the scratch back, and the next fold is
+// still bit-identical.
 TEST(FoldArena, AggregatorTrimReleasesHighWaterAndFoldsIdentically) {
   TestCube cube;  // one 128x128 base chunk = 16384 dense cells
   std::vector<Dimension> dims;
@@ -75,20 +75,21 @@ TEST(FoldArena, AggregatorTrimReleasesHighWaterAndFoldsIdentically) {
     cells.push_back(c);
   }
 
-  Aggregator agg(cube.grid.get());
+  FoldArena arena;
+  Aggregator agg(cube.grid.get(), &arena);
   ChunkData before = agg.AggregateCells(base, cells, base, 0);
   ASSERT_TRUE(agg.last_fold().used_dense);
-  const int64_t high_water = agg.arena_retained_bytes();
+  const int64_t high_water = arena.retained_bytes();
   EXPECT_GE(high_water, int64_t{16384} * 32);
 
   // Below the limit: no trim, scratch stays.
-  EXPECT_FALSE(agg.TrimArenaIfAbove(high_water));
-  EXPECT_EQ(agg.arena_retained_bytes(), high_water);
+  EXPECT_FALSE(arena.TrimIfAbove(high_water));
+  EXPECT_EQ(arena.retained_bytes(), high_water);
 
   // Above the limit: trimmed to nothing.
-  EXPECT_TRUE(agg.TrimArenaIfAbove(high_water - 1));
-  EXPECT_EQ(agg.arena_retained_bytes(), 0);
-  EXPECT_FALSE(agg.TrimArenaIfAbove(high_water - 1));  // already trimmed
+  EXPECT_TRUE(arena.TrimIfAbove(high_water - 1));
+  EXPECT_EQ(arena.retained_bytes(), 0);
+  EXPECT_FALSE(arena.TrimIfAbove(high_water - 1));  // already trimmed
 
   // The refold regrows the scratch and reproduces the same bytes.
   ChunkData after = agg.AggregateCells(base, cells, base, 0);
@@ -101,7 +102,7 @@ TEST(FoldArena, AggregatorTrimReleasesHighWaterAndFoldsIdentically) {
     EXPECT_EQ(after.cells[i].min, before.cells[i].min);
     EXPECT_EQ(after.cells[i].max, before.cells[i].max);
   }
-  EXPECT_EQ(agg.arena_retained_bytes(), high_water);
+  EXPECT_EQ(arena.retained_bytes(), high_water);
 }
 
 // ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ TEST(MorselPool, HelperTrimsOversizedArenaAfterJob) {
   // Helper lanes inflate their private arenas past the trim threshold;
   // the helpers must give the memory back before rejoining the idle set.
   const int64_t big_cells =
-      MorselPool::kHelperArenaTrimBytes / static_cast<int64_t>(sizeof(FoldState)) + 1024;
+      FoldArena::kTrimBytes / static_cast<int64_t>(sizeof(FoldState)) + 1024;
   pool.RunPartitioned(2, [&](int lane, int, FoldArena* arena) {
     if (lane != 0) arena->EnsureDense(big_cells);
   });
@@ -127,7 +127,7 @@ TEST(MorselPool, HelperTrimsOversizedArenaAfterJob) {
   EXPECT_EQ(stats.helper_trims, 2);
   const int64_t retained = pool.IdleHelperArenaRetainedBytes();
   ASSERT_GE(retained, 0);  // pool is idle again
-  EXPECT_LT(retained, MorselPool::kHelperArenaTrimBytes);
+  EXPECT_LT(retained, FoldArena::kTrimBytes);
   EXPECT_TRUE(pool.TrimIdleHelperArenas());  // idle pool accepts the trim
   EXPECT_EQ(pool.IdleHelperArenaRetainedBytes(), 0);
 }
@@ -153,7 +153,7 @@ TEST(MorselFold, BitIdenticalToSerialAcrossLaneCounts) {
       MorselPool pool(helpers);
       Aggregator agg(cube.grid.get());
       agg.set_morsel_pool(&pool);
-      agg.set_morsel_min_cells(1);
+      pool.set_min_cells(1);
       ChunkData got = agg.AggregateSpans(base, spans, base, 0);
       EXPECT_EQ(agg.last_fold().morsel_lanes, helpers + 1);
       EXPECT_TRUE(agg.last_fold().used_dense);
@@ -184,7 +184,7 @@ TEST(MorselFold, KernelsAgreeUnderParallelism) {
   for (int k = 0; k < 2; ++k) {
     Aggregator agg(cube.grid.get());
     agg.set_morsel_pool(&pool);
-    agg.set_morsel_min_cells(1);
+    pool.set_min_cells(1);
     agg.set_fold_kernel(kinds[k]);
     outs[k] = agg.AggregateSpans(base, spans, base, 0);
     EXPECT_EQ(agg.last_fold().morsel_lanes, 4);
@@ -215,7 +215,7 @@ TEST(MorselFold, BatchClassCappedAtHalfTheHelpers) {
   MorselPool pool(4);
   Aggregator agg(cube.grid.get());
   agg.set_morsel_pool(&pool);
-  agg.set_morsel_min_cells(1);
+  pool.set_min_cells(1);
 
   ExecContext batch;
   batch.query_class = QueryClass::kBatch;
@@ -259,7 +259,7 @@ TEST(MorselFold, BusyPoolDegradesToSerialWithoutWaiting) {
 
   Aggregator agg(cube.grid.get());
   agg.set_morsel_pool(&pool);
-  agg.set_morsel_min_cells(1);
+  pool.set_min_cells(1);
   Aggregator serial(cube.grid.get());
   ChunkData got = agg.AggregateCells(base, cells, base, 0);
   EXPECT_EQ(agg.last_fold().morsel_lanes, 1);  // nobody waited for a helper
@@ -281,7 +281,7 @@ TEST(MorselFold, CancelledFoldLeavesNoResidue) {
   MorselPool pool(3);
   Aggregator agg(cube.grid.get());
   agg.set_morsel_pool(&pool);
-  agg.set_morsel_min_cells(1);
+  pool.set_min_cells(1);
 
   ExecContext expired;
   expired.deadline = Deadline::AfterNanos(0);
@@ -307,7 +307,7 @@ TEST(MorselFold, CancelTokenAbortsParallelFold) {
   MorselPool pool(2);
   Aggregator agg(cube.grid.get());
   agg.set_morsel_pool(&pool);
-  agg.set_morsel_min_cells(1);
+  pool.set_min_cells(1);
 
   CancelToken token;
   token.Cancel();
@@ -333,7 +333,7 @@ TEST(MorselFold, TightDeadlineYieldsAllOrNothing) {
   MorselPool pool(3);
   Aggregator agg(cube.grid.get());
   agg.set_morsel_pool(&pool);
-  agg.set_morsel_min_cells(1);
+  pool.set_min_cells(1);
   int cancelled = 0;
   for (const int64_t budget_ns :
        {int64_t{1'000}, int64_t{10'000}, int64_t{100'000}, int64_t{1'000'000},

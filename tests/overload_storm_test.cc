@@ -235,15 +235,12 @@ TEST(OverloadStorm, LargeFoldMorselStormCancelsCleanlyAndStaysBitIdentical) {
   config.cache_shards = 16;
   Experiment exp(config);
 
-  ConcurrentQueryEngine pool([&exp] {
-    std::unique_ptr<QueryEngine> engine = exp.NewEngine();
-    // Every nonempty dense fold consults the helper pool, so the storm
-    // exercises multi-lane folds (and their mid-fold cancellation) rather
-    // than only folds past the production 64k-cell threshold.
-    engine->mutable_aggregator().set_morsel_min_cells(1);
-    return engine;
-  });
+  ConcurrentQueryEngine pool([&exp] { return exp.NewEngine(); });
   pool.ConfigureMorsels(3);
+  // Every nonempty dense fold consults the helper pool, so the storm
+  // exercises multi-lane folds (and their mid-fold cancellation) rather
+  // than only folds past the production 64k-cell threshold.
+  pool.morsel_pool()->set_min_cells(1);
   AdmissionConfig admission;
   admission.max_concurrent = 4;
   admission.max_queued_interactive = 4;

@@ -239,6 +239,36 @@ TEST_F(QueryEngineTest, ExplainShowsBypassDecision) {
   EXPECT_NE(out.find("BYPASSED"), std::string::npos);
 }
 
+// Every query leaves the calling thread's fold arena at most
+// FoldArena::kTrimBytes, whatever inflated it and however the query
+// resolved; scratch under the bound stays for the thread's next fold.
+TEST_F(QueryEngineTest, EveryQueryTrimsTheThreadsFoldArenaAboveTheBound) {
+  FoldArena& arena = ThreadFoldArena();
+  const int64_t big_cells =
+      FoldArena::kTrimBytes / static_cast<int64_t>(sizeof(FoldState)) + 1;
+  const Query base_q =
+      Query::WholeLevel(env_.schema(), env_.schema().base_level());
+  const Query roll_up = Query::WholeLevel(env_.schema(), LevelVector{0, 1});
+
+  // Dead on arrival: the query folds nothing and still trims.
+  arena.EnsureDense(big_cells);
+  ASSERT_GT(arena.retained_bytes(), FoldArena::kTrimBytes);
+  ExecContext expired;
+  expired.deadline = Deadline::AfterNanos(0);
+  QueryStats stats;
+  engine_->ExecuteQuery(base_q, &expired, &stats);
+  EXPECT_EQ(stats.status, ResultStatus::kDeadlineExceeded);
+  EXPECT_EQ(arena.retained_bytes(), 0);
+
+  // A roll-up answered by aggregation: its own small scratch stays.
+  engine_->ExecuteQuery(base_q, nullptr);
+  engine_->ExecuteQuery(roll_up, &stats);
+  ASSERT_GT(stats.tuples_aggregated, 0);
+  const int64_t small = arena.retained_bytes();
+  EXPECT_GT(small, 0);
+  EXPECT_LE(small, FoldArena::kTrimBytes);
+}
+
 TEST_F(QueryEngineTest, SmallCacheStillAnswersCorrectly) {
   // Capacity for only ~8 tuples: constant churn, answers must stay right.
   Reset(MakeSmallCube(), /*capacity=*/80);

@@ -232,13 +232,14 @@ TEST(RollupKernel, SparseInDenseEmitsOnlyTouchedCells) {
 TEST(RollupKernel, ArenaReuseIsCleanAcrossFolds) {
   TestCube cube = MakeFlatCube(64);
   const GroupById base = cube.lattice->base_id();
-  Aggregator agg(cube.grid.get());
+  FoldArena arena;
+  Aggregator agg(cube.grid.get(), &arena);
 
   std::vector<Cell> first(1);
   first[0].values = {10, 10};
   InitCellAggregates(first[0], 100.0);
   agg.AggregateCells(base, first, base, 0);
-  const int64_t capacity = agg.arena_dense_capacity();
+  const int64_t capacity = arena.dense_capacity();
   EXPECT_GE(capacity, 4096);
 
   // Second fold touches the same offset and different ones.
@@ -248,7 +249,7 @@ TEST(RollupKernel, ArenaReuseIsCleanAcrossFolds) {
   second[1].values = {0, 0};
   InitCellAggregates(second[1], 3.0);
   ChunkData out = agg.AggregateCells(base, second, base, 0);
-  EXPECT_EQ(agg.arena_dense_capacity(), capacity);  // recycled, not regrown
+  EXPECT_EQ(arena.dense_capacity(), capacity);  // recycled, not regrown
 
   CanonicalizeChunkData(2, &out);
   ASSERT_EQ(out.cells.size(), 2u);

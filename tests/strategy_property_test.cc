@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "core/esm.h"
+#include "core/executor.h"
 #include "core/memo_esmc.h"
 #include "core/query_engine.h"
 #include "core/vcm.h"

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
 #include "util/stats.h"
@@ -169,6 +170,15 @@ TEST(Stopwatch, ElapsedIsNonNegativeAndMonotone) {
   EXPECT_GE(b, a);
   w.Reset();
   EXPECT_GE(w.ElapsedNanos(), 0);
+}
+
+// The published 64-bit FNV-1a test vectors.
+TEST(Fnv1a, MatchesThePublishedVectors) {
+  EXPECT_EQ(Fnv1a("", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a("foobar", 6), 0x85944171f73967e8ULL);
+  // Continuing from a prefix's hash equals hashing the whole input.
+  EXPECT_EQ(Fnv1a("bar", 3, Fnv1a("foo", 3)), Fnv1a("foobar", 6));
 }
 
 TEST(TablePrinter, AlignsColumns) {

@@ -194,10 +194,6 @@ ANNOTATION_TABLE = [
     ("src/core/vcmc.h",
      r"RecomputeAndPropagate\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
      "VcmcStrategy::RecomputeAndPropagate must carry AAC_REQUIRES(mutex_)"),
-    # Engine pool.
-    ("src/core/concurrent_engine.h",
-     r"idle_\s+AAC_GUARDED_BY\(pool_mutex_\)",
-     "ConcurrentQueryEngine::idle_ must be AAC_GUARDED_BY(pool_mutex_)"),
     # Admission controller: every slot/queue counter mutates under the one
     # admission mutex; the capacity predicate assumes it is held.
     ("src/core/admission.h",
@@ -504,7 +500,9 @@ def check_intrinsics_confined():
 # total and pinned. Three layers:
 #   (a) the LockRank enum in src/util/lockdep.h must contain exactly the
 #       pinned (name, value) pairs below — renumbering or deleting a rank
-#       invalidates every recorded edge dump and the DESIGN.md §10 table;
+#       invalidates every recorded edge dump and the DESIGN.md §10 table —
+#       and no live rank may take a retired rank's value, so a deleted
+#       rank's number is never reused;
 #   (b) each known mutex member must be constructed with its pinned rank;
 #   (c) any Mutex/SharedMutex member declaration in src/ without a
 #       LockRank::... initializer is an undeclared lock — invisible to the
@@ -513,7 +511,6 @@ def check_intrinsics_confined():
 
 LOCK_RANK_ENUM = [
     ("kAdmission", 100),
-    ("kEnginePool", 200),
     ("kSingleFlightMap", 300),
     ("kSingleFlightSlot", 400),
     ("kCacheShard", 500),
@@ -528,11 +525,14 @@ LOCK_RANK_ENUM = [
     ("kMorselPool", 1600),
 ]
 
+# Values of deleted ranks. Append-only: a value here stays retired for good.
+RETIRED_LOCK_RANKS = [
+    ("kEnginePool", 200),  # ConcurrentQueryEngine's engine pool, deleted
+]
+
 LOCK_RANK_TABLE = [
     ("src/core/admission.h", r"mutex_\{LockRank::kAdmission,",
      "AdmissionController's mutex must declare LockRank::kAdmission"),
-    ("src/core/concurrent_engine.h", r"pool_mutex_\{LockRank::kEnginePool,",
-     "the engine pool mutex must declare LockRank::kEnginePool"),
     ("src/cache/single_flight.h", r"mutex\{LockRank::kSingleFlightSlot,",
      "SingleFlight::Slot::mutex must declare LockRank::kSingleFlightSlot"),
     ("src/cache/single_flight.h", r"mutex_\{LockRank::kSingleFlightMap,",
@@ -584,6 +584,14 @@ def check_lock_ranks():
                         f"LockRank::{name} = {value} missing from the pinned "
                         "enum — ranks are append-only; renumbering breaks "
                         "recorded edge dumps and DESIGN.md §10")
+        for name, value in RETIRED_LOCK_RANKS:
+            m = re.search(rf"\b(k\w+)\s*=\s*{value}\b", text)
+            if m:
+                finding(LOCKDEP_HEADER, text.count("\n", 0, m.start()) + 1,
+                        "R8-lock-rank",
+                        f"LockRank::{m.group(1)} = {value} reuses the value "
+                        f"of the retired rank {name} — a deleted rank's "
+                        "value is never reused; pick a new one")
 
     # (b) each known construction site declares its pinned rank.
     for rel, anchor, description in LOCK_RANK_TABLE:
