@@ -1,14 +1,18 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives the
 // lookup algorithms lean on: chunk-number mapping across levels, lattice
-// navigation, fact-table chunk scans and the measured chunk-size model's
-// construction. Not a paper experiment; used to keep the primitives' costs
-// in check.
+// navigation, fact-table chunk scans, the measured chunk-size model's
+// construction and the chunk codec the warm and disk tiers run. Not a paper
+// experiment; used to keep the primitives' costs in check.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "backend/backend.h"
 #include "storage/aggregator.h"
+#include "storage/chunk_codec.h"
 #include "storage/fact_table.h"
 #include "storage/measured_size_model.h"
 #include "util/rng.h"
@@ -140,6 +144,73 @@ void BM_MeasuredSizeModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeasuredSizeModel)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Every backend chunk of one fixed group-by over bench/e2e's data: level
+// {4,1,1,0,0}, 32 chunks of ~242 cells, the size of a spill chunk.
+const std::vector<ChunkData>& CodecChunks() {
+  static const std::vector<ChunkData>* chunks = [] {
+    DataGenConfig config;
+    config.num_tuples = 120'000;
+    config.dense_dim = 2;
+    config.seed = 1;
+    const FactTable table(&Cube().grid(),
+                          GenerateFactData(Cube().schema(), config));
+    BackendServer backend(&table, BackendCostModel(), /*clock=*/nullptr);
+    const GroupById gb = Cube().lattice().IdOf(LevelVector{4, 1, 1, 0, 0});
+    std::vector<ChunkId> ids(
+        static_cast<size_t>(Cube().grid().NumChunks(gb)));
+    for (size_t c = 0; c < ids.size(); ++c) ids[c] = static_cast<ChunkId>(c);
+    return new std::vector<ChunkData>(
+        backend.ExecuteChunkQuery(gb, ids).chunks);
+  }();
+  return *chunks;
+}
+
+int64_t CodecCells() {
+  int64_t cells = 0;
+  for (const ChunkData& data : CodecChunks()) cells += data.tuple_count();
+  return cells;
+}
+
+// Time per encoded cell, reported as per_cell.
+void BM_ChunkCodecEncode(benchmark::State& state) {
+  const int num_dims = Cube().schema().num_dims();
+  std::vector<uint8_t> blob;
+  for (auto _ : state) {
+    for (const ChunkData& data : CodecChunks()) {
+      EncodeChunk(num_dims, data, &blob);
+      benchmark::DoNotOptimize(blob.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.counters["per_cell"] = benchmark::Counter(
+      static_cast<double>(CodecCells()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ChunkCodecEncode);
+
+// Time per decoded cell, reported as per_cell.
+void BM_ChunkCodecDecode(benchmark::State& state) {
+  const int num_dims = Cube().schema().num_dims();
+  std::vector<std::vector<uint8_t>> blobs(CodecChunks().size());
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    EncodeChunk(num_dims, CodecChunks()[i], &blobs[i]);
+  }
+  ChunkData out;
+  for (auto _ : state) {
+    for (const std::vector<uint8_t>& blob : blobs) {
+      const bool ok = DecodeChunk(num_dims, blob.data(), blob.size(), &out);
+      benchmark::DoNotOptimize(ok);
+      benchmark::DoNotOptimize(out.cells.data());
+    }
+  }
+  state.counters["per_cell"] = benchmark::Counter(
+      static_cast<double>(CodecCells()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ChunkCodecDecode);
 
 }  // namespace
 }  // namespace aac

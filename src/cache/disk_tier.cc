@@ -6,7 +6,7 @@
 
 #include "cache/replacement.h"
 #include "util/check.h"
-#include "util/fnv1a.h"
+#include "util/word_checksum.h"
 
 namespace aac {
 namespace {
@@ -17,8 +17,10 @@ constexpr uint32_t kExtentMagic = 0x53434141;  // "AACS" little-endian
 constexpr double kCompactDeadFraction = 0.5;
 
 /// Fixed-size extent header. Written verbatim (packed, little-endian on
-/// every platform this repo targets); `header_fnv` covers every prior
-/// field so a torn header is detected before any length is trusted.
+/// every platform this repo targets); `header_sum` covers every prior
+/// field so a torn header is detected before any length is trusted. Both
+/// sums are WordChecksum, which is not a persisted format: Open truncates
+/// the file, so no extent outlives the process that wrote it.
 struct ExtentHeader {
   uint32_t magic = kExtentMagic;
   uint32_t pad0 = 0;  // explicit padding: every byte written is initialized
@@ -29,13 +31,13 @@ struct ExtentHeader {
   uint8_t source = 0;
   uint8_t pad1[3] = {0, 0, 0};
   uint32_t blob_len = 0;
-  uint64_t blob_fnv = 0;
-  uint64_t header_fnv = 0;
+  uint64_t blob_sum = 0;
+  uint64_t header_sum = 0;
 };
 static_assert(sizeof(ExtentHeader) == 64, "extent header must have no "
               "implicit padding (every written byte is initialized)");
 
-constexpr size_t kHeaderFnvCovered =
+constexpr size_t kHeaderSumCovered =
     sizeof(ExtentHeader) - sizeof(uint64_t);
 
 int64_t ExtentBytes(size_t blob_size) {
@@ -86,8 +88,8 @@ bool DiskTier::Admit(const CacheEntryInfo& info,
   header.benefit = info.benefit;
   header.source = static_cast<uint8_t>(info.source);
   header.blob_len = static_cast<uint32_t>(blob.size());
-  header.blob_fnv = Fnv1a(blob.data(), blob.size());
-  header.header_fnv = Fnv1a(&header, kHeaderFnvCovered);
+  header.blob_sum = WordChecksum(blob.data(), blob.size());
+  header.header_sum = WordChecksum(&header, kHeaderSumCovered);
 
   const int64_t offset = file_bytes_;
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
@@ -139,8 +141,7 @@ bool DiskTier::Read(const CacheKey& key, std::vector<uint8_t>* blob,
     // Validate the header against both its own checksum and the index —
     // a rebased or overwritten extent must not masquerade as this key.
     torn = header.magic != kExtentMagic ||
-           header.header_fnv !=
-               Fnv1a(&header, kHeaderFnvCovered) ||
+           header.header_sum != WordChecksum(&header, kHeaderSumCovered) ||
            header.gb != static_cast<int64_t>(key.gb) ||
            header.chunk != static_cast<int64_t>(key.chunk) ||
            static_cast<int64_t>(header.blob_len) != entry.blob_bytes;
@@ -150,7 +151,7 @@ bool DiskTier::Read(const CacheKey& key, std::vector<uint8_t>* blob,
     torn = (header.blob_len != 0 &&
             std::fread(blob->data(), 1, blob->size(), file_) !=
                 blob->size()) ||
-           header.blob_fnv != Fnv1a(blob->data(), blob->size());
+           header.blob_sum != WordChecksum(blob->data(), blob->size());
   }
   if (torn) {
     // Torn spill extent (crash mid-write, truncated or corrupted file):

@@ -34,8 +34,8 @@ struct DiskTierStats {
 ///
 /// Stores the warm tier's codec blobs verbatim — the payload stays
 /// compressed on disk — one framed extent per chunk, following the
-/// chunk_file idiom (magic, fixed header, FNV-1a checksums): each extent
-/// carries its own header checksum and payload checksum, so a torn write
+/// chunk_file idiom (magic, fixed header, checksums): each extent carries
+/// its own header and payload WordChecksum, so a torn write
 /// (crash mid-append, truncated file) is detected on read and treated as a
 /// plain miss — the index entry is dropped and the caller falls through to
 /// the backend. The in-memory index maps CacheKey -> file extent under a

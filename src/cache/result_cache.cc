@@ -39,13 +39,18 @@ namespace {
 // with exactly this predicate. Trimming is what makes dashboard-tile
 // entries small: a tile slicing 10% of each covering chunk stores 10% of
 // the bytes the chunk cache would re-copy on every repeat.
-std::vector<ChunkData> TrimToKey(const ResultCacheKey& key,
-                                 const std::vector<ChunkData>& chunks) {
+//
+// Returns false, as soon as the answer's logical bytes pass `max_bytes`,
+// with `*out` partly built: whole-level answers over the entry cap are
+// rejected without copying them.
+bool TrimToKey(const ResultCacheKey& key, const std::vector<ChunkData>& chunks,
+               int64_t bytes_per_tuple, double max_bytes, int64_t* bytes,
+               std::vector<ChunkData>* out) {
   const int nd = key.level.size();
-  std::vector<ChunkData> out;
-  out.reserve(chunks.size());
+  *bytes = 0;
+  out->reserve(chunks.size());
   for (const ChunkData& data : chunks) {
-    ChunkData trimmed;
+    ChunkData& trimmed = out->emplace_back();
     trimmed.gb = data.gb;
     trimmed.chunk = data.chunk;
     for (const Cell& cell : data.cells) {
@@ -58,11 +63,13 @@ std::vector<ChunkData> TrimToKey(const ResultCacheKey& key,
           break;
         }
       }
-      if (inside) trimmed.cells.push_back(cell);
+      if (!inside) continue;
+      *bytes += bytes_per_tuple;
+      if (static_cast<double>(*bytes) > max_bytes) return false;
+      trimmed.cells.push_back(cell);
     }
-    out.push_back(std::move(trimmed));
   }
-  return out;
+  return true;
 }
 
 }  // namespace
@@ -70,25 +77,28 @@ std::vector<ChunkData> TrimToKey(const ResultCacheKey& key,
 bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
                              const std::vector<ChunkData>& chunks,
                              double cost_tuples) {
-  std::vector<ChunkData> answer = TrimToKey(key, chunks);
+  // The cost bar is checked before anything is copied and the entry cap
+  // while trimming, so an oversized answer is copied only up to the cap.
+  std::vector<ChunkData> answer;
   int64_t bytes = 0;
+  if (cost_tuples < config_.min_admit_cost_tuples ||
+      !TrimToKey(key, chunks, config_.bytes_per_tuple,
+                 config_.max_entry_fraction *
+                     static_cast<double>(config_.capacity_bytes),
+                 &bytes, &answer)) {
+    MutexLock lock(mutex_);
+    ++stats_.rejected;
+    return entries_.count(key) > 0;
+  }
   std::vector<ChunkId> ids;
   ids.reserve(answer.size());
   for (const ChunkData& data : answer) {
     AAC_DCHECK_EQ(data.gb, gb);
-    bytes += data.LogicalBytes(config_.bytes_per_tuple);
     ids.push_back(data.chunk);
   }
   std::sort(ids.begin(), ids.end());
 
   MutexLock lock(mutex_);
-  if (cost_tuples < config_.min_admit_cost_tuples ||
-      static_cast<double>(bytes) >
-          config_.max_entry_fraction *
-              static_cast<double>(config_.capacity_bytes)) {
-    ++stats_.rejected;
-    return entries_.count(key) > 0;
-  }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Replace in place (e.g. re-admission after invalidation dropped the

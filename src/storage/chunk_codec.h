@@ -34,14 +34,26 @@ namespace aac {
 /// and the encoded size is bounded by raw + header.
 ///
 /// Blob layout (little-endian):
-///   u32 magic "AACZ" | u8 version | u8 flags (bit0 = stored raw)
+///   u32 magic "AACZ" | u8 version (2) | u8 flags (bit0 = stored raw)
 ///   | u8 num_dims | u8 reserved | i64 gb | i64 chunk
-///   | varint cell_count | payload | u64 FNV-1a over all preceding bytes
+///   | varint cell_count | payload
+///   | u64 WordChecksum (util/word_checksum.h) over all preceding bytes
+///
+/// Version 2 changed only the trailer (version 1 summed with FNV-1a); every
+/// payload byte is as it was. Blobs live no longer than their process (the
+/// warm tier holds them in RAM and the disk tier truncates its file on
+/// open), so no reader of version 1 remains.
 ///
 /// The trailing checksum makes truncation and corruption detection exact:
 /// DecodeChunk rejects any blob whose checksum does not match before
 /// parsing the payload, and every payload read is bounds-checked anyway
 /// (defense in depth — the decoder never trusts a length it read).
+///
+/// Both directions are single passes over raw pointers: the encoder writes
+/// header, payload and trailer into `*out` sized once from a worst-case
+/// bound, and finds byte-plane runs with 8-byte word compares; the decoder
+/// reads eight one-byte varints per word and reassembles the doubles
+/// eight at a time with an 8x8 byte transpose.
 struct EncodedChunkInfo {
   bool stored_raw = false;
   /// Payload bytes a stored-raw encoding would take (the codec's baseline:

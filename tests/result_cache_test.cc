@@ -102,6 +102,35 @@ TEST(ResultCacheTest, OversizedAnswersAreRejected) {
   EXPECT_TRUE(rc.ValidateInvariants());
 }
 
+// The entry cap applies to the trimmed answer: cells outside the key never
+// count against it, and one cell past it rejects the answer (admission
+// stops copying there).
+TEST(ResultCacheTest, EntryCapCountsOnlyTheTrimmedAnswer) {
+  ResultCache::Config config;
+  config.capacity_bytes = 1'000;
+  config.bytes_per_tuple = 10;
+  config.max_entry_fraction = 0.5;  // cap: 500 bytes = 50 cells
+  ResultCache rc(config);
+  // 80 cells = 800 bytes untrimmed; MakeChunk's cell i has values[0] = i.
+  const std::vector<ChunkData> wide{MakeChunk(1, 0, 80)};
+  ResultCacheKey fits = MakeKey(1);
+  fits.ranges[0] = {0, 50};
+  EXPECT_TRUE(rc.MaybeAdmit(fits, 1, wide, 1000.0));
+  EXPECT_EQ(rc.bytes_used(), 500);
+  ResultCacheKey over = MakeKey(2);
+  over.ranges[0] = {0, 51};
+  EXPECT_FALSE(rc.MaybeAdmit(over, 1, wide, 1000.0));
+  EXPECT_EQ(rc.num_entries(), 1u);
+  const ResultCacheStats stats = rc.stats();
+  EXPECT_EQ(stats.admitted, 1);
+  EXPECT_EQ(stats.rejected, 1);
+  std::vector<ChunkData> out;
+  ASSERT_TRUE(rc.Probe(fits, &out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].cells.size(), 50u);
+  EXPECT_TRUE(rc.ValidateInvariants());
+}
+
 TEST(ResultCacheTest, ClockEvictionMakesRoomAndKeepsAccounting) {
   ResultCache::Config config;
   config.capacity_bytes = 100;  // room for two 5-tuple answers at 10 B/tuple

@@ -11,6 +11,7 @@
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
+#include "util/word_checksum.h"
 #include "util/zipf.h"
 
 namespace aac {
@@ -179,6 +180,58 @@ TEST(Fnv1a, MatchesThePublishedVectors) {
   EXPECT_EQ(Fnv1a("foobar", 6), 0x85944171f73967e8ULL);
   // Continuing from a prefix's hash equals hashing the whole input.
   EXPECT_EQ(Fnv1a("bar", 3, Fnv1a("foo", 3)), Fnv1a("foobar", 6));
+}
+
+// Pinned sums: the codec trailer and the disk tier's extents use them, so
+// a change to the algorithm is a deliberate one.
+TEST(WordChecksum, MatchesPinnedValues) {
+  uint8_t ramp[64];
+  for (size_t i = 0; i < sizeof(ramp); ++i) ramp[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(WordChecksum("", 0), uint64_t{0x149aeec19b31d6cc});
+  EXPECT_EQ(WordChecksum("a", 1), uint64_t{0xfa799a44981f7cb});
+  EXPECT_EQ(WordChecksum("foobar", 6), uint64_t{0xf8ccc9ac4b22cf30});
+  EXPECT_EQ(WordChecksum(ramp, sizeof(ramp)), uint64_t{0x7e594110d995220c});
+  EXPECT_EQ(WordChecksum(ramp, 13), uint64_t{0x4f1e73bbc8e1a7ee});
+}
+
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(size);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextU64());
+  return bytes;
+}
+
+// Each step is a bijection of the state, so a flip inside any one word
+// must change the sum — every bit of a 64-byte and of a 3 KB buffer.
+TEST(WordChecksum, EverySingleBitFlipChangesTheSum) {
+  for (const size_t size : {size_t{64}, size_t{3072}}) {
+    std::vector<uint8_t> bytes = RandomBytes(size, size);
+    const uint64_t sum = WordChecksum(bytes.data(), bytes.size());
+    for (size_t i = 0; i < size; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        bytes[i] ^= static_cast<uint8_t>(1u << bit);
+        EXPECT_NE(WordChecksum(bytes.data(), bytes.size()), sum)
+            << size << " bytes, bit " << bit << " of byte " << i;
+        bytes[i] ^= static_cast<uint8_t>(1u << bit);
+      }
+    }
+  }
+}
+
+TEST(WordChecksum, EveryTruncationByOneToEightBytesChangesTheSum) {
+  for (const size_t size : {size_t{64}, size_t{3072}}) {
+    const std::vector<uint8_t> bytes = RandomBytes(size, size + 1);
+    const uint64_t sum = WordChecksum(bytes.data(), bytes.size());
+    for (size_t cut = 1; cut <= 8; ++cut) {
+      EXPECT_NE(WordChecksum(bytes.data(), size - cut), sum)
+          << size << " bytes cut by " << cut;
+    }
+  }
+  // Zero padding never aliases real zero bytes: the length is folded in.
+  const uint8_t zeros[8] = {};
+  for (size_t size = 0; size < 8; ++size) {
+    EXPECT_NE(WordChecksum(zeros, size), WordChecksum(zeros, size + 1));
+  }
 }
 
 TEST(TablePrinter, AlignsColumns) {

@@ -61,6 +61,12 @@ it enforces the invariants that keep the clang gate meaningful:
       deadline, once a second and every 2 ms under a cancel token — a
       hand-copied loop drifts from it (tests/lockdep_test.cc, which tests
       the primitive itself, is outside src/ and so exempt).
+  R10 Fnv1a( is called in src/ only by src/storage/chunk_file.cc (a
+      persisted format) and src/core/query_canon.cc (the result-cache key
+      digest), besides src/util/fnv1a.h, which defines it. Byte-serial
+      FNV-1a costs several times WordChecksum per byte; the chunk codec
+      and the disk tier sum every blob they touch with WordChecksum, and
+      this keeps FNV-1a from coming back onto that path.
 
 Exit status 0 with no output (beyond the summary) when clean; 1 with one
 line per finding otherwise.
@@ -640,6 +646,34 @@ def check_one_wait():
                 )
 
 
+# --------------------------------------------------------------------------
+# R10: FNV-1a stays off the tier path. Its two callers hash a persisted
+# format and the result-cache key; blobs are summed with WordChecksum.
+# --------------------------------------------------------------------------
+
+FNV_CALL = re.compile(r"\bFnv1a\s*\(")
+FNV_HEADER = REPO / "src" / "util" / "fnv1a.h"
+FNV_CALLERS = {
+    REPO / "src" / "storage" / "chunk_file.cc",
+    REPO / "src" / "core" / "query_canon.cc",
+}
+
+
+def check_fnv_callers():
+    for path in sorted((REPO / "src").rglob("*")):
+        if (path.suffix not in (".h", ".cc") or path == FNV_HEADER
+                or path in FNV_CALLERS):
+            continue
+        for lineno, code in source_lines(path):
+            if FNV_CALL.search(code):
+                finding(
+                    path, lineno, "R10-fnv-callers",
+                    "Fnv1a called outside src/storage/chunk_file.cc and "
+                    "src/core/query_canon.cc — sum tier blobs with "
+                    "WordChecksum (src/util/word_checksum.h)",
+                )
+
+
 def main():
     check_raw_locks()
     check_annotation_table()
@@ -650,6 +684,7 @@ def main():
     check_intrinsics_confined()
     check_lock_ranks()
     check_one_wait()
+    check_fnv_callers()
     if findings:
         for line in findings:
             print(line)
