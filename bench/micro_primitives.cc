@@ -1,16 +1,21 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives the
 // lookup algorithms lean on: chunk-number mapping across levels, lattice
-// navigation, fact-table chunk scans, the measured chunk-size model's
-// construction and the chunk codec the warm and disk tiers run. Not a paper
-// experiment; used to keep the primitives' costs in check.
+// navigation, fact-table chunk scans, the set-up every stack pays (the fact
+// table, the measured chunk-size model and VCMC over an empty cache) and
+// the chunk codec the warm and disk tiers run. Not a paper experiment; used
+// to keep the primitives' costs in check.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
+#include "cache/chunk_cache.h"
+#include "cache/replacement.h"
+#include "core/vcmc.h"
 #include "storage/aggregator.h"
 #include "storage/chunk_codec.h"
 #include "storage/fact_table.h"
@@ -18,6 +23,7 @@
 #include "util/rng.h"
 #include "workload/apb_schema.h"
 #include "workload/data_generator.h"
+#include "workload/web_schema.h"
 
 namespace aac {
 namespace {
@@ -125,37 +131,108 @@ void BM_AggregateBaseChunkToTop(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateBaseChunkToTop);
 
-// The measured model's construction over bench/e2e's data (APB-1, 120k
-// tuples, time-dense, seed 1), which every set-up pays. Real time, since
-// the constructor counts on every core.
-void BM_MeasuredSizeModel(benchmark::State& state) {
+// bench/e2e's data: APB-1, 120k tuples, time-dense, seed 1.
+std::vector<Cell> TimeDenseCells() {
+  DataGenConfig config;
+  config.num_tuples = 120'000;
+  config.dense_dim = 2;
+  config.seed = 1;
+  return GenerateFactData(Cube().schema(), config);
+}
+
+const FactTable& TimeDenseTable() {
+  static const FactTable* table = new FactTable(&Cube().grid(),
+                                                TimeDenseCells());
+  return *table;
+}
+
+// APB-1 and the web cube at 120k tuples, every dimension drawn
+// independently: little collapses when a level rolls up.
+const FactTable& UniformTable() {
   static const FactTable* table = [] {
     DataGenConfig config;
     config.num_tuples = 120'000;
-    config.dense_dim = 2;
     config.seed = 1;
     return new FactTable(&Cube().grid(),
                          GenerateFactData(Cube().schema(), config));
   }();
-  const GroupById top = Cube().lattice().top_id();
+  return *table;
+}
+
+const FactTable& WebTable() {
+  static const FactTable* table = [] {
+    static const WebCube* web = new WebCube();
+    DataGenConfig config;
+    config.num_tuples = 120'000;
+    config.seed = 1;
+    return new FactTable(&web->grid(),
+                         GenerateFactData(web->schema(), config));
+  }();
+  return *table;
+}
+
+// The measured model's construction, which every set-up pays. Real time,
+// since the constructor counts on every core. Reports the group-bys kept as
+// counting sources and the source cells read.
+void BM_MeasuredSizeModel(benchmark::State& state,
+                          const FactTable& (*data)()) {
+  const FactTable& table = data();
+  const ChunkGrid& grid = table.grid();
+  MeasuredChunkSizeModel::CountStats stats;
   for (auto _ : state) {
-    const MeasuredChunkSizeModel model(&Cube().grid(), table);
-    benchmark::DoNotOptimize(model.ExpectedGroupByTuples(top));
+    const MeasuredChunkSizeModel model(&grid, &table);
+    benchmark::DoNotOptimize(
+        model.ExpectedGroupByTuples(grid.lattice().top_id()));
+    stats = model.count_stats();
+  }
+  state.counters["kept_groupbys"] = static_cast<double>(stats.kept_groupbys);
+  state.counters["visits"] = static_cast<double>(stats.visits);
+}
+BENCHMARK_CAPTURE(BM_MeasuredSizeModel, time_dense, &TimeDenseTable)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_MeasuredSizeModel, uniform, &UniformTable)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_MeasuredSizeModel, web, &WebTable)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The fact table's construction from bench/e2e's generated cells; the copy
+// the constructor consumes is made outside the timing.
+void BM_FactTableBuild(benchmark::State& state) {
+  static const std::vector<Cell>* cells =
+      new std::vector<Cell>(TimeDenseCells());
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Cell> copy = *cells;
+    state.ResumeTiming();
+    const FactTable table(&Cube().grid(), std::move(copy));
+    benchmark::DoNotOptimize(table.tuples().data());
   }
 }
-BENCHMARK(BM_MeasuredSizeModel)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_FactTableBuild)->Unit(benchmark::kMillisecond);
+
+// VCMC's construction over an empty cache and bench/e2e's measured sizes,
+// as every set-up builds it.
+void BM_VcmcConstructEmpty(benchmark::State& state) {
+  static const MeasuredChunkSizeModel* sizes =
+      new MeasuredChunkSizeModel(&Cube().grid(), &TimeDenseTable());
+  TwoLevelPolicy policy;
+  const ChunkCache cache(int64_t{1} << 30, 20, &policy, 16);
+  for (auto _ : state) {
+    const VcmcStrategy vcmc(&Cube().grid(), &cache, sizes);
+    benchmark::DoNotOptimize(vcmc.CostOf(Cube().lattice().top_id(), 0));
+  }
+}
+BENCHMARK(BM_VcmcConstructEmpty)->Unit(benchmark::kMicrosecond);
 
 // Every backend chunk of one fixed group-by over bench/e2e's data: level
 // {4,1,1,0,0}, 32 chunks of ~242 cells, the size of a spill chunk.
 const std::vector<ChunkData>& CodecChunks() {
   static const std::vector<ChunkData>* chunks = [] {
-    DataGenConfig config;
-    config.num_tuples = 120'000;
-    config.dense_dim = 2;
-    config.seed = 1;
-    const FactTable table(&Cube().grid(),
-                          GenerateFactData(Cube().schema(), config));
-    BackendServer backend(&table, BackendCostModel(), /*clock=*/nullptr);
+    BackendServer backend(&TimeDenseTable(), BackendCostModel(),
+                          /*clock=*/nullptr);
     const GroupById gb = Cube().lattice().IdOf(LevelVector{4, 1, 1, 0, 0});
     std::vector<ChunkId> ids(
         static_cast<size_t>(Cube().grid().NumChunks(gb)));

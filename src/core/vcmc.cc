@@ -158,19 +158,34 @@ VcmcStrategy::ComputeCostsFromScratch() const {
   std::vector<double> costs(static_cast<size_t>(indexer_.size()), kInf);
   std::vector<int8_t> parents(static_cast<size_t>(indexer_.size()), kNone);
   const Lattice& lattice = grid_->lattice();
+  // One pass over the cache marks the cached chunks and the group-bys that
+  // hold one.
+  std::vector<uint8_t> holds_cached(
+      static_cast<size_t>(lattice.num_groupbys()), 0);
+  cache_->ForEach([&](const CacheEntryInfo& info) {
+    const size_t idx =
+        static_cast<size_t>(indexer_.IndexOf(info.key.gb, info.key.chunk));
+    costs[idx] = 0.0;
+    parents[idx] = kSelf;
+    holds_cached[static_cast<size_t>(info.key.gb)] = 1;
+  });
   // Detailed levels first so parent costs are final before they are read.
+  // A group-by that holds no cached chunk and has no parent with a finite
+  // cost has no finite cost either: its chunks stay kInf / kNone.
+  std::vector<uint8_t> has_finite(static_cast<size_t>(lattice.num_groupbys()),
+                                  0);
   for (GroupById gb : lattice.TopoDetailedFirst()) {
+    const auto& gb_parents = lattice.Parents(gb);
+    bool finite = holds_cached[static_cast<size_t>(gb)] != 0;
+    bool reachable = finite;
+    for (GroupById parent : gb_parents) {
+      reachable = reachable || has_finite[static_cast<size_t>(parent)] != 0;
+    }
+    if (!reachable) continue;
     for (ChunkId chunk = 0; chunk < grid_->NumChunks(gb); ++chunk) {
-      // Evaluate() only reads strictly more detailed entries of costs_, so
-      // a temporary swap lets us reuse it; instead we inline the same logic
-      // against the local arrays.
+      // The same evaluation as Evaluate(), against the local arrays.
       const size_t idx = static_cast<size_t>(indexer_.IndexOf(gb, chunk));
-      if (cache_->Contains({gb, chunk})) {
-        costs[idx] = 0.0;
-        parents[idx] = kSelf;
-        continue;
-      }
-      const auto& gb_parents = lattice.Parents(gb);
+      if (parents[idx] == kSelf) continue;
       for (size_t pi = 0; pi < gb_parents.size(); ++pi) {
         double sum = 0.0;
         const bool complete = grid_->ForEachParentChunk(
@@ -187,7 +202,9 @@ VcmcStrategy::ComputeCostsFromScratch() const {
           parents[idx] = static_cast<int8_t>(pi);
         }
       }
+      finite = finite || costs[idx] != kInf;
     }
+    has_finite[static_cast<size_t>(gb)] = finite ? 1 : 0;
   }
   return {std::move(costs), std::move(parents)};
 }

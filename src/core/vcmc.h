@@ -77,8 +77,12 @@ class VcmcStrategy : public LookupStrategy, public CacheListener {
 
   /// From-scratch recomputation of (cost, best parent) for every chunk, in
   /// topological order; the incremental maintenance must agree (tested).
-  /// Reads the cache directly, without taking mutex_ — construction-time
-  /// seeding and quiesced-cache test oracles only (hence the opt-out).
+  /// One `ChunkCache::ForEach` pass marks the cached chunks; a group-by
+  /// that holds none and has no parent with a finite cost is skipped, its
+  /// chunks left at kInf / kNone, so over an empty cache the walk touches
+  /// no chunk. Reads the cache directly, without taking mutex_ —
+  /// construction-time seeding and quiesced-cache test oracles only (hence
+  /// the opt-out).
   std::pair<std::vector<double>, std::vector<int8_t>> ComputeCostsFromScratch()
       const AAC_NO_THREAD_SAFETY_ANALYSIS;
 

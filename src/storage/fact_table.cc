@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <utility>
 
 #include "storage/chunk_data.h"
@@ -86,39 +87,93 @@ std::vector<ChunkId> FactTable::ApplyInserts(std::vector<Cell> cells) {
 }
 
 void FactTable::Rebuild() {
-  const int nd = grid_->schema().num_dims();
+  const Schema& schema = grid_->schema();
+  const int nd = schema.num_dims();
+  const size_t n = tuples_.size();
+  AAC_CHECK_LE(n, size_t{UINT32_MAX});
 
-  // Combine duplicate cells (one tuple per non-empty cell).
-  std::sort(tuples_.begin(), tuples_.end(), CellValueLess{nd});
-  size_t out = 0;
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    if (out > 0 && !CellValueLess{nd}(tuples_[out - 1], tuples_[i]) &&
-        !CellValueLess{nd}(tuples_[i], tuples_[out - 1])) {
-      MergeCellAggregates(tuples_[out - 1], tuples_[i]);
-    } else {
-      tuples_[out++] = tuples_[i];
+  // Per dimension and base value, the value's share of its cell's base
+  // chunk number: chunk numbers are row-major, so a cell's is the sum of its
+  // values' shares. A cell's key is its row-major number among all base
+  // cells, so keys order cells as CellValueLess does and are equal exactly
+  // for equal cells.
+  std::array<std::vector<uint32_t>, kMaxDims> chunk_part;
+  std::array<int64_t, kMaxDims> radix{};
+  int64_t cells = 1;
+  const int64_t nchunks = grid_->NumChunks(base_gb_);
+  AAC_CHECK_LE(nchunks, int64_t{UINT32_MAX});
+  for (int d = nd - 1; d >= 0; --d) {
+    const auto k = static_cast<size_t>(d);
+    const int level = schema.base_level()[d];
+    const int64_t card = schema.dimension(d).cardinality(level);
+    radix[k] = cells;
+    AAC_CHECK(!__builtin_mul_overflow(cells, card, &cells));
+    chunk_part[k].resize(static_cast<size_t>(card));
+    ChunkCoords coords{};
+    for (int32_t v = 0; v < card; ++v) {
+      coords[k] = grid_->layout(d).ChunkOfValue(level, v);
+      chunk_part[k][static_cast<size_t>(v)] =
+          static_cast<uint32_t>(grid_->ChunkIdOf(base_gb_, coords));
     }
   }
-  tuples_.resize(out);
+  const auto key_of = [&](const Cell& cell) {
+    int64_t key = 0;
+    for (int d = 0; d < nd; ++d) {
+      key += cell.values[static_cast<size_t>(d)] * radix[static_cast<size_t>(d)];
+    }
+    return key;
+  };
 
-  // Cluster by base chunk number (stable within a chunk: value order).
-  // Chunk numbers are precomputed once and the clustering is done with a
-  // counting sort, so building a table of millions of tuples stays linear.
-  const int64_t nchunks = grid_->NumChunks(base_gb_);
-  std::vector<ChunkId> keys(tuples_.size());
+  // Cluster the positions by base chunk number with a counting sort, which
+  // keeps each chunk's cells in input order.
+  std::vector<uint32_t> chunks(n);
+  std::vector<int64_t> begin(static_cast<size_t>(nchunks) + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t chunk = 0;
+    for (int d = 0; d < nd; ++d) {
+      const auto k = static_cast<size_t>(d);
+      chunk += chunk_part[k][static_cast<size_t>(tuples_[i].values[k])];
+    }
+    chunks[i] = chunk;
+    ++begin[static_cast<size_t>(chunk) + 1];
+  }
+  for (size_t c = 1; c < begin.size(); ++c) begin[c] += begin[c - 1];
+  std::vector<uint32_t> order(n);
+  std::vector<int64_t> next(begin.begin(), begin.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    order[static_cast<size_t>(next[chunks[i]]++)] = static_cast<uint32_t>(i);
+  }
+
+  // Sort each chunk's cells by key, ties in input order (a stable sort by
+  // value), and copy them out in that order, merging each duplicate into the
+  // cell before it: duplicates merge in input order, and the table holds one
+  // tuple per non-empty cell.
+  struct Keyed {
+    int64_t key;
+    uint32_t index;  // into tuples_
+  };
+  std::vector<Keyed> keyed;  // one chunk's cells
+  std::vector<Cell> clustered;
+  clustered.reserve(n);
   chunk_offsets_.assign(static_cast<size_t>(nchunks) + 1, 0);
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    keys[i] = grid_->ChunkOfCell(base_gb_, tuples_[i].values.data());
-    ++chunk_offsets_[static_cast<size_t>(keys[i]) + 1];
-  }
-  for (size_t i = 1; i < chunk_offsets_.size(); ++i) {
-    chunk_offsets_[i] += chunk_offsets_[i - 1];
-  }
-  std::vector<Cell> clustered(tuples_.size());
-  std::vector<int64_t> next(chunk_offsets_.begin(), chunk_offsets_.end() - 1);
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    clustered[static_cast<size_t>(next[static_cast<size_t>(keys[i])]++)] =
-        tuples_[i];
+  for (size_t c = 0; c < static_cast<size_t>(nchunks); ++c) {
+    keyed.clear();
+    for (int64_t k = begin[c]; k < begin[c + 1]; ++k) {
+      const uint32_t i = order[static_cast<size_t>(k)];
+      keyed.push_back({key_of(tuples_[i]), i});
+    }
+    std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+      return a.key != b.key ? a.key < b.key : a.index < b.index;
+    });
+    for (size_t k = 0; k < keyed.size(); ++k) {
+      const Cell& cell = tuples_[keyed[k].index];
+      if (k > 0 && keyed[k].key == keyed[k - 1].key) {
+        MergeCellAggregates(clustered.back(), cell);
+      } else {
+        clustered.push_back(cell);
+      }
+    }
+    chunk_offsets_[c + 1] = static_cast<int64_t>(clustered.size());
   }
   tuples_ = std::move(clustered);
 }

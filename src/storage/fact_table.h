@@ -17,10 +17,12 @@ namespace aac {
 class FactTable {
  public:
   /// Builds the table from raw base-level cells. Duplicate cells (same value
-  /// ids) are combined by merging their aggregate state, so the table holds
-  /// one tuple per non-empty cell. Every value id must lie in
-  /// `[0, base cardinality)` of its dimension; the constructor and
-  /// `ApplyInserts` abort on any other. `grid` must outlive the table.
+  /// ids) are combined by merging their aggregate state in input order, so
+  /// the table holds one tuple per non-empty cell. Every value id must lie
+  /// in `[0, base cardinality)` of its dimension; the constructor and
+  /// `ApplyInserts` abort on any other. The constructor also aborts if the
+  /// base level's cell count does not fit in int64_t. `grid` must outlive
+  /// the table.
   FactTable(const ChunkGrid* grid, std::vector<Cell> cells);
 
   /// Merges new fact tuples into the clustered order: the batch alone is
@@ -53,7 +55,10 @@ class FactTable {
   std::span<const Cell> tuples() const { return tuples_; }
 
  private:
-  /// Dedups `tuples_` and builds the clustered layout (construction only).
+  /// Dedups `tuples_` and builds the clustered layout (construction only):
+  /// clusters the cells by base chunk with a counting sort, then sorts each
+  /// chunk's cells by value, ties in input order, and merges equal cells
+  /// there. Nothing is sorted across chunks.
   void Rebuild();
 
   const ChunkGrid* grid_;

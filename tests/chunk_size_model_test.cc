@@ -11,6 +11,7 @@
 #include "storage/fact_table.h"
 #include "storage/measured_size_model.h"
 #include "test_util.h"
+#include "util/fnv1a.h"
 #include "workload/apb_schema.h"
 #include "workload/data_generator.h"
 #include "workload/web_schema.h"
@@ -292,6 +293,69 @@ TEST(MeasuredChunkSizeModel, ChunksOver2To24CellsMatchOracle) {
   }
   const FactTable table(&grid, std::move(cells));
   ExpectMeasuredMatchesOracle(grid, table);
+}
+
+// A digest of every count of `model`: each group-by's count, then its
+// chunks' counts, as int64_t, group-by by group-by.
+uint64_t CountsDigest(const MeasuredChunkSizeModel& model,
+                      const ChunkGrid& grid) {
+  uint64_t digest = kFnv1aOffsetBasis;
+  for (GroupById gb = 0; gb < grid.lattice().num_groupbys(); ++gb) {
+    const auto total = static_cast<int64_t>(model.ExpectedGroupByTuples(gb));
+    digest = Fnv1a(&total, sizeof(total), digest);
+    for (ChunkId c = 0; c < grid.NumChunks(gb); ++c) {
+      const auto n = static_cast<int64_t>(model.ExpectedChunkTuples(gb, c));
+      digest = Fnv1a(&n, sizeof(n), digest);
+    }
+  }
+  return digest;
+}
+
+FactTable BenchScaleTable(const ApbCube& cube, int dense_dim, uint64_t seed) {
+  DataGenConfig data;
+  data.num_tuples = 120'000;
+  data.dense_dim = dense_dim;
+  data.seed = seed;
+  return FactTable(&cube.grid(), GenerateFactData(cube.schema(), data));
+}
+
+// APB-1 at bench scale, where the brute-force oracle is too slow: every
+// count is pinned by a digest computed by counting each group-by from the
+// fact table. Counting keeps group-bys on all three data sets, and on the
+// time-dense ones most of the counting reads kept cells.
+TEST(MeasuredChunkSizeModel, BenchScaleCountsPinned) {
+  struct Pin {
+    int dense_dim;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const ApbCube cube;
+  for (const Pin& pin : {Pin{2, 1, 0xb21ad34dcf1608a6ULL},
+                         Pin{2, 7, 0x2753d6ffde5d5995ULL},
+                         Pin{-1, 1, 0x6158a63d3f9bb359ULL}}) {
+    SCOPED_TRACE(testing::Message() << "dense_dim " << pin.dense_dim
+                                    << " seed " << pin.seed);
+    const FactTable table = BenchScaleTable(cube, pin.dense_dim, pin.seed);
+    const MeasuredChunkSizeModel model(&cube.grid(), &table);
+    EXPECT_EQ(CountsDigest(model, cube.grid()), pin.digest);
+  }
+}
+
+TEST(MeasuredChunkSizeModel, TimeDenseCountKeepsGroupBysWithinBudget) {
+  // bench/e2e's data: the group-bys that roll time up collapse, so some are
+  // kept, the kept cells fill most of the budget of one table, and counting
+  // reads less than half of what counting every group-by from the table
+  // reads.
+  const ApbCube cube;
+  const FactTable table = BenchScaleTable(cube, 2, 1);
+  const MeasuredChunkSizeModel model(&cube.grid(), &table);
+  const MeasuredChunkSizeModel::CountStats& stats = model.count_stats();
+  EXPECT_GT(stats.kept_groupbys, 0);
+  EXPECT_LE(stats.kept_cells, table.num_tuples());
+  EXPECT_GT(stats.kept_cells, table.num_tuples() / 2);
+  const int64_t from_table =
+      (cube.lattice().num_groupbys() - 1) * table.num_tuples();
+  EXPECT_LT(stats.visits, from_table / 2);
 }
 
 TEST(MeasuredChunkSizeModel, ConcurrentConstructionsAgree) {

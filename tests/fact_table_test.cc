@@ -7,6 +7,7 @@
 
 #include "storage/fact_table.h"
 #include "test_util.h"
+#include "util/fnv1a.h"
 #include "workload/apb_schema.h"
 #include "workload/data_generator.h"
 
@@ -78,6 +79,36 @@ TEST(FactTable, MeasureSumPreserved) {
   double got = 0;
   for (const Cell& c : table.tuples()) got += c.measure;
   EXPECT_NEAR(got, expected, 1e-9);
+}
+
+// bench/e2e's data (APB-1, 120k tuples, time-dense, seed 1), pinned: a
+// digest of every tuple's value ids and aggregate state in table order, and
+// one of every base chunk's offset. The pins come from a build that sorted
+// every cell at once rather than chunk by chunk, so they check that both
+// orders give the same table.
+TEST(FactTable, BenchScaleTablePinned) {
+  const ApbCube cube;
+  DataGenConfig data;
+  data.num_tuples = 120'000;
+  data.dense_dim = 2;
+  data.seed = 1;
+  const FactTable table(&cube.grid(), GenerateFactData(cube.schema(), data));
+  uint64_t tuples = kFnv1aOffsetBasis;
+  for (const Cell& c : table.tuples()) {
+    tuples = Fnv1a(c.values.data(), sizeof(c.values), tuples);
+    tuples = Fnv1a(&c.measure, sizeof(c.measure), tuples);
+    tuples = Fnv1a(&c.count, sizeof(c.count), tuples);
+    tuples = Fnv1a(&c.min, sizeof(c.min), tuples);
+    tuples = Fnv1a(&c.max, sizeof(c.max), tuples);
+  }
+  uint64_t offsets = kFnv1aOffsetBasis;
+  for (ChunkId c = 0; c < table.num_chunks(); ++c) {
+    const int64_t first = table.ChunkSlice(c).data() - table.tuples().data();
+    offsets = Fnv1a(&first, sizeof(first), offsets);
+  }
+  EXPECT_EQ(table.num_tuples(), 120000);
+  EXPECT_EQ(tuples, 0x53d8d98bbfb6601dULL);
+  EXPECT_EQ(offsets, 0xd60ac4b725fc05ceULL);
 }
 
 // Fact values are range-checked where they enter: a value outside its

@@ -255,5 +255,42 @@ TEST(Vcmc, CostDropsWhenCheaperLevelArrives) {
   ExpectBestParentsMatchScratch(env, vcmc);
 }
 
+TEST(Vcmc, ScratchMatchesInsertsOfOneMidLatticeGroupBy) {
+  // Only the chunks of one mid-lattice group-by are cached. The from-scratch
+  // walk skips every group-by that holds no cached chunk and has no parent
+  // with a finite cost; it must still equal the arrays the listener built
+  // by inserting those chunks one at a time.
+  TestEnv env = MakeTestEnv(MakeThreeDimCube(), 0.5, 11, kBigCache);
+  VcmcStrategy vcmc(env.cube.grid.get(), env.cache.get(),
+                    env.size_model.get());
+  env.cache->AddListener(vcmc.listener());
+  const Lattice& lat = env.lattice();
+  const GroupById mid = lat.IdOf(LevelVector{1, 1, 0});
+  ASSERT_NE(mid, lat.base_id());
+  ASSERT_NE(mid, lat.top_id());
+  for (ChunkId c = 0; c < env.grid().NumChunks(mid); ++c) {
+    CacheChunkFromBackend(env, mid, c);
+  }
+  const auto [costs, parents] = vcmc.ComputeCostsFromScratch();
+  for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
+    // Every chunk of the group-by's descendants is computable from it;
+    // nothing else is.
+    const bool below = lat.IsAncestor(gb, mid);
+    for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
+      const size_t idx = OracleIndex(env, gb, c);
+      EXPECT_EQ(costs[idx], vcmc.CostOf(gb, c))
+          << lat.LevelOf(gb).ToString() << "#" << c;
+      EXPECT_EQ(parents[idx], vcmc.BestParentOf(gb, c))
+          << lat.LevelOf(gb).ToString() << "#" << c;
+      if (below) {
+        EXPECT_NE(costs[idx], kInf) << lat.LevelOf(gb).ToString() << "#" << c;
+      } else {
+        EXPECT_EQ(costs[idx], kInf) << lat.LevelOf(gb).ToString() << "#" << c;
+        EXPECT_EQ(parents[idx], VcmcStrategy::kNone);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aac
