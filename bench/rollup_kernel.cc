@@ -1,40 +1,25 @@
-// Rollup-kernel microbenchmark: pre-PR kernel vs the RollupPlan kernel.
-//
-// The "old" side is a faithful replica of the kernel before precomputed
-// ancestor-offset tables landed: per cell it walks the dimension hierarchy
-// level by level (Dimension::ParentValue in a loop, AAC_CHECK per step),
-// zeroes fresh dense State arrays per call, sweeps every target cell on
-// emit, and hashes through std::unordered_map on the sparse path. The
-// "new" side is Aggregator::AggregateSpans (plan cache + fold arena).
-//
-// Cases: dense multi-level rollups (uniform and non-uniform hierarchies),
-// a sparse rollup into a large mostly-empty chunk, and a 1..8 source-span
-// sweep. On top of the old-vs-new comparison, every case also measures the
-// forced scalar vs forced vector fold kernel (the SIMD dispatch seam) and a
-// 1/2/4/8-morsel-lane sweep through a MorselPool — all variants are checked
-// bit-identical against each other, always. Results (ns/tuple and speedups)
+// Rollup-kernel microbenchmark: Aggregator::AggregateSpans (plan cache +
+// fold arena) over dense multi-level rollups (uniform and non-uniform
+// hierarchies), a dense scatter into a 64k-cell chunk, a sparse rollup into
+// a large mostly-empty chunk, and a 1..8 source-span sweep. Every case is
+// timed with the default kernel and with the fold forced onto the scalar
+// and the vector kernel (the SIMD dispatch seam); the two forced folds are
+// checked bit-identical, always. Results (ns/tuple and the SIMD speedup)
 // are printed and written to BENCH_rollup.json (override with --out PATH;
 // AAC_BENCH_ROLLUP_REPS rescales). --smoke runs tiny sizes, verifies the
-// identities, additionally asserts the vector kernel beats scalar by >= 1.5x
+// identity, additionally asserts the vector kernel beats scalar by >= 1.5x
 // on the best dense case (skipped — not failed — without AVX2 or under a
 // sanitizer, where instrumentation swamps the kernel), and writes no file
 // unless --out is given — tools/check.sh kernel-simd and bench-smoke run
 // exactly that.
-//
-// Caveat for committed numbers: on a single-core container the morsel-lane
-// columns measure oversubscription (lanes time-slice one core), not
-// scaling; the JSON records hardware_concurrency so readers can tell.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/support.h"
@@ -45,156 +30,11 @@
 #include "storage/aggregator.h"
 #include "storage/chunk_data.h"
 #include "storage/fold_kernel.h"
-#include "storage/morsel_pool.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace aac::bench {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Pre-PR kernel replica.
-// ---------------------------------------------------------------------------
-
-struct OldTargetChunkShape {
-  int num_dims = 0;
-  std::array<int32_t, kMaxDims> range_begin{};
-  std::array<int64_t, kMaxDims> stride{};
-  std::array<int32_t, kMaxDims> width{};
-  int64_t cells = 1;
-
-  static OldTargetChunkShape Make(const ChunkGrid& grid, GroupById gb,
-                                  ChunkId chunk) {
-    OldTargetChunkShape s;
-    const LevelVector& lv = grid.lattice().LevelOf(gb);
-    const ChunkCoords coords = grid.CoordsOf(gb, chunk);
-    s.num_dims = grid.schema().num_dims();
-    for (int d = s.num_dims - 1; d >= 0; --d) {
-      auto [vb, ve] =
-          grid.layout(d).ValueRange(lv[d], coords[static_cast<size_t>(d)]);
-      s.range_begin[static_cast<size_t>(d)] = vb;
-      s.width[static_cast<size_t>(d)] = ve - vb;
-      s.stride[static_cast<size_t>(d)] = s.cells;
-      s.cells *= ve - vb;
-    }
-    return s;
-  }
-
-  int64_t OffsetOf(const int32_t* values) const {
-    int64_t off = 0;
-    for (int d = 0; d < num_dims; ++d) {
-      const int32_t rel = values[d] - range_begin[static_cast<size_t>(d)];
-      AAC_CHECK(rel >= 0 && rel < width[static_cast<size_t>(d)]);
-      off += rel * stride[static_cast<size_t>(d)];
-    }
-    return off;
-  }
-
-  void ValuesOf(int64_t offset, int32_t* values) const {
-    for (int d = 0; d < num_dims; ++d) {
-      values[d] = range_begin[static_cast<size_t>(d)] +
-                  static_cast<int32_t>(offset / stride[static_cast<size_t>(d)]);
-      offset %= stride[static_cast<size_t>(d)];
-    }
-  }
-};
-
-constexpr int64_t kDenseCellLimit = int64_t{1} << 22;
-
-ChunkData OldAggregateSpans(const ChunkGrid& grid, GroupById from,
-                            const std::vector<std::span<const Cell>>& spans,
-                            GroupById to, ChunkId chunk) {
-  const Schema& schema = grid.schema();
-  const Lattice& lattice = grid.lattice();
-  const LevelVector& from_lv = lattice.LevelOf(from);
-  const LevelVector& to_lv = lattice.LevelOf(to);
-  const int nd = schema.num_dims();
-  const OldTargetChunkShape shape = OldTargetChunkShape::Make(grid, to, chunk);
-
-  ChunkData out;
-  out.gb = to;
-  out.chunk = chunk;
-  std::vector<Cell>* accumulator = &out.cells;
-
-  // The pre-PR per-cell hierarchy walk: AncestorValue was a ParentValue
-  // loop, one guarded vector lookup per level step.
-  auto map_cell = [&](const Cell& c, std::array<int32_t, kMaxDims>* mapped) {
-    for (int d = 0; d < nd; ++d) {
-      const Dimension& dim = schema.dimension(d);
-      int32_t v = c.values[static_cast<size_t>(d)];
-      for (int l = from_lv[d]; l > to_lv[d]; --l) v = dim.ParentValue(l, v);
-      (*mapped)[static_cast<size_t>(d)] = v;
-    }
-  };
-
-  int64_t incoming = 0;
-  for (const auto& span : spans) incoming += static_cast<int64_t>(span.size());
-
-  const bool use_dense =
-      shape.cells <= kDenseCellLimit &&
-      (shape.cells <= 4096 || shape.cells <= 4 * incoming);
-  struct State {
-    double sum = 0.0;
-    int64_t count = 0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-    void Merge(const Cell& c) {
-      sum += c.measure;
-      count += c.count;
-      if (c.min < min) min = c.min;
-      if (c.max > max) max = c.max;
-    }
-  };
-  auto emit = [&shape](int64_t off, const State& s, std::vector<Cell>* dst) {
-    Cell cell;
-    shape.ValuesOf(off, cell.values.data());
-    cell.measure = s.sum;
-    cell.count = s.count;
-    cell.min = s.min;
-    cell.max = s.max;
-    dst->push_back(cell);
-  };
-
-  if (use_dense) {
-    // Fresh multi-MB buffers, zeroed per call — the allocation churn the
-    // fold arena removes.
-    std::vector<State> states(static_cast<size_t>(shape.cells));
-    std::vector<uint8_t> occupied(static_cast<size_t>(shape.cells), 0);
-    std::array<int32_t, kMaxDims> mapped{};
-    for (const auto& span : spans) {
-      for (const Cell& c : span) {
-        map_cell(c, &mapped);
-        const int64_t off = shape.OffsetOf(mapped.data());
-        states[static_cast<size_t>(off)].Merge(c);
-        occupied[static_cast<size_t>(off)] = 1;
-      }
-    }
-    accumulator->clear();
-    // Full sweep over every target cell, occupied or not.
-    for (int64_t off = 0; off < shape.cells; ++off) {
-      if (!occupied[static_cast<size_t>(off)]) continue;
-      emit(off, states[static_cast<size_t>(off)], accumulator);
-    }
-  } else {
-    std::unordered_map<int64_t, State> states;
-    states.reserve(static_cast<size_t>(incoming));
-    std::array<int32_t, kMaxDims> mapped{};
-    for (const auto& span : spans) {
-      for (const Cell& c : span) {
-        map_cell(c, &mapped);
-        states[shape.OffsetOf(mapped.data())].Merge(c);
-      }
-    }
-    accumulator->clear();
-    accumulator->reserve(states.size());
-    for (const auto& [off, state] : states) emit(off, state, accumulator);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Bench harness.
-// ---------------------------------------------------------------------------
 
 struct Cube {
   std::unique_ptr<Schema> schema;
@@ -257,19 +97,13 @@ std::vector<std::span<const Cell>> AsSpans(
   return out;
 }
 
-// Morsel-lane sweep points (lane 1 = serial, lane N = caller + N-1 helpers).
-constexpr std::array<int, 4> kLaneSweep = {1, 2, 4, 8};
-
 struct CaseResult {
   std::string name;
   std::string path;  // "dense" or "sparse" (which fold path the case hits)
   int num_spans = 0;
   int64_t tuples = 0;
   int64_t target_cells = 0;
-  double old_ns_per_tuple = 0.0;
-  double new_ns_per_tuple = 0.0;
-  double speedup = 0.0;
-  bool identical = false;
+  double new_ns_per_tuple = 0.0;  // default kernel
 
   // SIMD dispatch seam: the same fold forced onto each kernel. The sparse
   // path ignores the setting (it is always scalar), so simd_speedup is only
@@ -278,13 +112,6 @@ struct CaseResult {
   double vector_ns_per_tuple = 0.0;
   double simd_speedup = 0.0;
   bool simd_identical = false;
-
-  // Morsel-lane sweep (default kernel): ns/tuple at 1/2/4/8 lanes. Lanes
-  // only engage on the dense path; sparse cases report serial numbers for
-  // every column.
-  std::array<double, kLaneSweep.size()> lane_ns_per_tuple{};
-  std::array<int, kLaneSweep.size()> lanes_used{};
-  bool morsel_identical = false;
 };
 
 double MedianNanos(std::vector<int64_t>& samples) {
@@ -299,23 +126,14 @@ CaseResult RunCase(const std::string& name, const Cube& cube, GroupById from,
   int64_t tuples = 0;
   for (const auto& s : spans) tuples += static_cast<int64_t>(s.size());
 
-  // New kernel: one aggregator for the whole case, as in the engine
-  // (plan cached after the first call, arena recycled).
+  // One aggregator for the whole case, as in the engine (plan cached after
+  // the first call, arena recycled).
   Aggregator agg(cube.grid.get());
-  ChunkData new_out;
   std::vector<int64_t> new_ns;
   for (int r = 0; r < reps + 1; ++r) {
     Stopwatch sw;
-    new_out = agg.AggregateSpans(from, views, to, chunk);
+    agg.AggregateSpans(from, views, to, chunk);
     if (r > 0) new_ns.push_back(sw.ElapsedNanos());  // rep 0 = warmup
-  }
-
-  ChunkData old_out;
-  std::vector<int64_t> old_ns;
-  for (int r = 0; r < reps + 1; ++r) {
-    Stopwatch sw;
-    old_out = OldAggregateSpans(*cube.grid, from, views, to, chunk);
-    if (r > 0) old_ns.push_back(sw.ElapsedNanos());
   }
 
   CaseResult res;
@@ -324,12 +142,7 @@ CaseResult RunCase(const std::string& name, const Cube& cube, GroupById from,
   res.num_spans = static_cast<int>(spans.size());
   res.tuples = tuples;
   res.target_cells = agg.last_fold().shape_cells;
-  res.old_ns_per_tuple = MedianNanos(old_ns) / static_cast<double>(tuples);
   res.new_ns_per_tuple = MedianNanos(new_ns) / static_cast<double>(tuples);
-  res.speedup = res.old_ns_per_tuple / res.new_ns_per_tuple;
-  res.identical =
-      ChunkDataEquals(cube.schema->num_dims(), &old_out, &new_out, 0.0);
-  const int nd = cube.schema->num_dims();
 
   // Forced-kernel comparison across the dispatch seam.
   auto time_kernel = [&](FoldKernelKind kind, ChunkData* out) {
@@ -347,32 +160,8 @@ CaseResult RunCase(const std::string& name, const Cube& cube, GroupById from,
   res.scalar_ns_per_tuple = time_kernel(FoldKernelKind::kScalar, &scalar_out);
   res.vector_ns_per_tuple = time_kernel(FoldKernelKind::kVector, &vector_out);
   res.simd_speedup = res.scalar_ns_per_tuple / res.vector_ns_per_tuple;
-  res.simd_identical = ChunkDataEquals(nd, &scalar_out, &vector_out, 0.0);
-
-  // Morsel-lane sweep (default kernel, thresholds lowered so every dense
-  // fold is eligible; sparse folds simply never consult the pool).
-  res.morsel_identical = true;
-  for (size_t li = 0; li < kLaneSweep.size(); ++li) {
-    const int lanes = kLaneSweep[li];
-    std::unique_ptr<MorselPool> pool;
-    Aggregator lane_agg(cube.grid.get());
-    if (lanes > 1) {
-      pool = std::make_unique<MorselPool>(lanes - 1);
-      lane_agg.set_morsel_pool(pool.get());
-      pool->set_min_cells(1);
-    }
-    ChunkData lane_out;
-    std::vector<int64_t> ns;
-    for (int r = 0; r < reps + 1; ++r) {
-      Stopwatch sw;
-      lane_out = lane_agg.AggregateSpans(from, views, to, chunk);
-      if (r > 0) ns.push_back(sw.ElapsedNanos());
-    }
-    res.lane_ns_per_tuple[li] = MedianNanos(ns) / static_cast<double>(tuples);
-    res.lanes_used[li] = lane_agg.last_fold().morsel_lanes;
-    res.morsel_identical =
-        res.morsel_identical && ChunkDataEquals(nd, &lane_out, &new_out, 0.0);
-  }
+  res.simd_identical = ChunkDataEquals(cube.schema->num_dims(), &scalar_out,
+                                       &vector_out, 0.0);
   return res;
 }
 
@@ -398,8 +187,8 @@ int Main(int argc, char** argv) {
   std::vector<CaseResult> results;
 
   // Dense multi-level rollup, uniform hierarchy: 3 dims of 5 levels
-  // (fanout 2: cards 4..64), base level folded 3 levels up. The per-cell
-  // cost the plan removes is 9 ParentValue walks per tuple.
+  // (fanout 2: cards 4..64), base level folded 3 levels up: 9 hierarchy
+  // steps per tuple, one plan-table load per dimension.
   {
     Cube cube = MakeCube([] {
       std::vector<Dimension> dims;
@@ -458,8 +247,7 @@ int Main(int argc, char** argv) {
   // base chunk (64k cells, ~2 MB of fold states). The state array blows the
   // L1 budget, so the scalar kernel stalls on every scattered merge; the
   // vector kernel computes 8 offsets per batch and prefetches their states
-  // before merging, overlapping the misses — the case the SIMD seam is for
-  // (and the shape the morsel path splits across lanes in production).
+  // before merging, overlapping the misses — the case the SIMD seam is for.
   {
     Cube cube = MakeCube([] {
       std::vector<Dimension> dims;
@@ -474,7 +262,7 @@ int Main(int argc, char** argv) {
   }
 
   // Sparse rollup: one level up into a 32^3-cell chunk with few tuples —
-  // the old kernel's unordered_map path vs the flat open-addressing table.
+  // the flat open-addressing table's path.
   {
     Cube cube = MakeCube([] {
       std::vector<Dimension> dims;
@@ -512,43 +300,28 @@ int Main(int argc, char** argv) {
   }
 
   // Report.
-  std::printf(
-      "%-28s %-7s %6s %9s %11s %12s %12s %8s %5s\n", "case", "path", "spans",
-      "tuples", "cells", "old_ns/tup", "new_ns/tup", "speedup", "same");
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+  std::printf("kernel dispatch: default=%s, avx2=%s, hw_threads=%u\n",
+              FoldKernelName(DefaultFoldKernel()),
+              VectorFoldKernelSupported() ? "yes" : "no", hw_threads);
+  std::printf("%-28s %-7s %6s %9s %11s %12s %12s %12s %7s %5s\n", "case",
+              "path", "spans", "tuples", "cells", "new_ns/tup", "scalar_ns/t",
+              "vector_ns/t", "simd_x", "same");
   bool all_identical = true;
   for (const CaseResult& r : results) {
-    all_identical =
-        all_identical && r.identical && r.simd_identical && r.morsel_identical;
-    std::printf("%-28s %-7s %6d %9lld %11lld %12.2f %12.2f %7.2fx %5s\n",
+    all_identical = all_identical && r.simd_identical;
+    std::printf("%-28s %-7s %6d %9lld %11lld %12.2f %12.2f %12.2f %6.2fx %5s\n",
                 r.name.c_str(), r.path.c_str(), r.num_spans,
                 static_cast<long long>(r.tuples),
-                static_cast<long long>(r.target_cells), r.old_ns_per_tuple,
-                r.new_ns_per_tuple, r.speedup, r.identical ? "yes" : "NO");
-  }
-
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  std::printf("\nkernel dispatch: default=%s, avx2=%s, hw_threads=%u%s\n",
-              FoldKernelName(DefaultFoldKernel()),
-              VectorFoldKernelSupported() ? "yes" : "no", hw_threads,
-              hw_threads <= 1 ? " (single core: morsel columns measure "
-                                "oversubscription, not scaling)"
-                              : "");
-  std::printf("%-28s %12s %12s %7s  %10s %10s %10s %10s %5s\n", "case",
-              "scalar_ns/t", "vector_ns/t", "simd_x", "1-lane", "2-lane",
-              "4-lane", "8-lane", "same");
-  for (const CaseResult& r : results) {
-    std::printf(
-        "%-28s %12.2f %12.2f %6.2fx  %10.2f %10.2f %10.2f %10.2f %5s\n",
-        r.name.c_str(), r.scalar_ns_per_tuple, r.vector_ns_per_tuple,
-        r.simd_speedup, r.lane_ns_per_tuple[0], r.lane_ns_per_tuple[1],
-        r.lane_ns_per_tuple[2], r.lane_ns_per_tuple[3],
-        r.simd_identical && r.morsel_identical ? "yes" : "NO");
+                static_cast<long long>(r.target_cells), r.new_ns_per_tuple,
+                r.scalar_ns_per_tuple, r.vector_ns_per_tuple, r.simd_speedup,
+                r.simd_identical ? "yes" : "NO");
   }
 
   if (!all_identical) {
     std::fprintf(stderr,
-                 "FAIL: kernel variants disagree on at least one case "
-                 "(old/new, scalar/vector, or morsel lanes)\n");
+                 "FAIL: scalar and vector kernels disagree on at least one "
+                 "case\n");
     return 1;
   }
 
@@ -597,11 +370,6 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"avx2\": %s,\n",
                  VectorFoldKernelSupported() ? "true" : "false");
     std::fprintf(f, "  \"hardware_threads\": %u,\n", hw_threads);
-    if (hw_threads <= 1) {
-      std::fprintf(f,
-                   "  \"note\": \"single-core host: morsel-lane columns "
-                   "measure oversubscription, not scaling\",\n");
-    }
     std::fprintf(f, "  \"cases\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const CaseResult& r = results[i];
@@ -609,20 +377,14 @@ int Main(int argc, char** argv) {
           f,
           "    {\"case\": \"%s\", \"path\": \"%s\", \"spans\": %d, "
           "\"tuples\": %lld, \"target_cells\": %lld, "
-          "\"old_ns_per_tuple\": %.2f, \"new_ns_per_tuple\": %.2f, "
-          "\"speedup\": %.2f, \"identical\": %s,\n"
+          "\"new_ns_per_tuple\": %.2f,\n"
           "     \"scalar_ns_per_tuple\": %.2f, \"vector_ns_per_tuple\": %.2f, "
-          "\"simd_speedup\": %.2f, \"simd_identical\": %s,\n"
-          "     \"morsel_ns_per_tuple\": {\"1\": %.2f, \"2\": %.2f, "
-          "\"4\": %.2f, \"8\": %.2f}, \"morsel_identical\": %s}%s\n",
+          "\"simd_speedup\": %.2f, \"simd_identical\": %s}%s\n",
           r.name.c_str(), r.path.c_str(), r.num_spans,
           static_cast<long long>(r.tuples),
-          static_cast<long long>(r.target_cells), r.old_ns_per_tuple,
-          r.new_ns_per_tuple, r.speedup, r.identical ? "true" : "false",
+          static_cast<long long>(r.target_cells), r.new_ns_per_tuple,
           r.scalar_ns_per_tuple, r.vector_ns_per_tuple, r.simd_speedup,
-          r.simd_identical ? "true" : "false", r.lane_ns_per_tuple[0],
-          r.lane_ns_per_tuple[1], r.lane_ns_per_tuple[2],
-          r.lane_ns_per_tuple[3], r.morsel_identical ? "true" : "false",
+          r.simd_identical ? "true" : "false",
           i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -79,13 +79,6 @@ bool ChunkCache::Contains(const CacheKey& key) const {
   return shard.entries.count(key) > 0;
 }
 
-const ChunkData* ChunkCache::Get(const CacheKey& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mutex);
-  const Entry* entry = Use(shard, key);
-  return entry == nullptr ? nullptr : &entry->data;
-}
-
 const ChunkData* ChunkCache::Peek(const CacheKey& key) const {
   const Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);

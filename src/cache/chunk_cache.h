@@ -78,10 +78,10 @@ class DemotionSink {
 /// key; every shard has its own mutex, entry map, CLOCK rings and byte
 /// budget (capacity/num_shards each), so operations on different shards
 /// never contend. All mutating and reading member functions are safe to
-/// call from multiple threads. The raw-pointer accessors `Get` and `Peek`
-/// remain for single-threaded callers (the pointer is released outside the
-/// lock); concurrent readers must use `GetCopy` or `GetPinned`, whose
-/// results stay valid by copy or by pin respectively. Listeners fire while
+/// call from multiple threads. The raw-pointer accessor `Peek` remains for
+/// single-threaded callers (the pointer is released outside the lock);
+/// concurrent readers must use `GetCopy` or `GetPinned`, whose results
+/// stay valid by copy or by pin respectively. Listeners fire while
 /// the affected shard's lock is held (see CacheListener's contract). The
 /// default of one shard preserves the exact global eviction order of the
 /// serial cache; experiments that care about replacement fidelity use it,
@@ -124,14 +124,10 @@ class ChunkCache {
   /// not count as a hit or miss.
   bool Contains(const CacheKey& key) const;
 
-  /// Returns the cached chunk and refreshes its clock value, or nullptr.
-  /// Counts a hit or miss. Single-threaded use only: the pointer is valid
-  /// until the entry is evicted or replaced, which a concurrent writer may
-  /// do at any time — concurrent readers use GetCopy or GetPinned.
-  const ChunkData* Get(const CacheKey& key);
-
   /// Returns the cached chunk without touching replacement state or stats.
-  /// Same single-threaded pointer caveat as Get.
+  /// Single-threaded use only: the pointer is valid until the entry is
+  /// evicted or replaced, which a concurrent writer may do at any time —
+  /// concurrent readers use GetCopy or GetPinned.
   const ChunkData* Peek(const CacheKey& key) const;
 
   /// Copies the cached chunk into `*out` under the shard lock; returns
@@ -192,7 +188,7 @@ class ChunkCache {
 
   /// Calls `fn` for every entry, in unspecified order. The entry infos are
   /// snapshotted shard by shard first and `fn` runs without any lock held,
-  /// so the callback may call back into the cache (Peek, Get, ...).
+  /// so the callback may call back into the cache (Peek, GetCopy, ...).
   void ForEach(const std::function<void(const CacheEntryInfo&)>& fn) const;
 
   /// Exhaustive structural self-check: per shard, bytes_used equals the sum

@@ -13,12 +13,8 @@ ConcurrentQueryEngine::ConcurrentQueryEngine(EngineFactory factory) {
   AAC_CHECK(engine_ != nullptr);
 }
 
-void ConcurrentQueryEngine::ConfigureMorsels(int num_helpers) {
+void ConcurrentQueryEngine::ConfigureMorsels(int /*num_helpers*/) {
   AAC_CHECK_EQ(queries_executed(), 0);  // configure before the first query
-  AAC_CHECK(morsel_pool_ == nullptr);   // the engine cannot detach a pool
-  if (num_helpers == 0) return;
-  morsel_pool_ = std::make_unique<MorselPool>(num_helpers);
-  engine_->Attach({.morsel_pool = morsel_pool_.get()});
 }
 
 void ConcurrentQueryEngine::ConfigureAdmission(const AdmissionConfig& config) {

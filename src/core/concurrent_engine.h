@@ -8,10 +8,22 @@
 
 #include "core/admission.h"
 #include "core/query_engine.h"
-#include "storage/morsel_pool.h"
 #include "util/deadline.h"
 
 namespace aac {
+
+/// Stub of the deleted morsel helper pool. Folds run on the calling thread;
+/// nothing here holds a thread or any state. bench/e2e still calls
+/// ConfigureMorsels and reads morsel_pool()'s stats, so the three names
+/// stay until the next benchmark change drops those calls (ROADMAP item
+/// 2); the change after it deletes the stub.
+struct MorselPool {
+  struct Stats {
+    int64_t parallel_runs = 0;
+    int64_t serial_runs = 0;
+  };
+  Stats stats() const { return {}; }
+};
 
 /// Admission control in front of one QueryEngine that every thread shares.
 ///
@@ -76,15 +88,12 @@ class ConcurrentQueryEngine {
   /// the same tier as the hot cache's demotion sink.
   void set_warm_tier(WarmTier* warm_tier);
 
-  /// Creates a MorselPool of `num_helpers` helper threads and attaches it
-  /// to the engine: large dense folds go morsel-parallel across idle
-  /// helpers (opportunistic borrow, batch-class cap — see
-  /// Aggregator::set_morsel_pool). Call at most once, before the first
-  /// query; 0 creates no pool.
+  /// Part of the MorselPool stub: creates nothing, and like every setter
+  /// aborts after the first query.
   void ConfigureMorsels(int num_helpers);
 
-  /// The shared morsel pool, or nullptr when not configured.
-  MorselPool* morsel_pool() { return morsel_pool_.get(); }
+  /// Part of the MorselPool stub: always nullptr.
+  MorselPool* morsel_pool() { return nullptr; }
 
   /// Queries admitted so far (thread-safe).
   int64_t queries_executed() const {
@@ -94,7 +103,6 @@ class ConcurrentQueryEngine {
  private:
   std::unique_ptr<QueryEngine> engine_;
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<MorselPool> morsel_pool_;
   // Handed to every admission controller for breaker-open shedding.
   CircuitBreaker* shared_breaker_ = nullptr;
   std::atomic<int64_t> queries_executed_{0};

@@ -1,6 +1,5 @@
 #include "core/executor.h"
 
-#include <algorithm>
 #include <deque>
 #include <utility>
 
@@ -71,8 +70,6 @@ ChunkData PlanExecutor::ExecuteNode(const PlanNode& node,
   }
   ChunkData out = aggregator_->Aggregate(node.source_gb, sources, node.key.gb,
                                          node.key.chunk);
-  result->fold_lanes =
-      std::max(result->fold_lanes, aggregator_->last_fold().morsel_lanes);
   if (aggregator_->last_fold_cancelled()) {
     result->cancelled = true;
     *ok = false;

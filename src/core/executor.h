@@ -33,10 +33,6 @@ struct ExecutionResult {
   /// lookup + fold + emit), a subset of the query's aggregation phase.
   int64_t fold_ns = 0;
 
-  /// Peak morsel lanes any single fold of the plan ran on (1 = every fold
-  /// was serial; > 1 means the kernel borrowed pool helpers).
-  int fold_lanes = 1;
-
   /// The distinct cached chunks the plan read; the two-level policy boosts
   /// this group's clock values (paper Section 6.3, rule 2).
   std::vector<CacheKey> cached_inputs;

@@ -121,7 +121,6 @@ void QueryEngine::Attach(const EngineLayers& layers) {
   attach(layers_.breaker, layers.breaker);
   attach(layers_.result_cache, layers.result_cache);
   attach(layers_.warm_tier, layers.warm_tier);
-  attach(layers_.morsel_pool, layers.morsel_pool);
 }
 
 std::vector<QueryEngine::ChunkRoute> QueryEngine::RouteChunks(
@@ -418,7 +417,6 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   // the abort are bit-identical to an uncancelled run's.
   Aggregator aggregator(grid_);
   aggregator.set_plan_cache(&plan_cache_);
-  aggregator.set_morsel_pool(layers_.morsel_pool);
   aggregator.set_exec_context(ctx);
   PlanExecutor executor(grid_, cache_, &aggregator);
   bool aborted = false;
@@ -463,7 +461,6 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     }
     s.tuples_aggregated += exec.tuples_aggregated;
     s.fold_ns += exec.fold_ns;
-    s.fold_lanes = std::max(s.fold_lanes, exec.fold_lanes);
     computed.push_back(ComputedInfo{results.size(), exec.tuples_aggregated,
                                     std::move(exec.cached_inputs)});
     results.push_back(std::move(exec.data));

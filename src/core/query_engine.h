@@ -23,8 +23,6 @@
 
 namespace aac {
 
-class MorselPool;
-
 /// How completely a query was answered.
 enum class ResultStatus {
   /// Every requested chunk answered with a healthy backend path.
@@ -117,9 +115,6 @@ struct QueryCounters {
 /// complete-hit query time into lookup, aggregation and update): the
 /// summable counters plus this query's outcome.
 struct QueryStats : QueryCounters {
-  int fold_lanes = 1;  // peak morsel lanes any single fold ran on (> 1 =
-                       // borrowed pool helpers)
-
   /// Why the backend phase stopped early, if it did.
   FetchAbortReason fetch_abort = FetchAbortReason::kNone;
   ResultStatus status = ResultStatus::kOk;
@@ -172,9 +167,6 @@ struct EngineLayers {
   /// probed even while the breaker is open, so a dark backend degrades to
   /// warm-tier-carried service instead of unavailability.
   WarmTier* warm_tier = nullptr;
-  /// Helper threads that large dense folds borrow for morsel-parallel
-  /// execution (see Aggregator::set_morsel_pool).
-  MorselPool* morsel_pool = nullptr;
 };
 
 /// The middle tier: answers chunked multi-dimensional queries from an

@@ -1,7 +1,6 @@
 #ifndef AAC_STORAGE_AGGREGATOR_H_
 #define AAC_STORAGE_AGGREGATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -14,8 +13,6 @@
 #include "util/deadline.h"
 
 namespace aac {
-
-class MorselPool;
 
 /// Rolls chunk contents up the hierarchy: aggregates cells at a detailed
 /// group-by into one chunk of a more aggregated group-by.
@@ -108,36 +105,17 @@ class Aggregator {
   void set_fold_kernel(FoldKernelKind kind) { fold_kernel_ = kind; }
   FoldKernelKind fold_kernel() const { return fold_kernel_; }
 
-  /// Attaches the shared helper pool for morsel-parallel dense folds (null
-  /// = always fold serially). The pool must outlive the aggregator.
-  /// Dense folds of at least MorselPool::min_cells() incoming cells borrow
-  /// helpers opportunistically — never waiting for one — and batch-class
-  /// queries (exec context) may take at most half of them, so a big batch
-  /// rollup cannot starve interactive folds.
-  void set_morsel_pool(MorselPool* pool) { morsel_pool_ = pool; }
-
   /// Debug/test introspection of the most recent fold.
   struct FoldInfo {
     bool used_dense = false;
-    int64_t shape_cells = 0;      // target chunk capacity
-    int64_t cells_touched = 0;    // distinct target cells written
-    int64_t emit_iterations = 0;  // emit-loop iterations (== cells_touched;
-                                  // the dense emit no longer sweeps
-                                  // shape_cells)
-    int morsel_lanes = 1;         // lanes the fold actually ran on
+    int64_t shape_cells = 0;    // target chunk capacity
+    int64_t cells_touched = 0;  // distinct target cells written (the emit
+                                // visits only these, never shape_cells)
     FoldKernelKind kernel = FoldKernelKind::kScalar;  // dense kernel used
   };
   const FoldInfo& last_fold() const { return last_fold_; }
 
  private:
-  /// Outcome of folding one target-offset window (one lane's work).
-  struct WindowFoldOutcome {
-    bool completed = true;
-    int64_t tuples_scanned = 0;  // span cells scanned by this lane
-    int64_t cells_touched = 0;   // distinct offsets in [lo, hi) written
-    int64_t cancel_checks = 0;   // checkpoints this lane evaluated
-  };
-
   /// Folds all spans into the accumulator. Returns false when a
   /// cancellation checkpoint fired mid-fold; the accumulator is then empty
   /// and the arena has been wiped. Updates tuples_processed_ with the span
@@ -146,30 +124,12 @@ class Aggregator {
                  const std::vector<std::span<const Cell>>& spans,
                  std::vector<Cell>* accumulator);
 
-  /// Dense fold of `acc_cells` + `spans` restricted to target offsets in
-  /// [lo, hi), into `arena`, emitting the window's cells in offset order
-  /// into *out. Thread-compatible: reads only shared immutable inputs plus
-  /// exec_context_ (whose ShouldAbort is safe for concurrent readers) and
-  /// writes only `arena`/`out`, so concurrent calls on disjoint arenas are
-  /// race-free. On abort (context fired or *shared_abort set by another
-  /// lane) the arena is wiped, *out is cleared, shared_abort is raised and
-  /// completed = false.
-  WindowFoldOutcome FoldDenseWindow(const RollupPlan& plan,
-                                    const std::vector<Cell>& acc_cells,
-                                    const std::vector<std::span<const Cell>>& spans,
-                                    FoldArena& arena, int64_t lo, int64_t hi,
-                                    std::atomic<bool>* shared_abort,
-                                    std::vector<Cell>* out) const;
-
-  /// The morsel-parallel dense fold: partitions [0, plan.cells) across the
-  /// caller plus up to `max_helpers` idle pool helpers. Each lane scans
-  /// every source cell and merges only its own window, so every target
-  /// cell sees the full sequential merge order — bit-identical to the
-  /// serial fold for any lane count (DESIGN.md §13).
-  bool FoldSpansDenseParallel(const RollupPlan& plan,
-                              const std::vector<std::span<const Cell>>& spans,
-                              FoldArena& arena, std::vector<Cell>* accumulator,
-                              int max_helpers);
+  /// FoldSpans' dense path: folds the accumulator's cells, then `spans`,
+  /// into the arena's dense buffers for the whole target chunk, and emits
+  /// the touched cells in offset order back into *accumulator.
+  bool FoldDense(const RollupPlan& plan,
+                 const std::vector<std::span<const Cell>>& spans,
+                 FoldArena& arena, std::vector<Cell>* accumulator);
 
   /// One cancellation checkpoint: true = abort the fold now.
   bool CancelCheckpoint() {
@@ -184,7 +144,6 @@ class Aggregator {
   FoldArena* arena_;  // null: the calling thread's
   FoldInfo last_fold_;
   const ExecContext* exec_context_ = nullptr;
-  MorselPool* morsel_pool_ = nullptr;
   FoldKernelKind fold_kernel_ = DefaultFoldKernel();
   bool last_fold_cancelled_ = false;
   int64_t cancel_checks_ = 0;

@@ -146,6 +146,21 @@ bool ChunkFileReader::Open(const std::string& path, int expected_dims) {
                  path.c_str());
     return false;
   }
+  // Bound both counts by the bytes after the header before allocating from
+  // them: a corrupt count must fail Open, not throw bad_alloc or overflow.
+  const long header_end = std::ftell(file_);
+  ok = header_end >= 0 && std::fseek(file_, 0, SEEK_END) == 0;
+  const int64_t body_bytes = ok ? std::ftell(file_) - header_end : -1;
+  ok = ok && std::fseek(file_, header_end, SEEK_SET) == 0;
+  const auto entry_bytes = static_cast<int64_t>(sizeof(int64_t));
+  const auto tuple_bytes = static_cast<int64_t>(WireTupleSize(expected_dims));
+  if (!ok || num_chunks_ >= body_bytes / entry_bytes ||
+      num_tuples_ > (body_bytes - (num_chunks_ + 1) * entry_bytes) /
+                        tuple_bytes) {
+    std::fprintf(stderr, "chunk_file: %s is shorter than its header says\n",
+                 path.c_str());
+    return false;
+  }
   num_dims_ = static_cast<int>(dims);
   offsets_.resize(static_cast<size_t>(num_chunks_) + 1);
   ok = std::fread(offsets_.data(), sizeof(int64_t), offsets_.size(), file_) ==

@@ -14,17 +14,6 @@ namespace aac {
 
 namespace {
 
-inline void MergeIntoWindow(const DenseFoldWindow& w, int64_t off,
-                            const Cell& c) {
-  if (off < w.lo || off >= w.hi) return;
-  const size_t local = static_cast<size_t>(off - w.lo);
-  if (!w.occupied[local]) {
-    w.occupied[local] = 1;
-    w.touched->push_back(static_cast<int64_t>(local));
-  }
-  w.states[local].Merge(c);
-}
-
 inline int64_t OffsetOf(const RollupPlan& plan, const Cell& c,
                         bool at_source_level) {
   return at_source_level ? plan.SourceOffsetOf(c.values.data())
@@ -32,9 +21,18 @@ inline int64_t OffsetOf(const RollupPlan& plan, const Cell& c,
 }
 
 void FoldCellsScalar(const RollupPlan& plan, const Cell* cells, size_t n,
-                     bool at_source_level, const DenseFoldWindow& w) {
+                     bool at_source_level, FoldArena& arena) {
+  FoldState* states = arena.dense_states();
+  uint8_t* occupied = arena.dense_occupied();
+  std::vector<int64_t>& touched = arena.touched();
   for (size_t i = 0; i < n; ++i) {
-    MergeIntoWindow(w, OffsetOf(plan, cells[i], at_source_level), cells[i]);
+    const int64_t off = OffsetOf(plan, cells[i], at_source_level);
+    AAC_DCHECK(off >= 0 && off < plan.cells);
+    if (!occupied[off]) {
+      occupied[off] = 1;
+      touched.push_back(off);
+    }
+    states[off].Merge(cells[i]);
   }
 }
 
@@ -87,20 +85,16 @@ __attribute__((target("avx2"))) inline void MergeStateAvx2(FoldState* s,
 // SourceOffsetOf are skipped here; the same invariant was proven for every
 // table entry when the plan was built.
 //
-// Two-phase structure: `touched` only ever records window-local offsets of
-// THIS window and each offset exactly once, so touched->size() == window
-// size means every in-window state is already occupied. From that point on
-// the occupied test and the touched push are dead code and are dropped; the
-// [lo, hi) bounds test is additionally dropped when the window covers the
-// whole chunk (every plan-table offset is a valid offset < plan.cells, so
-// nothing can land outside). Morsel lanes fold through partial windows and
-// keep the bounds test in both phases. Merges run cell by cell in source
-// order in every phase, so the fold stays bit-identical to the scalar
-// kernel.
+// Two-phase structure: `touched` records each target offset exactly once,
+// so touched.size() == plan.cells means every state is already occupied.
+// From that point on the occupied test and the touched push are dead code
+// and are dropped. No phase tests bounds: every plan-table offset is a
+// valid offset < plan.cells, so nothing can land outside the chunk. Merges
+// run cell by cell in source order in every phase, so the fold stays
+// bit-identical to the scalar kernel.
 template <int ND, bool kAtSource>
 __attribute__((target("avx2"))) void FoldCellsAvx2Impl(
-    const RollupPlan& plan, const Cell* cells, size_t n,
-    const DenseFoldWindow& w) {
+    const RollupPlan& plan, const Cell* cells, size_t n, FoldArena& arena) {
   const int32_t* table[ND];
   int32_t begin[ND];
   int32_t stride[ND];
@@ -128,71 +122,66 @@ __attribute__((target("avx2"))) void FoldCellsAvx2Impl(
     return off;
   };
 
-  // Phase 1: full checks while untouched window cells remain.
-  const size_t window = static_cast<size_t>(w.hi - w.lo);
+  FoldState* states = arena.dense_states();
+  uint8_t* occupied = arena.dense_occupied();
+  std::vector<int64_t>& touched = arena.touched();
+
+  // Phase 1: occupancy checks while untouched target cells remain.
+  const size_t cells_in_chunk = static_cast<size_t>(plan.cells);
   size_t i = 0;
-  for (; i < n && w.touched->size() < window; ++i) {
+  for (; i < n && touched.size() < cells_in_chunk; ++i) {
     const int64_t off = offset_of(cells[i]);
-    if (off < w.lo || off >= w.hi) continue;
-    const size_t local = static_cast<size_t>(off - w.lo);
-    if (!w.occupied[local]) {
-      w.occupied[local] = 1;
-      w.touched->push_back(static_cast<int64_t>(local));
+    AAC_DCHECK(off >= 0 && off < plan.cells);
+    if (!occupied[off]) {
+      occupied[off] = 1;
+      touched.push_back(off);
     }
-    MergeStateAvx2(&w.states[local], cells[i]);
+    MergeStateAvx2(&states[off], cells[i]);
   }
 
-  // Phase 2: the window is saturated. Offsets for 8 cells are computed
-  // ahead of their merges so the state loads of a whole batch issue early.
-  if (w.lo == 0 && w.hi == plan.cells) {
-    int32_t offs[8];
-    for (; i + 8 <= n; i += 8) {
-      for (int k = 0; k < 8; ++k) {
-        offs[k] = static_cast<int32_t>(offset_of(cells[i + k]));
-      }
-      for (int k = 0; k < 8; ++k) {
-        MergeStateAvx2(&w.states[offs[k]], cells[i + k]);
-      }
+  // Phase 2: the chunk is saturated. Offsets for 8 cells are computed ahead
+  // of their merges so the state loads of a whole batch issue early.
+  int32_t offs[8];
+  for (; i + 8 <= n; i += 8) {
+    for (int k = 0; k < 8; ++k) {
+      offs[k] = static_cast<int32_t>(offset_of(cells[i + k]));
     }
-    for (; i < n; ++i) {
-      MergeStateAvx2(&w.states[offset_of(cells[i])], cells[i]);
+    for (int k = 0; k < 8; ++k) {
+      MergeStateAvx2(&states[offs[k]], cells[i + k]);
     }
-  } else {
-    for (; i < n; ++i) {
-      const int64_t off = offset_of(cells[i]);
-      if (off < w.lo || off >= w.hi) continue;
-      MergeStateAvx2(&w.states[off - w.lo], cells[i]);
-    }
+  }
+  for (; i < n; ++i) {
+    MergeStateAvx2(&states[offset_of(cells[i])], cells[i]);
   }
 }
 
 template <int ND>
 __attribute__((target("avx2"))) void FoldCellsAvx2Dims(
     const RollupPlan& plan, const Cell* cells, size_t n, bool at_source_level,
-    const DenseFoldWindow& w) {
+    FoldArena& arena) {
   if (at_source_level) {
-    FoldCellsAvx2Impl<ND, true>(plan, cells, n, w);
+    FoldCellsAvx2Impl<ND, true>(plan, cells, n, arena);
   } else {
-    FoldCellsAvx2Impl<ND, false>(plan, cells, n, w);
+    FoldCellsAvx2Impl<ND, false>(plan, cells, n, arena);
   }
 }
 
 __attribute__((target("avx2"))) void FoldCellsAvx2(const RollupPlan& plan,
                                                    const Cell* cells, size_t n,
-                                                   bool at_source_level,
-                                                   const DenseFoldWindow& w) {
+                                                   bool at_source,
+                                                   FoldArena& arena) {
   // A Cell carries at most 8 coordinate lanes, so every dimensionality has
   // a straight-line specialization.
   switch (plan.num_dims) {
-    case 1: FoldCellsAvx2Dims<1>(plan, cells, n, at_source_level, w); return;
-    case 2: FoldCellsAvx2Dims<2>(plan, cells, n, at_source_level, w); return;
-    case 3: FoldCellsAvx2Dims<3>(plan, cells, n, at_source_level, w); return;
-    case 4: FoldCellsAvx2Dims<4>(plan, cells, n, at_source_level, w); return;
-    case 5: FoldCellsAvx2Dims<5>(plan, cells, n, at_source_level, w); return;
-    case 6: FoldCellsAvx2Dims<6>(plan, cells, n, at_source_level, w); return;
-    case 7: FoldCellsAvx2Dims<7>(plan, cells, n, at_source_level, w); return;
-    case 8: FoldCellsAvx2Dims<8>(plan, cells, n, at_source_level, w); return;
-    default: FoldCellsScalar(plan, cells, n, at_source_level, w); return;
+    case 1: FoldCellsAvx2Dims<1>(plan, cells, n, at_source, arena); return;
+    case 2: FoldCellsAvx2Dims<2>(plan, cells, n, at_source, arena); return;
+    case 3: FoldCellsAvx2Dims<3>(plan, cells, n, at_source, arena); return;
+    case 4: FoldCellsAvx2Dims<4>(plan, cells, n, at_source, arena); return;
+    case 5: FoldCellsAvx2Dims<5>(plan, cells, n, at_source, arena); return;
+    case 6: FoldCellsAvx2Dims<6>(plan, cells, n, at_source, arena); return;
+    case 7: FoldCellsAvx2Dims<7>(plan, cells, n, at_source, arena); return;
+    case 8: FoldCellsAvx2Dims<8>(plan, cells, n, at_source, arena); return;
+    default: FoldCellsScalar(plan, cells, n, at_source, arena); return;
   }
 }
 
@@ -231,16 +220,17 @@ FoldKernelKind DefaultFoldKernel() {
 
 void FoldCellsDense(const RollupPlan& plan, const Cell* cells, size_t n,
                     bool at_source_level, FoldKernelKind kind,
-                    const DenseFoldWindow& window) {
+                    FoldArena& arena) {
+  AAC_DCHECK(arena.dense_capacity() >= plan.cells);
 #if AAC_FOLD_KERNEL_HAVE_AVX2
   if (kind == FoldKernelKind::kVector && VectorFoldKernelSupported()) {
-    FoldCellsAvx2(plan, cells, n, at_source_level, window);
+    FoldCellsAvx2(plan, cells, n, at_source_level, arena);
     return;
   }
 #else
   (void)kind;
 #endif
-  FoldCellsScalar(plan, cells, n, at_source_level, window);
+  FoldCellsScalar(plan, cells, n, at_source_level, arena);
 }
 
 }  // namespace aac

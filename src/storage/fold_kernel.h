@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "storage/rollup_plan.h"
 #include "storage/tuple.h"
@@ -43,28 +42,16 @@ FoldKernelKind ResolveFoldKernel(const char* mode);
 /// "vector" through it) and the CPU check.
 FoldKernelKind DefaultFoldKernel();
 
-/// One lane's view of the dense fold scratch: fold states and occupancy
-/// flags for the target offsets in [lo, hi), indexed locally (offset - lo).
-/// The touched list also records *window-local* offsets (first-touch
-/// order), which is what lets FoldArena::ResetDense wipe a helper lane's
-/// arena directly; emit adds `lo` back. The serial fold is the lo = 0,
-/// hi = plan.cells special case, where local == global.
-struct DenseFoldWindow {
-  FoldState* states = nullptr;
-  uint8_t* occupied = nullptr;
-  std::vector<int64_t>* touched = nullptr;
-  int64_t lo = 0;
-  int64_t hi = 0;
-};
-
-/// Folds `n` cells into the window, skipping cells whose target offset
-/// falls outside [lo, hi). `at_source_level` selects SourceOffsetOf (cells
-/// at the plan's `from` level) vs TargetOffsetOf (re-folding accumulator
-/// cells already at the target level). Merge order is the cell order for
-/// every kernel — the bit-identity contract.
+/// Folds `n` cells into the arena's dense buffers, which EnsureDense must
+/// already have sized to `plan.cells`. The touched list records each target
+/// offset on first touch, so FoldArena::ResetDense wipes exactly those.
+/// `at_source_level` selects SourceOffsetOf (cells at the plan's `from`
+/// level) vs TargetOffsetOf (re-folding accumulator cells already at the
+/// target level). Merge order is the cell order for every kernel — the
+/// bit-identity contract.
 void FoldCellsDense(const RollupPlan& plan, const Cell* cells, size_t n,
                     bool at_source_level, FoldKernelKind kind,
-                    const DenseFoldWindow& window);
+                    FoldArena& arena);
 
 /// Emits target-level coordinates for a non-decreasing sequence of dense
 /// offsets without the per-dimension div/mod of RollupPlan::ValuesOf:

@@ -250,8 +250,8 @@ class SparseFoldTable {
 /// O(k), not O(N).
 ///
 /// Not thread-safe. Each thread folds into its own (ThreadFoldArena()),
-/// each morsel helper into its own, and the backend server into its own
-/// under its mutex; only the RollupPlanCache is shared across threads.
+/// and the backend server into its own under its mutex; only the
+/// RollupPlanCache is shared across threads.
 class FoldArena {
  public:
   /// Prepares the dense buffers for a chunk of `cells` cells. New capacity
@@ -315,8 +315,8 @@ class FoldArena {
     return true;
   }
 
-  /// The retention bound an arena is trimmed to between uses: a thread's
-  /// after each QueryEngine query, a morsel helper's after each job.
+  /// The retention bound a thread's arena is trimmed to after each
+  /// QueryEngine query.
   static constexpr int64_t kTrimBytes = int64_t{16} << 20;
 
  private:

@@ -42,8 +42,8 @@ namespace aac {
 /// performs (DESIGN.md §10):
 ///   admission → single-flight map → single-flight slot →
 ///   cache shard → {result cache, warm → disk, strategy} →
-///   breaker → fault injector → backend → rollup plan cache → morsel pool
-/// The fold-time capabilities (rollup plan cache, morsel pool) rank LAST:
+///   breaker → fault injector → backend → rollup plan cache
+/// The fold-time capability (rollup plan cache) ranks LAST:
 /// BackendServer::ExecuteChunkQuery aggregates under its own mutex (one
 /// mutex = the simulated remote server's serial execution), and
 /// FaultInjectingBackend holds its mutex across that inner call, so every
@@ -51,7 +51,7 @@ namespace aac {
 /// Gaps between values leave room to slot a new capability between two
 /// existing ones without renumbering (renumbering fails lint R8). A deleted
 /// rank's value stays retired and is never reused: 200 was the engine
-/// pool's.
+/// pool's, 1600 the morsel pool's.
 enum class LockRank : uint16_t {
   kAdmission = 100,        // admission gate: outermost, around engine work
   kSingleFlightMap = 300,  // SingleFlight in-flight map
@@ -66,7 +66,6 @@ enum class LockRank : uint16_t {
   kFaultInjector = 1300,   // fault schedule; held across the inner backend
   kBackend = 1400,         // backend: folds chunk aggregates under its mutex
   kRollupPlanCache = 1500, // shared rollup plan cache (fold-time)
-  kMorselPool = 1600,      // morsel-parallel fold dispatch (fold-time)
 };
 
 /// Human-readable rank name for violation reports and edge dumps.
@@ -81,7 +80,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kDiskTier: return "kDiskTier";
     case LockRank::kStrategy: return "kStrategy";
     case LockRank::kRollupPlanCache: return "kRollupPlanCache";
-    case LockRank::kMorselPool: return "kMorselPool";
     case LockRank::kCircuitBreaker: return "kCircuitBreaker";
     case LockRank::kFaultInjector: return "kFaultInjector";
     case LockRank::kBackend: return "kBackend";

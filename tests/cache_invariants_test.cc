@@ -68,7 +68,8 @@ TEST_P(CacheInvariantsTest, RandomOpsPreserveAccounting) {
       } else if (op < 0.65) {
         cache.Remove({gb, chunk});
       } else if (op < 0.8) {
-        cache.Get({gb, chunk});
+        ChunkData copy;
+        cache.GetCopy({gb, chunk}, &copy);
       } else if (op < 0.9) {
         cache.Boost({gb, chunk}, rng.UniformDouble() * 20.0);
       } else if (!maybe_cached.empty()) {
@@ -76,7 +77,8 @@ TEST_P(CacheInvariantsTest, RandomOpsPreserveAccounting) {
         const CacheKey key = maybe_cached[rng.Uniform(maybe_cached.size())];
         if (cache.Contains(key)) {
           cache.Pin(key);
-          cache.Get(key);
+          ChunkData copy;
+          cache.GetCopy(key, &copy);
           cache.Unpin(key);
         }
       }

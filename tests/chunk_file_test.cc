@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -107,6 +108,32 @@ TEST_F(ChunkFileTest, DetectsTruncation) {
   ASSERT_EQ(truncate(path.c_str(), size - 16), 0);
   ChunkFileReader reader;
   EXPECT_FALSE(reader.Open(path, cube_.schema->num_dims()));
+}
+
+// A header count too large for the file fails Open before anything is
+// sized from it: no bad_alloc from the directory, no overflow in its
+// num_chunks + 1 entries.
+TEST_F(ChunkFileTest, RejectsOversizedCountsWithoutAllocating) {
+  const std::string path = TempPath("oversized.aacf");
+  constexpr long kNumChunksAt = 12;  // after magic, version and num_dims
+  constexpr long kNumTuplesAt = 20;
+  const struct {
+    long at;
+    int64_t value;
+  } patches[] = {{kNumChunksAt, int64_t{1} << 40},
+                 {kNumChunksAt, INT64_MAX},
+                 {kNumTuplesAt, int64_t{1} << 40}};
+  for (const auto& patch : patches) {
+    ASSERT_TRUE(ChunkFileWriter::Write(*table_, path));
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, patch.at, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&patch.value, sizeof(patch.value), 1, f), 1u);
+    std::fclose(f);
+    ChunkFileReader reader;
+    EXPECT_FALSE(reader.Open(path, cube_.schema->num_dims()))
+        << "count " << patch.value << " at byte " << patch.at;
+  }
 }
 
 TEST_F(ChunkFileTest, DetectsPayloadCorruption) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -130,6 +132,54 @@ TEST(AggregatorCancel, AbortedFoldLeavesArenaCleanForBitIdenticalRefold) {
       }
     }
   }
+}
+
+// Tight deadlines race a long fold: each fold either sees its deadline at
+// a checkpoint and comes back cancelled and empty, or finishes and matches
+// an unlimited fold bit for bit, in the same cell order. No outcome leaves
+// the arena dirty for the next fold.
+TEST(AggregatorCancel, TightDeadlineRaceYieldsAllOrNothing) {
+  TestCube cube = MakeThreeDimCube();
+  std::vector<Cell> base_cells = RandomBaseCells(cube, 0.9, 23);
+  FactTable table(cube.grid.get(), base_cells);
+  const GroupById base = cube.lattice->base_id();
+  const GroupById top = cube.lattice->top_id();
+  // Every parent slice 500 times over: thousands of checkpoints, so the
+  // budgets below can expire part-way through the fold.
+  std::vector<std::span<const Cell>> spans;
+  for (int rep = 0; rep < 500; ++rep) {
+    for (ChunkId p : cube.grid->ParentChunkNumbers(top, 0, base)) {
+      spans.push_back(table.ChunkSlice(p));
+    }
+  }
+  Aggregator unlimited(cube.grid.get());
+  const ChunkData want = unlimited.AggregateSpans(base, spans, top, 0);
+  ASSERT_FALSE(want.cells.empty());
+  auto expect_bit_identical = [&](const ChunkData& got) {
+    ASSERT_EQ(got.cells.size(), want.cells.size());
+    EXPECT_EQ(std::memcmp(got.cells.data(), want.cells.data(),
+                          want.cells.size() * sizeof(Cell)),
+              0);
+  };
+
+  Aggregator agg(cube.grid.get());
+  for (const int64_t budget_ns :
+       {int64_t{1'000}, int64_t{10'000}, int64_t{100'000}, int64_t{1'000'000},
+        int64_t{10'000'000}}) {
+    ExecContext ctx;
+    ctx.deadline = Deadline::AfterNanos(budget_ns);
+    agg.set_exec_context(&ctx);
+    const ChunkData out = agg.AggregateSpans(base, spans, top, 0);
+    if (agg.last_fold_cancelled()) {
+      EXPECT_TRUE(out.cells.empty()) << "budget " << budget_ns;
+    } else {
+      expect_bit_identical(out);
+    }
+  }
+  // Whatever mix of outcomes the timing gave, the next fold is clean.
+  agg.set_exec_context(nullptr);
+  expect_bit_identical(agg.AggregateSpans(base, spans, top, 0));
+  EXPECT_FALSE(agg.last_fold_cancelled());
 }
 
 TEST(AggregatorCancel, NullContextCostsNoCheckpoints) {

@@ -26,7 +26,8 @@
 #                               # plain build (which first runs
 #                               # rollup_kernel --smoke, host of the >= 1.5x
 #                               # SIMD perf assert), then ASan+UBSan, then
-#                               # TSan (the morsel path)
+#                               # TSan (rollup_plan_test shares one plan
+#                               # cache across threads)
 #   tools/check.sh lockdep      # the full suite built with -DAAC_LOCKDEP=ON,
 #                               # every binary dumping its lock-order graph
 #                               # to one edge file ($AAC_LOCKDEP_DUMP), then
@@ -100,7 +101,7 @@ run_label() {
 }
 
 # The bench smoke runs are the benches' own assertions at tiny sizes:
-# kernel-vs-reference equality (rollup_kernel), goodput, typed resolutions
+# scalar-vs-vector bit identity (rollup_kernel), goodput, typed resolutions
 # and zero pins (overload_storm), hits and bit-identity (result_cache), and
 # both tiered modes strictly above one tier with every tier's invariants
 # holding (tiered_cache).

@@ -280,20 +280,6 @@ ANNOTATION_TABLE = [
     ("src/backend/fault_injector.h",
      r"stats_\s+AAC_GUARDED_BY\(mutex_\)",
      "FaultInjectingBackend::stats_ must be AAC_GUARDED_BY(mutex_)"),
-    # Morsel pool: the work queue, idle count and stop flag are the
-    # helper-dispatch protocol; losing a guard means a racy helper borrow.
-    ("src/storage/morsel_pool.h",
-     r"pending_\s+AAC_GUARDED_BY\(mutex_\)",
-     "MorselPool::pending_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/storage/morsel_pool.h",
-     r"idle_\s+AAC_GUARDED_BY\(mutex_\)",
-     "MorselPool::idle_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/storage/morsel_pool.h",
-     r"stop_\s+AAC_GUARDED_BY\(mutex_\)",
-     "MorselPool::stop_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/storage/morsel_pool.h",
-     r"stats_\s+AAC_GUARDED_BY\(mutex_\)",
-     "MorselPool::stats_ must be AAC_GUARDED_BY(mutex_)"),
 ]
 
 
@@ -356,7 +342,6 @@ CONCURRENCY_MARKERS = re.compile(
     r"|\"cache/chunk_cache\.h\""
     r"|\"storage/rollup_plan\.h\""
     r"|\"storage/fold_kernel\.h\""
-    r"|\"storage/morsel_pool\.h\""
     r"|\"storage/measured_size_model\.h\""
     r"|\"workload/parallel_runner\.h\")"
 )
@@ -528,12 +513,12 @@ LOCK_RANK_ENUM = [
     ("kFaultInjector", 1300),
     ("kBackend", 1400),
     ("kRollupPlanCache", 1500),
-    ("kMorselPool", 1600),
 ]
 
 # Values of deleted ranks. Append-only: a value here stays retired for good.
 RETIRED_LOCK_RANKS = [
     ("kEnginePool", 200),  # ConcurrentQueryEngine's engine pool, deleted
+    ("kMorselPool", 1600),  # the morsel helper pool, deleted
 ]
 
 LOCK_RANK_TABLE = [
@@ -557,8 +542,6 @@ LOCK_RANK_TABLE = [
      "VcmcStrategy::mutex_ must declare LockRank::kStrategy"),
     ("src/storage/rollup_plan.h", r"mutex_\{LockRank::kRollupPlanCache,",
      "RollupPlanCache::mutex_ must declare LockRank::kRollupPlanCache"),
-    ("src/storage/morsel_pool.h", r"mutex_\{LockRank::kMorselPool,",
-     "MorselPool::mutex_ must declare LockRank::kMorselPool"),
     ("src/core/circuit_breaker.h", r"mutex_\{LockRank::kCircuitBreaker,",
      "CircuitBreaker::mutex_ must declare LockRank::kCircuitBreaker"),
     ("src/backend/fault_injector.h", r"mutex_\{LockRank::kFaultInjector,",
