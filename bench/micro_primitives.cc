@@ -1,12 +1,14 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives the
 // lookup algorithms lean on: chunk-number mapping across levels, lattice
 // navigation, fact-table chunk scans, the set-up every stack pays (the fact
-// table, the measured chunk-size model and VCMC over an empty cache) and
-// the chunk codec the warm and disk tiers run. Not a paper experiment; used
-// to keep the primitives' costs in check.
+// table, the measured chunk-size model and VCMC over an empty cache), the
+// chunk codec the warm and disk tiers run and one promote->evict cycle
+// through the hot and warm tiers. Not a paper experiment; used to keep the
+// primitives' costs in check.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "backend/backend.h"
 #include "cache/chunk_cache.h"
 #include "cache/replacement.h"
+#include "cache/warm_tier.h"
 #include "core/vcmc.h"
 #include "storage/aggregator.h"
 #include "storage/chunk_codec.h"
@@ -288,6 +291,55 @@ void BM_ChunkCodecDecode(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ChunkCodecDecode);
+
+// One promote->evict cycle over the codec chunks, in ns per cycle: a
+// one-shard hot cache that holds one chunk at a time, over a warm tier
+// that holds them all. Each cycle probes the next chunk from warm RAM (a
+// decode) and promotes it with its blob, which demotes the chunk promoted
+// the cycle before; that demotion re-admits its blob instead of encoding.
+void BM_WarmTierRoundTrip(benchmark::State& state) {
+  const std::vector<ChunkData>& chunks = CodecChunks();
+  constexpr int64_t kTupleBytes = 20;
+  int64_t largest = 0;
+  for (const ChunkData& data : chunks) {
+    largest = std::max(largest, data.LogicalBytes(kTupleBytes));
+  }
+  const BenefitPolicy policy;
+  ChunkCache hot(largest, kTupleBytes, &policy);
+  WarmTier::Config config;
+  config.capacity_bytes = int64_t{64} << 20;
+  config.num_dims = Cube().schema().num_dims();
+  WarmTier warm(config);
+  hot.set_demotion_sink(&warm);
+  for (const ChunkData& data : chunks) {
+    hot.Insert(data, 100.0, ChunkSource::kBackend);
+  }
+  const CacheStats hot_before = hot.stats();
+  const WarmTierStats warm_before = warm.stats();
+  size_t next = 0;
+  for (auto _ : state) {
+    const ChunkData& data = chunks[next];
+    next = next + 1 == chunks.size() ? 0 : next + 1;
+    WarmProbeResult probe;
+    if (!warm.Probe({data.gb, data.chunk}, nullptr, &probe)) {
+      state.SkipWithError("the chunk left the warm tier");
+      break;
+    }
+    const bool promoted =
+        hot.Insert(std::move(probe.data), probe.info.benefit,
+                   probe.info.source, std::move(probe.blob));
+    benchmark::DoNotOptimize(promoted);
+  }
+  const auto cycles = static_cast<double>(state.iterations());
+  const WarmTierStats warm_after = warm.stats();
+  state.counters["demotions_per_cycle"] =
+      static_cast<double>(hot.stats().demotions - hot_before.demotions) /
+      cycles;
+  state.counters["reused_per_cycle"] =
+      static_cast<double>(warm_after.reused_blobs - warm_before.reused_blobs) /
+      cycles;
+}
+BENCHMARK(BM_WarmTierRoundTrip);
 
 }  // namespace
 }  // namespace aac

@@ -104,7 +104,8 @@ const ChunkData* ChunkCache::GetPinned(const CacheKey& key) {
   return &entry->data;
 }
 
-bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source) {
+bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source,
+                        EncodedBlob blob) {
   const CacheKey key{data.gb, data.chunk};
   CacheEntryInfo info;
   info.key = key;
@@ -119,8 +120,8 @@ bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source) {
   bool inserted;
   {
     MutexLock lock(shard.mutex);
-    inserted = InsertLocked(shard, key, info, std::move(data), tuples,
-                            &demoted, &erase_sink);
+    inserted = InsertLocked(shard, key, info, std::move(data), std::move(blob),
+                            tuples, &demoted, &erase_sink);
   }
   // Sink calls run with no shard lock held. Victims demote even when the
   // insert itself was ultimately rejected — their bytes already left the
@@ -128,7 +129,9 @@ bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source) {
   // (single authoritative copy; a stale demoted blob must never be
   // promoted over this fresher data).
   if (sink_ != nullptr) {
-    for (Demoted& d : demoted) sink_->OnDemote(d.info, std::move(d.data));
+    for (Demoted& d : demoted) {
+      sink_->OnDemoteEncoded(d.info, std::move(d.data), std::move(d.blob));
+    }
     if (erase_sink) sink_->OnErase(key);
   }
   return inserted;
@@ -136,7 +139,8 @@ bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source) {
 
 bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
                               const CacheEntryInfo& info, ChunkData&& data,
-                              int64_t tuples, std::vector<Demoted>* demoted,
+                              EncodedBlob&& blob, int64_t tuples,
+                              std::vector<Demoted>* demoted,
                               bool* erase_sink) {
   auto existing = shard.entries.find(key);
   if (existing != shard.entries.end()) {
@@ -163,6 +167,7 @@ bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
           shard.rings[static_cast<size_t>(new_class)].Add(key, 0.0);
     }
     entry.data = std::move(data);
+    entry.blob = std::move(blob);
     entry.info = info;
     entry.victim_class = new_class;
     Touch(shard, entry);
@@ -186,6 +191,7 @@ bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
   AAC_CHECK(victim_class >= 0 && victim_class < policy_->num_victim_classes());
   Entry entry;
   entry.data = std::move(data);
+  entry.blob = std::move(blob);
   entry.info = info;
   entry.victim_class = victim_class;
   entry.ring_pos = shard.rings[static_cast<size_t>(victim_class)].Add(
@@ -237,6 +243,7 @@ bool ChunkCache::Patch(const CacheKey& key, int num_dims,
     std::vector<Cell>& have = entry.data.cells;
     if (!std::is_sorted(have.begin(), have.end(), less)) {
       std::sort(have.begin(), have.end(), less);
+      entry.blob.reset();  // the codec keeps cell order
     }
     // Each cell either merges into the entry's equal cell or goes in front
     // of the cell the search stopped at; nothing changes until it fits.
@@ -263,6 +270,7 @@ bool ChunkCache::Patch(const CacheKey& key, int num_dims,
       shard.bytes_used += growth;
       shard.class_bytes[static_cast<size_t>(entry.victim_class)] += growth;
       entry.info = grown;
+      entry.blob.reset();
       ++shard.stats.patched;
       patched = true;
       const auto tuples = static_cast<int64_t>(have.size());
@@ -272,7 +280,9 @@ bool ChunkCache::Patch(const CacheKey& key, int num_dims,
   // As in Insert: victims demote even when the patch was refused, and a
   // patched key's lower-tier copies are purged.
   if (sink_ != nullptr) {
-    for (Demoted& d : demoted) sink_->OnDemote(d.info, std::move(d.data));
+    for (Demoted& d : demoted) {
+      sink_->OnDemoteEncoded(d.info, std::move(d.data), std::move(d.blob));
+    }
     if (patched) sink_->OnErase(key);
   }
   return patched;
@@ -434,8 +444,8 @@ void ChunkCache::EvictEntry(Shard& shard, EntryMap::iterator it,
     // sink sees the data only after the caller drops the shard lock.
     ++shard.stats.demotions;
     shard.stats.demoted_bytes += it->second.info.bytes;
-    demoted->push_back(
-        Demoted{it->second.info, std::move(it->second.data)});
+    demoted->push_back(Demoted{it->second.info, std::move(it->second.data),
+                               std::move(it->second.blob)});
   }
   shard.entries.erase(it);
   ++shard.stats.evictions;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_entry.h"
@@ -36,6 +37,11 @@ struct CacheStats {
   int64_t patched = 0;
 };
 
+/// A chunk's encoded form (storage/chunk_codec.h), immutable and shared:
+/// the warm tier holds it, and a hot entry promoted from a warm or disk
+/// blob keeps it until its data changes.
+using EncodedBlob = std::shared_ptr<const std::vector<uint8_t>>;
+
 /// Receiver of the hot tier's eviction victims — the hook that turns
 /// eviction from "free the bytes" into a demotion pipeline (warm tier).
 ///
@@ -51,6 +57,16 @@ class DemotionSink {
   /// A capacity eviction pushed this entry out of the hot tier; the data
   /// is moved to the sink.
   virtual void OnDemote(const CacheEntryInfo& info, ChunkData&& data) = 0;
+
+  /// The hot cache's demotion call: as OnDemote, plus the blob the entry
+  /// was promoted from when its data has not changed since (null
+  /// otherwise), so a sink that stores encoded chunks need not encode it
+  /// again. The default drops the blob and forwards to OnDemote.
+  virtual void OnDemoteEncoded(const CacheEntryInfo& info, ChunkData&& data,
+                               EncodedBlob blob) {
+    (void)blob;
+    OnDemote(info, std::move(data));
+  }
 
   /// The key's authoritative copy changed or vanished: a successful Insert
   /// made (or refreshed) a hot-resident copy, a Patch merged a base write
@@ -149,7 +165,11 @@ class ChunkCache {
   /// leave stale data cached); listeners see OnUpdate, not OnInsert. If the
   /// existing entry is pinned its data cannot be swapped out from under the
   /// reader — the insert only refreshes the clock value and returns true.
-  bool Insert(ChunkData data, double benefit, ChunkSource source);
+  /// `blob`, when set, is the demotion sink's encoding of `data` (a warm
+  /// or disk promotion passes the blob it decoded); the entry keeps it
+  /// until its data changes and hands it to OnDemoteEncoded on eviction.
+  bool Insert(ChunkData data, double benefit, ChunkSource source,
+              EncodedBlob blob = nullptr);
 
   /// Removes a chunk; returns false if it was not cached (hot-tier
   /// residency only). The entry must not be pinned: writes are quiescent
@@ -165,12 +185,12 @@ class ChunkCache {
   /// place when the entry has none. `cells` hold value ids at `key.gb`'s
   /// level inside `key.chunk`, sorted by CellValueLess over `num_dims` and
   /// distinct. The entry is never copied; an entry whose cells are out of
-  /// value order is sorted first. Growth is charged to the shard and class
-  /// ledgers and makes room the way an Insert over the key would (victims
-  /// demote). Listeners see OnUpdate with the new tuple count, and the
-  /// demotion sink's OnErase fires after unlocking. A patch is not a use:
-  /// it leaves the clock value and the hit counters alone, and counts
-  /// CacheStats::patched. Returns false without merging when the key is
+  /// value order is sorted first. Either change drops the entry's blob.
+  /// Growth is charged to the shard and class ledgers and makes room the
+  /// way an Insert over the key would (victims demote). Listeners see
+  /// OnUpdate with the new tuple count, and the demotion sink's OnErase
+  /// fires after unlocking. A patch is not a use: it leaves the clock
+  /// value and the hit counters alone, and counts CacheStats::patched. Returns false without merging when the key is
   /// not hot-resident or the grown entry does not fit its shard (victims
   /// already evicted for it still demote, as in Insert); the caller then
   /// Removes the key. The entry must not be pinned.
@@ -206,6 +226,9 @@ class ChunkCache {
  private:
   struct Entry {
     ChunkData data;
+    /// The encoding `data` was promoted from; null once `data` changes, and
+    /// for chunks that were fetched or folded. Charged to no budget.
+    EncodedBlob blob;
     CacheEntryInfo info;
     int32_t pin_count = 0;
     int32_t victim_class = 0;
@@ -217,6 +240,7 @@ class ChunkCache {
   struct Demoted {
     CacheEntryInfo info;
     ChunkData data;
+    EncodedBlob blob;
   };
 
   using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
@@ -251,8 +275,9 @@ class ChunkCache {
   /// the caller must fire OnErase(key) after unlocking.
   bool InsertLocked(Shard& shard, const CacheKey& key,
                     const CacheEntryInfo& info, ChunkData&& data,
-                    int64_t tuples, std::vector<Demoted>* demoted,
-                    bool* erase_sink) AAC_REQUIRES(shard.mutex);
+                    EncodedBlob&& blob, int64_t tuples,
+                    std::vector<Demoted>* demoted, bool* erase_sink)
+      AAC_REQUIRES(shard.mutex);
 
   /// Makes room in `shard` for `entry` to take `resized.bytes` (the entry
   /// itself shielded from the sweep); false when the shard cannot hold it.
@@ -278,8 +303,9 @@ class ChunkCache {
 
   /// Removes the entry from the shard (bytes leave the hot accounting
   /// here, atomically). With a sink installed and `demoted` non-null the
-  /// entry's data is moved into `*demoted` for a post-unlock OnDemote;
-  /// otherwise it is destroyed. Null `demoted` = explicit removal.
+  /// entry's data and blob are moved into `*demoted` for a post-unlock
+  /// OnDemoteEncoded; otherwise they are destroyed. Null `demoted` =
+  /// explicit removal.
   void EvictEntry(Shard& shard, EntryMap::iterator it,
                   std::vector<Demoted>* demoted) AAC_REQUIRES(shard.mutex);
 

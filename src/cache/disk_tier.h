@@ -24,7 +24,8 @@ struct DiskTierStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t torn_reads = 0;      // extents that failed validation -> miss
-  int64_t write_failures = 0;  // I/O errors during Admit (entry not indexed)
+  int64_t write_failures = 0;  // I/O errors: Admit (entry not indexed) and
+                               // compaction (a failed reopen drops all)
   int64_t compactions = 0;     // spill-file rewrites reclaiming dead bytes
   int64_t bytes_written = 0;   // cumulative extent bytes appended
 };
@@ -44,7 +45,9 @@ struct DiskTierStats {
 /// Eviction only drops the index entry; the extent's bytes become dead.
 /// When dead bytes reach half the file, the live extents are rewritten to
 /// a fresh file (offsets rebased) — cheap because the payloads are already
-/// compressed.
+/// compressed. Compaction reads each extent with every check Read makes
+/// and drops the ones that fail. If the file cannot be reopened, every
+/// extent is unindexed: reads miss and Admit rejects from then on.
 ///
 /// Concurrency: one mutex guards the index, the CLOCK ring and the FILE
 /// handle (stdio seeks make per-handle serialization mandatory). Lock
@@ -75,7 +78,8 @@ class DiskTier {
   /// Appends `blob` as one extent and indexes it, evicting CLOCK victims
   /// if the live-byte budget requires. Replaces any existing extent for
   /// the same key (the old extent's bytes go dead). Returns false when the
-  /// blob is rejected (oversized, eviction refused, or I/O failure).
+  /// blob is rejected (oversized, eviction refused, I/O failure, or the
+  /// file lost to a failed compaction).
   bool Admit(const CacheEntryInfo& info, const std::vector<uint8_t>& blob);
 
   /// True when the key is indexed. Does not touch replacement state.

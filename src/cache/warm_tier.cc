@@ -17,6 +17,11 @@ WarmTier::WarmTier(Config config) : config_(std::move(config)) {
 WarmTier::~WarmTier() = default;
 
 void WarmTier::OnDemote(const CacheEntryInfo& info, ChunkData&& data) {
+  OnDemoteEncoded(info, std::move(data), nullptr);
+}
+
+void WarmTier::OnDemoteEncoded(const CacheEntryInfo& info, ChunkData&& data,
+                               EncodedBlob blob) {
   if (info.bytes <= 0) {
     MutexLock lock(mutex_);
     ++stats_.offers;
@@ -24,11 +29,17 @@ void WarmTier::OnDemote(const CacheEntryInfo& info, ChunkData&& data) {
     return;
   }
 
-  // Encode off the mutex — compression must never stall probes.
-  Stopwatch encode_timer;
-  auto blob = std::make_shared<std::vector<uint8_t>>();
-  EncodeChunk(config_.num_dims, data, blob.get());
-  const int64_t encode_ns = encode_timer.ElapsedNanos();
+  // A promoted chunk's blob is what encoding it would produce. Otherwise
+  // encode off the mutex — compression must never stall probes.
+  const bool reused = blob != nullptr;
+  int64_t encode_ns = 0;
+  if (!reused) {
+    Stopwatch encode_timer;
+    auto encoded_blob = std::make_shared<std::vector<uint8_t>>();
+    EncodeChunk(config_.num_dims, data, encoded_blob.get());
+    encode_ns = encode_timer.ElapsedNanos();
+    blob = std::move(encoded_blob);
+  }
   const int64_t encoded = static_cast<int64_t>(blob->size());
 
   std::vector<Entry> spilled;
@@ -36,6 +47,7 @@ void WarmTier::OnDemote(const CacheEntryInfo& info, ChunkData&& data) {
     MutexLock lock(mutex_);
     ++stats_.offers;
     stats_.encode_ns += encode_ns;
+    stats_.reused_blobs += reused ? 1 : 0;
     if (encoded > config_.capacity_bytes) {
       ++stats_.capacity_rejected;
       return;
@@ -95,7 +107,7 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
     return false;
   }
 
-  std::shared_ptr<const std::vector<uint8_t>> blob;
+  EncodedBlob blob;
   CacheEntryInfo info;
   bool from_disk = false;
   {
@@ -141,10 +153,11 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
   WarmProbeResult result;
   if (ctx == nullptr || !ctx->ShouldAbort()) {
     if (from_disk) {
-      std::vector<uint8_t> disk_blob;
-      if (config_.disk->Read(key, &disk_blob, &info)) {
+      auto disk_blob = std::make_shared<std::vector<uint8_t>>();
+      if (config_.disk->Read(key, disk_blob.get(), &info)) {
+        blob = std::move(disk_blob);
         Stopwatch decode_timer;
-        ok = DecodeChunk(config_.num_dims, disk_blob.data(), disk_blob.size(),
+        ok = DecodeChunk(config_.num_dims, blob->data(), blob->size(),
                          &result.data);
         result.decode_ns = decode_timer.ElapsedNanos();
         if (!ok) {
@@ -182,6 +195,7 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
     decodes_.Fail(key);
     return false;
   }
+  result.blob = std::move(blob);
   result.info = info;
   result.from_disk = from_disk;
   decodes_.Publish(key, result);  // copies only if a follower waits

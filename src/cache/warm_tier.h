@@ -32,7 +32,8 @@ struct WarmTierStats {
   int64_t coalesced_decodes = 0; // followers that reused a leader's decode
   int64_t decode_failures = 0;   // corrupt blobs dropped on probe
   int64_t erased = 0;            // OnErase purges (promotion/invalidation)
-  int64_t encode_ns = 0;
+  int64_t reused_blobs = 0;      // offers that carried their promoted blob
+  int64_t encode_ns = 0;         // real encodes only
   int64_t decode_ns = 0;
   int64_t demoted_raw_bytes = 0;     // logical bytes of admitted chunks
   int64_t demoted_encoded_bytes = 0; // encoded bytes of admitted chunks
@@ -50,6 +51,8 @@ struct WarmTierStats {
 /// What a successful Probe hands back for promotion into the hot tier.
 struct WarmProbeResult {
   ChunkData data;
+  EncodedBlob blob;        // what `data` was decoded from (on a disk hit,
+                           // the read buffer); the promotion keeps it
   CacheEntryInfo info;     // benefit/source/bytes as originally demoted
   bool from_disk = false;  // served by the disk tier, not warm RAM
   int64_t decode_ns = 0;   // this probe's share of decode time (0 for
@@ -62,8 +65,9 @@ struct WarmProbeResult {
 /// spilled to a DiskTier when evicted from here too.
 ///
 /// Demotion (DemotionSink, driven by the hot cache with no locks held):
-/// empty victims are dropped; the rest are encoded OFF this tier's mutex,
-/// then indexed.
+/// empty victims are dropped; a victim that carries the blob it was
+/// promoted from is admitted as that blob, and the rest are encoded OFF
+/// this tier's mutex, then indexed.
 /// OnErase (fired by every hot insert and removal) purges the key from
 /// warm RAM and disk, keeping residency effectively single-tier.
 ///
@@ -102,8 +106,13 @@ class WarmTier : public DemotionSink {
   int64_t capacity_bytes() const { return config_.capacity_bytes; }
   DiskTier* disk() const { return config_.disk; }
 
-  // DemotionSink (called by ChunkCache with no shard lock held):
+  // DemotionSink (called by ChunkCache with no shard lock held). OnDemote
+  // encodes; OnDemoteEncoded encodes only when `blob` is null, since the
+  // codec is deterministic and bit-exact: re-encoding a promoted chunk
+  // whose data has not changed yields its blob byte for byte.
   void OnDemote(const CacheEntryInfo& info, ChunkData&& data) override;
+  void OnDemoteEncoded(const CacheEntryInfo& info, ChunkData&& data,
+                       EncodedBlob blob) override;
   void OnErase(const CacheKey& key) override;
 
   /// Looks the key up in warm RAM, then on disk; on a hit decodes (or
@@ -131,8 +140,8 @@ class WarmTier : public DemotionSink {
  private:
   struct Entry {
     /// Immutable once published; shared so a leader can decode after the
-    /// entry is concurrently erased.
-    std::shared_ptr<const std::vector<uint8_t>> blob;
+    /// entry is concurrently erased, and a promoted chunk keeps it.
+    EncodedBlob blob;
     CacheEntryInfo info;
     ClockRing<CacheKey>::Position ring_pos;
   };

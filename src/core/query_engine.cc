@@ -500,8 +500,10 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
         ++s.chunks_warm;
       }
       // Promote: the hot insert's demotion hooks purge the warm/disk copy,
-      // so the chunk is resident in exactly one tier again.
-      cache_->Insert(probe.data, probe.info.benefit, probe.info.source);
+      // so the chunk is resident in exactly one tier again. The entry keeps
+      // the decoded blob, so demoting it unchanged encodes nothing.
+      cache_->Insert(probe.data, probe.info.benefit, probe.info.source,
+                     std::move(probe.blob));
       results.push_back(std::move(probe.data));
     }
     missing = std::move(still_missing);

@@ -159,6 +159,46 @@ TEST(ChunkCodecTest, RandomizedRoundTripBitIdentity) {
   EXPECT_LT(raw_fallbacks, 1200);
 }
 
+// The codec's fixed point: re-encoding a decoded blob reproduces it byte
+// for byte. The warm tier leans on this when it re-admits a promoted
+// chunk's blob instead of encoding the unchanged chunk again.
+TEST(ChunkCodecTest, ReencodingADecodedBlobReproducesIt) {
+  std::vector<Draw> draws = RoundTripDraws();
+  ChunkData empty;
+  empty.gb = 5;
+  empty.chunk = 17;
+  draws.push_back({4, empty});
+  Rng rng(99);  // HighEntropyFallsBackToRaw's chunk
+  const size_t raw_draw = draws.size();
+  draws.push_back({kMaxDims, RandomChunk(rng, kMaxDims, 200,
+                                         /*sorted_realistic=*/false)});
+  // Slots at or above num_dims are not stored and decode as zero.
+  ChunkData high_slots = RandomChunk(rng, 2, 80, /*sorted_realistic=*/true);
+  for (Cell& cell : high_slots.cells) {
+    for (size_t d = 2; d < kMaxDims; ++d) {
+      cell.values[d] = static_cast<int32_t>(rng.UniformInt(1, 1000));
+    }
+  }
+  ASSERT_FALSE(high_slots.cells.empty());
+  draws.push_back({2, high_slots});
+
+  for (size_t iter = 0; iter < draws.size(); ++iter) {
+    const auto& [num_dims, original] = draws[iter];
+    std::vector<uint8_t> blob;
+    EncodedChunkInfo info;
+    EncodeChunk(num_dims, original, &blob, &info);
+    if (iter == raw_draw) {
+      EXPECT_TRUE(info.stored_raw);
+    }
+    ChunkData decoded;
+    ASSERT_TRUE(DecodeChunk(num_dims, blob.data(), blob.size(), &decoded))
+        << "iter " << iter;
+    std::vector<uint8_t> again;
+    EncodeChunk(num_dims, decoded, &again);
+    EXPECT_EQ(again, blob) << "iter " << iter;
+  }
+}
+
 // The payload — every byte between the 24-byte header and the 8-byte
 // trailer — is pinned over the round-trip draws, so a faster encoder must
 // write exactly the bytes the format always had: the same column layout,

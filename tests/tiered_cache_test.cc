@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,12 +16,14 @@
 #include "cache/chunk_cache.h"
 #include "cache/disk_tier.h"
 #include "cache/warm_tier.h"
+#include "core/invalidation.h"
 #include "core/no_aggregation.h"
 #include "core/query_engine.h"
 #include "storage/chunk_codec.h"
 #include "storage/chunk_data.h"
 #include "test_env.h"
 #include "test_util.h"
+#include "util/check.h"
 #include "util/deadline.h"
 #include "workload/experiment.h"
 #include "workload/workload_runner.h"
@@ -121,6 +124,68 @@ ChunkId FindWarmOnly(TieredEnv& t) {
   return -1;
 }
 
+CacheEntryInfo DemotionInfo(TestEnv& env, const ChunkData& data) {
+  CacheEntryInfo info;
+  info.key = {data.gb, data.chunk};
+  info.bytes = data.LogicalBytes(kTupleBytes);
+  info.benefit = env.benefit->BackendChunkBenefit(data.gb, data.chunk);
+  info.source = ChunkSource::kBackend;
+  return info;
+}
+
+// Two base chunks over a hot tier that holds either of them but not both,
+// so promoting one demotes the other. Neither is in any tier yet.
+struct PromotionPair {
+  TieredEnv t;
+  ChunkData truth_a;
+  ChunkData truth_b;
+  CacheKey a() const { return {truth_a.gb, truth_a.chunk}; }
+  CacheKey b() const { return {truth_b.gb, truth_b.chunk}; }
+};
+
+PromotionPair MakePromotionPair(int64_t disk_capacity = 0,
+                                const std::string& disk_path = "") {
+  // Size the hot tier from the chunks of an identical environment.
+  TestEnv sizing = MakeTestEnv(MakeThreeDimCube(), /*density=*/0.5,
+                               /*seed=*/11, 1 << 20,
+                               /*two_level_policy=*/false, kTupleBytes);
+  const GroupById base = sizing.lattice().base_id();
+  std::vector<ChunkData> picked;
+  for (ChunkId c = 0; c < sizing.grid().NumChunks(base) && picked.size() < 2;
+       ++c) {
+    ChunkData data = BackendTruth(sizing, base, c);
+    if (data.tuple_count() >= 2) picked.push_back(std::move(data));
+  }
+  AAC_CHECK_EQ(picked.size(), 2u);
+  const int64_t hot = picked[0].LogicalBytes(kTupleBytes) +
+                      picked[1].LogicalBytes(kTupleBytes) - kTupleBytes;
+  return {MakeTieredEnv(hot, /*warm_capacity=*/1 << 20, disk_capacity,
+                        disk_path),
+          std::move(picked[0]), std::move(picked[1])};
+}
+
+void DemoteToWarm(TieredEnv& t, const ChunkData& data) {
+  ChunkData copy = data;
+  t.warm->OnDemote(DemotionInfo(t.env, data), std::move(copy));
+}
+
+// Probes `key` and promotes the hit into the hot tier with the blob it
+// was decoded from, as the engine's miss path does.
+WarmProbeResult Promote(TieredEnv& t, const CacheKey& key) {
+  WarmProbeResult probe;
+  EXPECT_TRUE(t.warm->Probe(key, nullptr, &probe));
+  EXPECT_NE(probe.blob, nullptr);
+  EXPECT_TRUE(t.env.cache->Insert(probe.data, probe.info.benefit,
+                                  probe.info.source, probe.blob));
+  return probe;
+}
+
+std::vector<uint8_t> Encoded(const TieredEnv& t, const ChunkData& data) {
+  std::vector<uint8_t> blob;
+  EncodeChunk(t.env.schema().num_dims(), data, &blob);
+  return blob;
+}
+
 // The demotion pipeline's ledger: every hot eviction with a sink installed
 // is exactly one warm-tier offer, and the demoted bytes leave the hot
 // budget atomically (bytes_used never exceeds capacity, invariants hold on
@@ -206,6 +271,145 @@ TEST(TieredCacheTest, PromotionRoundTripIsBitIdenticalAndSingleTier) {
   EXPECT_GT(t.warm->stats().erased, 0);
   EXPECT_TRUE(t.env.cache->ValidateInvariants());
   EXPECT_TRUE(t.warm->ValidateInvariants());
+}
+
+// A promoted chunk keeps the blob it was decoded from, and its demotion
+// re-admits that blob without encoding: the warm tier then holds the very
+// bytes EncodeChunk would have produced.
+TEST(TieredCacheTest, PromotedChunkDemotesWithoutEncoding) {
+  PromotionPair p = MakePromotionPair();
+  TieredEnv& t = p.t;
+  DemoteToWarm(t, p.truth_a);
+  DemoteToWarm(t, p.truth_b);
+
+  const EncodedBlob blob_a = Promote(t, p.a()).blob;
+  EXPECT_EQ(*blob_a, Encoded(t, p.truth_a));
+  const WarmTierStats before = t.warm->stats();
+  Promote(t, p.b());  // demotes A
+  const WarmTierStats after = t.warm->stats();
+  EXPECT_FALSE(t.env.cache->Contains(p.a()));
+  EXPECT_TRUE(t.warm->Contains(p.a()));
+  EXPECT_EQ(after.offers - before.offers, 1);
+  EXPECT_EQ(after.admits - before.admits, 1);
+  EXPECT_EQ(after.reused_blobs - before.reused_blobs, 1);
+  EXPECT_EQ(after.encode_ns, before.encode_ns);
+
+  WarmProbeResult again;
+  ASSERT_TRUE(t.warm->Probe(p.a(), nullptr, &again));
+  EXPECT_EQ(again.blob, blob_a);  // the same bytes, shared, not re-made
+  EXPECT_EQ(*again.blob, Encoded(t, p.truth_a));
+  EXPECT_TRUE(BitIdentical(p.truth_a, again.data));
+  EXPECT_TRUE(t.env.cache->ValidateInvariants());
+  EXPECT_TRUE(t.warm->ValidateInvariants());
+}
+
+// A base write between promotion and eviction, patched in place or
+// re-fetched and inserted over the key, drops the kept blob: the next
+// demotion encodes the new data, and promoting it back equals a fresh
+// backend fold exactly.
+TEST(TieredCacheTest, ChangedPromotedChunkDemotesItsNewData) {
+  for (const bool patch : {true, false}) {
+    SCOPED_TRACE(patch ? "Patch" : "re-Insert");
+    PromotionPair p = MakePromotionPair();
+    TieredEnv& t = p.t;
+    DemoteToWarm(t, p.truth_a);
+    DemoteToWarm(t, p.truth_b);
+    const EncodedBlob old_blob = Promote(t, p.a()).blob;
+
+    // One fact tuple that merges into A's first cell.
+    Cell write = p.truth_a.cells.front();
+    InitCellAggregates(write, 7.0);
+    if (patch) {
+      ApplyFactUpdates(t.env.table.get(), t.env.cache.get(), {write});
+      ASSERT_EQ(t.env.cache->stats().patched, 1);
+    } else {
+      t.env.table->ApplyInserts({write});
+      CacheChunkFromBackend(t.env, p.a().gb, p.a().chunk);
+    }
+    ASSERT_TRUE(t.env.cache->Contains(p.a()));
+    ChunkData fresh = BackendTruth(t.env, p.a().gb, p.a().chunk);
+
+    const WarmTierStats before = t.warm->stats();
+    Promote(t, p.b());  // demotes A
+    const WarmTierStats after = t.warm->stats();
+    EXPECT_EQ(after.offers - before.offers, 1);
+    EXPECT_EQ(after.reused_blobs, before.reused_blobs);
+    EXPECT_GT(after.encode_ns, before.encode_ns);
+
+    WarmProbeResult back;
+    ASSERT_TRUE(t.warm->Probe(p.a(), nullptr, &back));
+    EXPECT_NE(back.blob, old_blob);
+    EXPECT_NE(*back.blob, *old_blob);
+    EXPECT_TRUE(ChunkDataEquals(t.env.schema().num_dims(), &back.data, &fresh,
+                                /*epsilon=*/0.0));
+    EXPECT_TRUE(t.env.cache->ValidateInvariants());
+    EXPECT_TRUE(t.warm->ValidateInvariants());
+  }
+}
+
+// A disk hit's read buffer is the blob the promoted entry keeps: its
+// demotion into warm RAM encodes nothing and re-admits those bytes.
+TEST(TieredCacheTest, DiskPromotionReusesItsReadBuffer) {
+  const std::string path = testing::TempDir() + "/aac_disk_reuse_test.bin";
+  PromotionPair p = MakePromotionPair(/*disk_capacity=*/1 << 20, path);
+  TieredEnv& t = p.t;
+  ASSERT_TRUE(t.disk->Admit(DemotionInfo(t.env, p.truth_a),
+                            Encoded(t, p.truth_a)));
+  DemoteToWarm(t, p.truth_b);
+
+  const WarmProbeResult from_disk = Promote(t, p.a());
+  EXPECT_TRUE(from_disk.from_disk);
+  EXPECT_EQ(*from_disk.blob, Encoded(t, p.truth_a));
+  EXPECT_FALSE(t.disk->Contains(p.a()));  // purged by the promotion
+  const WarmTierStats before = t.warm->stats();
+  Promote(t, p.b());  // demotes A into warm RAM
+  const WarmTierStats after = t.warm->stats();
+  EXPECT_EQ(after.reused_blobs - before.reused_blobs, 1);
+  EXPECT_EQ(after.encode_ns, before.encode_ns);
+
+  WarmProbeResult again;
+  ASSERT_TRUE(t.warm->Probe(p.a(), nullptr, &again));
+  EXPECT_FALSE(again.from_disk);
+  EXPECT_EQ(again.blob, from_disk.blob);
+  EXPECT_TRUE(BitIdentical(p.truth_a, again.data));
+  EXPECT_TRUE(t.warm->ValidateInvariants());
+  EXPECT_TRUE(t.disk->ValidateInvariants());
+  std::remove(path.c_str());
+}
+
+// A sink written against OnDemote alone still sees every demotion,
+// including those of promoted entries that carry a blob.
+TEST(TieredCacheTest, OnDemoteOnlySinkReceivesEveryDemotion) {
+  class RecordingSink : public DemotionSink {
+   public:
+    void OnDemote(const CacheEntryInfo& info, ChunkData&& data) override {
+      EXPECT_EQ(info.key.chunk, data.chunk);
+      demoted.push_back(std::move(data));
+    }
+    void OnErase(const CacheKey&) override {}
+    std::vector<ChunkData> demoted;
+  };
+  TestEnv env = MakeTestEnv(MakeThreeDimCube(), /*density=*/0.5, /*seed=*/11,
+                            /*capacity_bytes=*/2500,
+                            /*two_level_policy=*/false, kTupleBytes);
+  RecordingSink sink;
+  env.cache->set_demotion_sink(&sink);
+  const int nd = env.schema().num_dims();
+  const GroupById base = env.lattice().base_id();
+  std::vector<ChunkData> truth;
+  for (ChunkId c = 0; c < env.grid().NumChunks(base); ++c) {
+    truth.push_back(BackendTruth(env, base, c));
+    auto blob = std::make_shared<std::vector<uint8_t>>();
+    EncodeChunk(nd, truth.back(), blob.get());
+    env.cache->Insert(truth.back(), 100.0, ChunkSource::kBackend,
+                      std::move(blob));
+  }
+  const CacheStats stats = env.cache->stats();
+  EXPECT_GT(stats.demotions, 0);
+  ASSERT_EQ(static_cast<int64_t>(sink.demoted.size()), stats.demotions);
+  for (const ChunkData& data : sink.demoted) {
+    EXPECT_TRUE(BitIdentical(truth[static_cast<size_t>(data.chunk)], data));
+  }
 }
 
 // An expired deadline turns a would-be warm hit into a miss: overloaded
@@ -308,6 +512,18 @@ TEST(TieredCacheTest, TornSpillFileReadsAsMiss) {
   std::remove(path.c_str());
 }
 
+// Flips one bit of the byte at `offset` through a handle of its own.
+void FlipFileByte(const std::string& path, long offset) {
+  FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
+  std::fputc(byte ^ 0x40, f);
+  std::fclose(f);
+}
+
 // A flipped byte inside an otherwise intact extent is equally torn: the
 // blob checksum rejects it before the codec ever sees the bytes.
 TEST(TieredCacheTest, CorruptedExtentReadsAsMiss) {
@@ -329,18 +545,8 @@ TEST(TieredCacheTest, CorruptedExtentReadsAsMiss) {
   info.benefit = 100.0;
   ASSERT_TRUE(disk.Admit(info, blob));
 
-  // Flip one payload byte through an independent handle.
-  {
-    FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 64 + static_cast<long>(blob.size()) / 2, SEEK_SET),
-              0);
-    const int byte = std::fgetc(f);
-    ASSERT_NE(byte, EOF);
-    ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
-    std::fputc(byte ^ 0x40, f);
-    std::fclose(f);
-  }
+  ASSERT_NO_FATAL_FAILURE(
+      FlipFileByte(path, 64 + static_cast<long>(blob.size()) / 2));
 
   std::vector<uint8_t> read_blob;
   CacheEntryInfo read_info;
@@ -348,6 +554,87 @@ TEST(TieredCacheTest, CorruptedExtentReadsAsMiss) {
   EXPECT_EQ(disk.stats().torn_reads, 1);
   EXPECT_FALSE(disk.Contains({base, 0}));
   std::remove(path.c_str());
+}
+
+// Four equal extents under keys {0, 0} .. {0, 3}: erasing two of them
+// leaves half the file dead, which compacts it.
+std::vector<uint8_t> AdmitFourExtents(DiskTier& disk) {
+  std::vector<uint8_t> blob(200);
+  for (size_t i = 0; i < blob.size(); ++i) {
+    blob[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  for (ChunkId c = 0; c < 4; ++c) {
+    CacheEntryInfo info;
+    info.key = {0, c};
+    info.bytes = 4000;
+    info.benefit = 100.0;
+    EXPECT_TRUE(disk.Admit(info, blob));
+  }
+  return blob;
+}
+
+// Compaction reads each extent with every check Read makes: a corrupt
+// blob is dropped and counted as torn instead of copied into the new file.
+TEST(TieredCacheTest, CompactionDropsACorruptExtent) {
+  const std::string path = testing::TempDir() + "/aac_compact_corrupt.bin";
+  DiskTier::Config dc;
+  dc.path = path;
+  dc.capacity_bytes = 1 << 20;
+  DiskTier disk(dc);
+  ASSERT_TRUE(disk.Open());
+  const std::vector<uint8_t> blob = AdmitFourExtents(disk);
+
+  // One blob byte of the fourth extent.
+  ASSERT_NO_FATAL_FAILURE(FlipFileByte(
+      path, 3 * (64 + static_cast<long>(blob.size())) + 64 + 100));
+
+  disk.Erase({0, 0});
+  disk.Erase({0, 1});  // half the file is dead: compacts
+  const DiskTierStats stats = disk.stats();
+  EXPECT_EQ(stats.compactions, 1);
+  EXPECT_EQ(stats.torn_reads, 1);
+  EXPECT_EQ(disk.num_entries(), 1u);
+  EXPECT_FALSE(disk.Contains({0, 3}));
+  std::vector<uint8_t> read_blob;
+  CacheEntryInfo read_info;
+  ASSERT_TRUE(disk.Read({0, 2}, &read_blob, &read_info));
+  EXPECT_EQ(read_blob, blob);
+  EXPECT_TRUE(disk.ValidateInvariants());
+  std::remove(path.c_str());
+}
+
+// A compaction that cannot open a fresh spill file loses every extent with
+// the old one: reads then miss and admits are refused, never aborting.
+TEST(TieredCacheTest, FailedCompactionReopenReadsAsMiss) {
+  std::string dir = testing::TempDir() + "/aac_lost_spill_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/spill.bin";
+  DiskTier::Config dc;
+  dc.path = path;
+  dc.capacity_bytes = 1 << 20;
+  DiskTier disk(dc);
+  ASSERT_TRUE(disk.Open());
+  const std::vector<uint8_t> blob = AdmitFourExtents(disk);
+
+  // Without its directory the file cannot be reopened.
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  ASSERT_EQ(rmdir(dir.c_str()), 0);
+  disk.Erase({0, 0});
+  disk.Erase({0, 1});  // half the file is dead: the compaction fails
+  EXPECT_EQ(disk.stats().write_failures, 1);
+  EXPECT_EQ(disk.num_entries(), 0u);
+  EXPECT_EQ(disk.bytes_used(), 0);
+
+  std::vector<uint8_t> read_blob;
+  CacheEntryInfo read_info;
+  EXPECT_FALSE(disk.Read({0, 2}, &read_blob, &read_info));
+  EXPECT_EQ(disk.stats().misses, 1);
+  CacheEntryInfo info;
+  info.key = {0, 5};
+  info.bytes = 4000;
+  EXPECT_FALSE(disk.Admit(info, blob));
+  EXPECT_EQ(disk.stats().write_failures, 2);
+  EXPECT_TRUE(disk.ValidateInvariants());
 }
 
 // Invalidation reaches every tier: removing a key from the hot cache
@@ -421,6 +708,8 @@ TEST(TieredCacheTest, EnginedWorkloadPromotesFromWarmTier) {
   EXPECT_GT(totals.chunks_warm, 0);
   EXPECT_GT(totals.decode_ms, 0.0);
   EXPECT_GT(exp.warm_tier()->stats().hits, 0);
+  // Promoted chunks evicted again re-admit their blobs.
+  EXPECT_GT(exp.warm_tier()->stats().reused_blobs, 0);
 
   // Bit-identity: the most detailed whole-level answer matches a fresh
   // untiered experiment.
