@@ -217,7 +217,8 @@ void BM_FactTableBuild(benchmark::State& state) {
 BENCHMARK(BM_FactTableBuild)->Unit(benchmark::kMillisecond);
 
 // VCMC's construction over an empty cache and bench/e2e's measured sizes,
-// as every set-up builds it.
+// as every set-up builds it: its chunk link tables, then the from-scratch
+// walk.
 void BM_VcmcConstructEmpty(benchmark::State& state) {
   static const MeasuredChunkSizeModel* sizes =
       new MeasuredChunkSizeModel(&Cube().grid(), &TimeDenseTable());

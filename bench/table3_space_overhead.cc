@@ -2,7 +2,8 @@
 // state. ESM and ESMC keep nothing; VCM keeps one count byte per chunk;
 // VCMC keeps cost and best-parent entries. The paper assumed a count too
 // (4+1+1 bytes); ours derives computability from the cost and stores an
-// 8-byte double cost, so 8+1 bytes.
+// 8-byte double cost, so 8+1 bytes. VCMC's maintenance also reads chunk
+// link tables the paper's algorithm recomputes; they get a row of their own.
 
 #include <cstdio>
 
@@ -43,6 +44,7 @@ void Run() {
   row("ESMC", "none", esmc.SpaceOverheadBytes());
   row("VCM", "Count[1B] per chunk", vcm.SpaceOverheadBytes());
   row("VCMC", "Cost[8B]+BestParent[1B]", vcmc.SpaceOverheadBytes());
+  row("VCMC links", "parent ranges+child chunks", vcmc.LinkTableBytes());
   table.Print();
 
   std::printf(

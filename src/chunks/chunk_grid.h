@@ -53,6 +53,13 @@ class ChunkGrid {
   /// Per-dimension chunk coordinates of `chunk`.
   ChunkCoords CoordsOf(GroupById gb, ChunkId chunk) const;
 
+  /// How far the chunk number of `gb` moves when the chunk coordinate of
+  /// dimension `dim` grows by one (row-major, last dimension fastest).
+  int64_t Stride(GroupById gb, int dim) const {
+    AAC_DCHECK(dim >= 0 && dim < schema().num_dims());
+    return strides_[static_cast<size_t>(gb)][static_cast<size_t>(dim)];
+  }
+
   /// Chunk containing the cell with the given per-dimension value ids.
   ChunkId ChunkOfCell(GroupById gb, const int32_t* values) const;
 

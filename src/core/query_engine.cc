@@ -617,6 +617,10 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
       ++admitted;
     }
   }
+  // The query's cache events (promotions, inserts and their evictions)
+  // reach the strategy's summary state here, so its upkeep counts as
+  // update time.
+  strategy_->Flush();
   s.update_ms = update_timer.ElapsedMillis();
 
   // Scan-tuple equivalents of this query's backend work, part of the

@@ -68,6 +68,12 @@ class LookupStrategy {
   /// summary state (ESM/ESMC).
   virtual CacheListener* listener() { return nullptr; }
 
+  /// Brings summary state up to date with every cache event so far. A
+  /// strategy that defers its upkeep (VCMC) does it here; reads catch up on
+  /// their own, so this only moves the work to a point of the caller's
+  /// choosing. The engine calls it at the end of its update phase.
+  virtual void Flush() {}
+
   /// Bytes of summary state (Count/Cost/BestParent arrays; paper Table 3).
   virtual int64_t SpaceOverheadBytes() const { return 0; }
 

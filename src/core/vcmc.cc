@@ -1,7 +1,7 @@
 #include "core/vcmc.h"
 
+#include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "util/check.h"
 
@@ -16,41 +16,48 @@ VcmcStrategy::VcmcStrategy(const ChunkGrid* grid, const ChunkCache* cache,
     : grid_(grid),
       cache_(cache),
       size_model_(size_model),
-      indexer_(grid) {
+      indexer_(grid),
+      links_(grid) {
   AAC_CHECK(grid != nullptr);
   AAC_CHECK(cache != nullptr);
   AAC_CHECK(size_model != nullptr);
-  // Setup is single-threaded; the listener hooks maintain both arrays from
-  // here on.
+  // Setup is single-threaded; logged cache events maintain both arrays
+  // from here on.
   auto [costs, parents] = ComputeCostsFromScratch();
 
   const Lattice& lattice = grid_->lattice();
   level_sums_.resize(static_cast<size_t>(lattice.num_groupbys()));
+  int max_sum = 0;
   for (GroupById gb = 0; gb < lattice.num_groupbys(); ++gb) {
     const LevelVector& lv = lattice.LevelOf(gb);
     int sum = 0;
     for (int d = 0; d < lv.size(); ++d) sum += lv[d];
     level_sums_[static_cast<size_t>(gb)] = static_cast<int16_t>(sum);
+    max_sum = std::max(max_sum, sum);
   }
 
   WriterMutexLock lock(mutex_);
   costs_ = std::move(costs);
   best_parents_ = std::move(parents);
+  queue_.resize(static_cast<size_t>(max_sum) + 1);
   queued_epoch_.assign(static_cast<size_t>(indexer_.size()), 0);
 }
 
 bool VcmcStrategy::IsComputable(GroupById gb, ChunkId chunk) {
   ++metrics_.nodes_visited;
+  DrainLog();
   ReaderMutexLock lock(mutex_);
   return costs_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] != kInf;
 }
 
 double VcmcStrategy::CostOf(GroupById gb, ChunkId chunk) const {
+  DrainLog();
   ReaderMutexLock lock(mutex_);
   return costs_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))];
 }
 
 int8_t VcmcStrategy::BestParentOf(GroupById gb, ChunkId chunk) const {
+  DrainLog();
   ReaderMutexLock lock(mutex_);
   return best_parents_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))];
 }
@@ -63,19 +70,90 @@ int64_t VcmcStrategy::SpaceOverheadBytes() const {
 
 void VcmcStrategy::OnInsert(const CacheKey& key, int64_t tuples) {
   (void)tuples;  // costs use the size model, not actual tuple counts
-  WriterMutexLock lock(mutex_);
-  // Residency first: Evaluate reads it from the best parent. The cost is
-  // left for the propagation, which compares it with the new one.
-  best_parents_[static_cast<size_t>(indexer_.IndexOf(key.gb, key.chunk))] =
-      kSelf;
-  RecomputeAndPropagate(key.gb, key.chunk);
+  Append(key, /*resident=*/true);
 }
 
 void VcmcStrategy::OnEvict(const CacheKey& key) {
+  Append(key, /*resident=*/false);
+}
+
+void VcmcStrategy::Append(const CacheKey& key, bool resident) {
+  bool full = false;
+  {
+    MutexLock lock(log_mutex_);
+    log_.push_back(Event{key, resident});
+    full = log_.size() >= kMaxPendingEvents;
+  }
+  if (full) {
+    WriterMutexLock lock(mutex_);
+    PropagateBatch();
+  }
+}
+
+size_t VcmcStrategy::PendingEvents() const {
+  MutexLock lock(log_mutex_);
+  return log_.size();
+}
+
+void VcmcStrategy::DrainLog() const {
+  if (PendingEvents() == 0) return;
   WriterMutexLock lock(mutex_);
-  best_parents_[static_cast<size_t>(indexer_.IndexOf(key.gb, key.chunk))] =
-      kNone;
-  RecomputeAndPropagate(key.gb, key.chunk);
+  PropagateBatch();
+}
+
+void VcmcStrategy::PropagateBatch() const {
+  {
+    MutexLock lock(log_mutex_);
+    batch_.swap(log_);
+  }
+  if (batch_.empty()) return;
+  ++epoch_;
+  // Residency first, in log order, so each key ends as its last event left
+  // it: Evaluate reads it from the best parent. Costs are left for the
+  // propagation, which compares them with the new ones.
+  for (const Event& event : batch_) {
+    best_parents_[static_cast<size_t>(
+        indexer_.IndexOf(event.key.gb, event.key.chunk))] =
+        event.resident ? kSelf : kNone;
+    Enqueue(event.key.gb, event.key.chunk);
+  }
+  batch_.clear();
+  // A chunk's cost reads only its own residency and its lattice parents'
+  // costs, and every parent sits one rank (level sum) above it. So taking
+  // the ranks from the most detailed down evaluates each queued chunk once,
+  // after every parent that may still change. (A naive depth-first
+  // propagation can re-visit diamond-shaped descendants a factorial number
+  // of times.)
+  const Lattice& lattice = grid_->lattice();
+  for (size_t rank = queue_.size(); rank-- > 0;) {
+    // Enqueue appends only to lower ranks, so this bucket stays put.
+    for (const CacheKey& key : queue_[rank]) {
+      const size_t idx =
+          static_cast<size_t>(indexer_.IndexOf(key.gb, key.chunk));
+      const auto [cost, parent] = Evaluate(key.gb, key.chunk);
+      const bool cost_changed = cost != costs_[idx];
+      if (!cost_changed && parent == best_parents_[idx]) continue;
+      costs_[idx] = cost;
+      best_parents_[idx] = parent;
+      // Children read only the cost value; a mere best-parent change is
+      // local. The least cost changed: every more aggregated neighbour that
+      // aggregates this chunk may be affected.
+      if (!cost_changed) continue;
+      const auto& children = lattice.Children(key.gb);
+      for (size_t ci = 0; ci < children.size(); ++ci) {
+        Enqueue(children[ci], links_.ChildChunk(key.gb, key.chunk, ci));
+      }
+    }
+    queue_[rank].clear();
+  }
+}
+
+void VcmcStrategy::Enqueue(GroupById gb, ChunkId chunk) const {
+  const size_t idx = static_cast<size_t>(indexer_.IndexOf(gb, chunk));
+  if (queued_epoch_[idx] == epoch_) return;
+  queued_epoch_[idx] = epoch_;
+  queue_[static_cast<size_t>(level_sums_[static_cast<size_t>(gb)])].push_back(
+      CacheKey{gb, chunk});
 }
 
 std::pair<double, int8_t> VcmcStrategy::Evaluate(GroupById gb,
@@ -84,73 +162,30 @@ std::pair<double, int8_t> VcmcStrategy::Evaluate(GroupById gb,
       kSelf) {
     return {0.0, kSelf};
   }
-  const Lattice& lattice = grid_->lattice();
-  const auto& parents = lattice.Parents(gb);
+  const auto& parents = grid_->lattice().Parents(gb);
   double best_cost = kInf;
   int8_t best_parent = kNone;
-  // Local alias: the per-chunk callback below is a distinct function to the
-  // thread-safety analysis, so it reads the guarded array through a
-  // reference pinned here, where the capability is provably held.
-  const std::vector<double>& costs = costs_;
   for (size_t pi = 0; pi < parents.size(); ++pi) {
     const GroupById parent = parents[pi];
+    const ChunkLinks::ParentRange range = links_.ParentChunks(gb, chunk, pi);
+    const double* parent_costs =
+        &costs_[static_cast<size_t>(indexer_.IndexOf(parent, 0))];
+    // The parent chunks in ForEachParentChunk's order, so the sum is the
+    // same to the bit.
     double sum = 0.0;
-    const bool complete = grid_->ForEachParentChunk(
-        gb, chunk, parent, [&](ChunkId pc) {
-          const double pc_cost =
-              costs[static_cast<size_t>(indexer_.IndexOf(parent, pc))];
-          if (pc_cost == kInf) return false;
-          // Materialize the input (pc_cost), then aggregate its tuples.
-          sum += pc_cost + size_model_->ExpectedChunkTuples(parent, pc);
-          return true;
-        });
-    if (complete && sum < best_cost) {
+    int64_t k = 0;
+    for (ChunkId pc = range.first; k < range.count; ++k, pc += range.stride) {
+      const double pc_cost = parent_costs[pc];
+      if (pc_cost == kInf) break;
+      // Materialize the input (pc_cost), then aggregate its tuples.
+      sum += pc_cost + size_model_->ExpectedChunkTuples(parent, pc);
+    }
+    if (k == range.count && sum < best_cost) {
       best_cost = sum;
       best_parent = static_cast<int8_t>(pi);
     }
   }
   return {best_cost, best_parent};
-}
-
-void VcmcStrategy::RecomputeAndPropagate(GroupById gb, ChunkId chunk) {
-  // Affected chunks are strictly more aggregated than their influencers, so
-  // processing candidates in descending level-sum order guarantees every
-  // chunk is re-evaluated after all its (possibly changing) parents — each
-  // affected chunk is recomputed exactly once. (A naive depth-first
-  // propagation can re-visit diamond-shaped descendants a factorial number
-  // of times.)
-  ++epoch_;
-  using QueueItem = std::pair<int16_t, std::pair<GroupById, ChunkId>>;
-  std::priority_queue<QueueItem> queue;  // max level sum first
-  // Aliases for the enqueue lambda (a distinct function to the analysis;
-  // the capability is held for this whole method).
-  std::vector<int64_t>& queued_epoch = queued_epoch_;
-  const int64_t epoch = epoch_;
-  auto enqueue = [&](GroupById g, ChunkId c) {
-    const size_t idx = static_cast<size_t>(indexer_.IndexOf(g, c));
-    if (queued_epoch[idx] == epoch) return;
-    queued_epoch[idx] = epoch;
-    queue.emplace(level_sums_[static_cast<size_t>(g)], std::make_pair(g, c));
-  };
-  enqueue(gb, chunk);
-  while (!queue.empty()) {
-    const auto [g, c] = queue.top().second;
-    queue.pop();
-    const size_t idx = static_cast<size_t>(indexer_.IndexOf(g, c));
-    const auto [cost, parent] = Evaluate(g, c);
-    const bool cost_changed = cost != costs_[idx];
-    if (!cost_changed && parent == best_parents_[idx]) continue;
-    costs_[idx] = cost;
-    best_parents_[idx] = parent;
-    // Children read only the cost value; a mere best-parent change is
-    // local. The least cost changed: every more aggregated neighbour that
-    // aggregates this chunk may be affected (paper: updates propagate when
-    // a chunk becomes newly computable *or* its least cost changes).
-    if (!cost_changed) continue;
-    for (GroupById child : grid_->lattice().Children(g)) {
-      enqueue(child, grid_->ChildChunkNumber(g, c, child));
-    }
-  }
 }
 
 std::pair<std::vector<double>, std::vector<int8_t>>
@@ -211,6 +246,7 @@ VcmcStrategy::ComputeCostsFromScratch() const {
 
 std::unique_ptr<PlanNode> VcmcStrategy::FindPlan(GroupById gb, ChunkId chunk) {
   ++metrics_.nodes_visited;
+  DrainLog();
   ReaderMutexLock lock(mutex_);
   if (costs_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] == kInf) {
     return nullptr;

@@ -41,7 +41,7 @@ namespace aac {
 /// The table is a linear extension of the nesting the code actually
 /// performs (DESIGN.md §10):
 ///   admission → single-flight map → single-flight slot →
-///   cache shard → {result cache, warm → disk, strategy} →
+///   cache shard → {result cache, warm → disk, strategy → strategy log} →
 ///   breaker → fault injector → backend → rollup plan cache
 /// The fold-time capability (rollup plan cache) ranks LAST:
 /// BackendServer::ExecuteChunkQuery aggregates under its own mutex (one
@@ -62,6 +62,8 @@ enum class LockRank : uint16_t {
   kWarmTier = 700,         // compressed warm tier (hot shard → warm)
   kDiskTier = 800,         // disk spill tier (warm → disk)
   kStrategy = 900,         // VCM/VCMC tables (shard-lock listeners)
+  kStrategyLog = 950,      // VCMC's event log (appended under a shard lock,
+                           // swapped out under kStrategy)
   kCircuitBreaker = 1200,  // breaker state (consulted under admission)
   kFaultInjector = 1300,   // fault schedule; held across the inner backend
   kBackend = 1400,         // backend: folds chunk aggregates under its mutex
@@ -79,6 +81,7 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kWarmTier: return "kWarmTier";
     case LockRank::kDiskTier: return "kDiskTier";
     case LockRank::kStrategy: return "kStrategy";
+    case LockRank::kStrategyLog: return "kStrategyLog";
     case LockRank::kRollupPlanCache: return "kRollupPlanCache";
     case LockRank::kCircuitBreaker: return "kCircuitBreaker";
     case LockRank::kFaultInjector: return "kFaultInjector";

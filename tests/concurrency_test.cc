@@ -338,6 +338,39 @@ TEST(ParallelRunnerTest, ColdParallelRunAnswersEveryChunk) {
   EXPECT_LE(totals.chunks_coalesced, totals.chunks_backend);
 }
 
+// VCMC's batched upkeep under four threads: queries over a small cache
+// evict constantly, so listeners append from every shard while reads and
+// end-of-update flushes drain. At quiescence, after a Flush, costs and best
+// parents equal the from-scratch walk.
+TEST(VcmcBatchConcurrencyTest, FourThreadsOverASmallCacheEndAtScratch) {
+  TestEnv env = MakeTestEnv(MakeThreeDimCube(), 0.6, 61, /*capacity=*/1200,
+                            /*two_level_policy=*/true, /*bytes_per_tuple=*/10,
+                            /*num_shards=*/4);
+  VcmcStrategy strategy(env.cube.grid.get(), env.cache.get(),
+                        env.size_model.get());
+  env.cache->AddListener(strategy.listener());
+  ConcurrentQueryEngine pool([&env, &strategy] {
+    return std::make_unique<QueryEngine>(
+        env.cube.grid.get(), env.cache.get(), &strategy, env.backend.get(),
+        env.benefit.get(), env.clock.get(), QueryEngine::Config());
+  });
+  const std::vector<QueryStreamEntry> stream = MakeStream(env, 600, 43);
+  ParallelWorkloadRunner runner(&pool, /*num_threads=*/4);
+  const WorkloadTotals totals = runner.Run(stream);
+  EXPECT_EQ(totals.chunks_unavailable, 0);
+  EXPECT_GT(env.cache->stats().evictions, 0);
+
+  strategy.Flush();
+  EXPECT_EQ(strategy.PendingEvents(), 0u);
+  const auto [costs, parents] = strategy.ComputeCostsFromScratch();
+  for (GroupById gb = 0; gb < env.lattice().num_groupbys(); ++gb) {
+    for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
+      ASSERT_EQ(strategy.CostOf(gb, c), costs[OracleIndex(env, gb, c)]);
+      ASSERT_EQ(strategy.BestParentOf(gb, c), parents[OracleIndex(env, gb, c)]);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // backend_ms attribution: across an entire faulty workload, every simulated
 // nanosecond the backend path charged appears in exactly one query's

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -10,6 +11,7 @@
 #include "core/vcm.h"
 #include "core/vcmc.h"
 #include "test_env.h"
+#include "util/rng.h"
 
 namespace aac {
 namespace {
@@ -290,6 +292,132 @@ TEST(Vcmc, ScratchMatchesInsertsOfOneMidLatticeGroupBy) {
       }
     }
   }
+}
+
+// Exact equality with the from-scratch walk: a drain sums each cost over
+// the same parent chunks, in the same order, as the walk does.
+void ExpectExactlyScratch(const TestEnv& env, const VcmcStrategy& vcmc) {
+  const auto [costs, parents] = vcmc.ComputeCostsFromScratch();
+  const Lattice& lat = env.lattice();
+  for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
+    for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
+      ASSERT_EQ(vcmc.CostOf(gb, c), costs[OracleIndex(env, gb, c)])
+          << lat.LevelOf(gb).ToString() << "#" << c;
+      ASSERT_EQ(vcmc.BestParentOf(gb, c), parents[OracleIndex(env, gb, c)])
+          << lat.LevelOf(gb).ToString() << "#" << c;
+    }
+  }
+}
+
+// One drain holds insert-then-evict, evict-then-insert and
+// insert-evict-insert of one key each, mixed with keys at several ranks. It
+// ends where the from-scratch walk does, and where a second strategy that
+// drained after every event ends.
+TEST(VcmcBatch, OneDrainEqualsScratchAndOneEventAtATime) {
+  TestEnv env = MakeTestEnv(MakeThreeDimCube(), 0.6, 12, kBigCache);
+  VcmcStrategy batched(env.cube.grid.get(), env.cache.get(),
+                       env.size_model.get());
+  VcmcStrategy stepwise(env.cube.grid.get(), env.cache.get(),
+                        env.size_model.get());
+  env.cache->AddListener(batched.listener());
+  env.cache->AddListener(stepwise.listener());
+  const Lattice& lat = env.lattice();
+  const GroupById base = lat.base_id();
+  const GroupById mid = lat.IdOf(LevelVector{1, 1, 0});
+  const GroupById coarse = lat.IdOf(LevelVector{1, 0, 0});
+  const GroupById top = lat.top_id();
+  ASSERT_GE(env.grid().NumChunks(base), 4);
+  ASSERT_GE(env.grid().NumChunks(mid), 2);
+
+  const CacheKey insert_evict{mid, 1};
+  const CacheKey evict_insert{mid, 0};
+  const CacheKey insert_evict_insert{base, 1};
+  CacheChunkFromBackend(env, evict_insert.gb, evict_insert.chunk);
+  CacheChunkFromBackend(env, base, 0);
+  batched.Flush();
+  stepwise.Flush();
+  ASSERT_EQ(batched.PendingEvents(), 0u);
+
+  const auto insert = [&](const CacheKey& key) {
+    return [&env, key] { CacheChunkFromBackend(env, key.gb, key.chunk); };
+  };
+  const auto evict = [&](const CacheKey& key) {
+    return [&env, key] { env.cache->Remove(key); };
+  };
+  const std::vector<std::function<void()>> events = {
+      insert(insert_evict_insert), insert(insert_evict),
+      evict(evict_insert),         insert({coarse, 0}),
+      evict(insert_evict_insert),  insert({base, 2}),
+      evict(insert_evict),         insert(evict_insert),
+      insert({top, 0}),            insert(insert_evict_insert),
+      evict({base, 0}),            insert({base, 3}),
+      evict({top, 0}),
+  };
+  for (const auto& event : events) {
+    event();
+    stepwise.Flush();
+    ASSERT_EQ(stepwise.PendingEvents(), 0u);
+  }
+  EXPECT_EQ(batched.PendingEvents(), events.size());
+
+  ExpectExactlyScratch(env, batched);
+  EXPECT_EQ(batched.PendingEvents(), 0u);
+  for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
+    for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
+      ASSERT_EQ(batched.CostOf(gb, c), stepwise.CostOf(gb, c))
+          << lat.LevelOf(gb).ToString() << "#" << c;
+      ASSERT_EQ(batched.BestParentOf(gb, c), stepwise.BestParentOf(gb, c))
+          << lat.LevelOf(gb).ToString() << "#" << c;
+    }
+  }
+  EXPECT_EQ(batched.BestParentOf(mid, 0), VcmcStrategy::kSelf);
+  EXPECT_NE(batched.BestParentOf(mid, 1), VcmcStrategy::kSelf);
+  EXPECT_EQ(batched.BestParentOf(base, 1), VcmcStrategy::kSelf);
+}
+
+// With no read at all, the listener drains the log whenever it reaches the
+// bound, so the log never holds more; one read then applies the rest.
+TEST(VcmcBatch, ListenerDrainsTheLogAtItsBound) {
+  TestEnv env = MakeTestEnv(MakeThreeDimCube(), 0.6, 13, kBigCache);
+  VcmcStrategy vcmc(env.cube.grid.get(), env.cache.get(),
+                    env.size_model.get());
+  env.cache->AddListener(vcmc.listener());
+  const Lattice& lat = env.lattice();
+  Rng rng(77);
+  std::vector<CacheKey> cached;
+  std::vector<CacheKey> uncached;
+  for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
+    for (ChunkId c = 0; c < env.grid().NumChunks(gb); ++c) {
+      uncached.push_back({gb, c});
+    }
+  }
+  // Moves a random key from one list to the other.
+  const auto move_one = [&rng](std::vector<CacheKey>& from,
+                               std::vector<CacheKey>& to) {
+    const size_t pick = rng.Uniform(from.size());
+    to.push_back(from[pick]);
+    from[pick] = from.back();
+    from.pop_back();
+    return to.back();
+  };
+  size_t most_pending = 0;
+  // Ten bounds' worth of events and a few more, left for the read.
+  for (size_t i = 0; i < 10 * VcmcStrategy::kMaxPendingEvents + 7; ++i) {
+    if (uncached.empty() || (!cached.empty() && rng.Bernoulli(0.5))) {
+      env.cache->Remove(move_one(cached, uncached));
+    } else {
+      const CacheKey key = move_one(uncached, cached);
+      CacheChunkFromBackend(env, key.gb, key.chunk);
+    }
+    most_pending = std::max(most_pending, vcmc.PendingEvents());
+  }
+  EXPECT_LE(most_pending, VcmcStrategy::kMaxPendingEvents);
+  EXPECT_GT(most_pending, VcmcStrategy::kMaxPendingEvents / 2);
+  EXPECT_GT(vcmc.PendingEvents(), 0u);
+
+  (void)vcmc.IsComputable(lat.top_id(), 0);
+  EXPECT_EQ(vcmc.PendingEvents(), 0u);
+  ExpectExactlyScratch(env, vcmc);
 }
 
 }  // namespace

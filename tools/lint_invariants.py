@@ -198,8 +198,11 @@ ANNOTATION_TABLE = [
      r"Evaluate\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
      "VcmcStrategy::Evaluate must carry AAC_REQUIRES(mutex_)"),
     ("src/core/vcmc.h",
-     r"RecomputeAndPropagate\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
-     "VcmcStrategy::RecomputeAndPropagate must carry AAC_REQUIRES(mutex_)"),
+     r"PropagateBatch\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
+     "VcmcStrategy::PropagateBatch must carry AAC_REQUIRES(mutex_)"),
+    ("src/core/vcmc.h",
+     r"log_\s+AAC_GUARDED_BY\(log_mutex_\)",
+     "VcmcStrategy::log_ must be AAC_GUARDED_BY(log_mutex_)"),
     # Admission controller: every slot/queue counter mutates under the one
     # admission mutex; the capacity predicate assumes it is held.
     ("src/core/admission.h",
@@ -509,6 +512,7 @@ LOCK_RANK_ENUM = [
     ("kWarmTier", 700),
     ("kDiskTier", 800),
     ("kStrategy", 900),
+    ("kStrategyLog", 950),
     ("kCircuitBreaker", 1200),
     ("kFaultInjector", 1300),
     ("kBackend", 1400),
@@ -540,6 +544,10 @@ LOCK_RANK_TABLE = [
      "VcmStrategy::mutex_ must declare LockRank::kStrategy"),
     ("src/core/vcmc.h", r"mutex_\{LockRank::kStrategy,",
      "VcmcStrategy::mutex_ must declare LockRank::kStrategy"),
+    ("src/core/vcmc.h", r"log_mutex_\{LockRank::kStrategyLog,",
+     "VcmcStrategy::log_mutex_ must declare LockRank::kStrategyLog (a "
+     "listener appends under a cache shard lock, and a drain takes the log "
+     "under the strategy's writer lock)"),
     ("src/storage/rollup_plan.h", r"mutex_\{LockRank::kRollupPlanCache,",
      "RollupPlanCache::mutex_ must declare LockRank::kRollupPlanCache"),
     ("src/core/circuit_breaker.h", r"mutex_\{LockRank::kCircuitBreaker,",
