@@ -41,8 +41,8 @@ AdmissionOutcome AdmissionController::Admit(const ExecContext& ctx) {
   const QueryClass qc = ctx.query_class;
   MutexLock lock(mutex_);
   // Lock order admission → breaker (the breaker never calls back here).
-  if (qc == QueryClass::kBatch && config_.shed_batch_when_breaker_open &&
-      breaker_ != nullptr && breaker_->state() != BreakerState::kClosed) {
+  if (qc == QueryClass::kBatch && breaker_ != nullptr &&
+      breaker_->state() != BreakerState::kClosed) {
     ++shed_breaker_open_;
     return AdmissionOutcome::kShedBreakerOpen;
   }

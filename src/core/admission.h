@@ -25,11 +25,6 @@ struct AdmissionConfig {
   /// unbounded convoy it would time out inside anyway.
   int max_queued_interactive = 32;
   int max_queued_batch = 8;
-
-  /// Shed batch queries outright while the circuit breaker is not closed:
-  /// with the backend unreachable the engine's capacity is better spent on
-  /// interactive queries the cache can still answer.
-  bool shed_batch_when_breaker_open = true;
 };
 
 /// How one admission request resolved.
@@ -81,9 +76,11 @@ class AdmissionController {
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  /// Attaches the pool's shared breaker for shed_batch_when_breaker_open
-  /// (null disables the check). Set before concurrent use; the breaker must
-  /// outlive the controller.
+  /// Attaches the engine's breaker: while it is not closed, batch queries
+  /// are shed outright, since with the backend unreachable the engine's
+  /// capacity is better spent on interactive queries the cache can still
+  /// answer. Null disables the check. Set before concurrent use; the
+  /// breaker must outlive the controller.
   void set_circuit_breaker(CircuitBreaker* breaker) { breaker_ = breaker; }
 
   /// Blocks until a slot is free, the queue rejects the query, or the

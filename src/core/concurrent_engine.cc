@@ -22,14 +22,7 @@ void ConcurrentQueryEngine::ConfigureAdmission(const AdmissionConfig& config) {
   // queued one would wait on the old controller's destroyed CondVar.
   AAC_CHECK_EQ(queries_executed(), 0);  // configure before the first query
   admission_ = std::make_unique<AdmissionController>(config);
-  admission_->set_circuit_breaker(shared_breaker_);
-}
-
-void ConcurrentQueryEngine::set_shared_breaker(CircuitBreaker* breaker) {
-  AAC_CHECK_EQ(queries_executed(), 0);  // configure before the first query
-  shared_breaker_ = breaker;
-  engine_->Attach({.breaker = breaker});
-  if (admission_ != nullptr) admission_->set_circuit_breaker(breaker);
+  admission_->set_circuit_breaker(engine_->circuit_breaker());
 }
 
 void ConcurrentQueryEngine::set_result_cache(ResultCache* result_cache) {

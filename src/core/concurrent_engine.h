@@ -64,17 +64,13 @@ class ConcurrentQueryEngine {
                            QueryStats* stats);
 
   /// Enables admission control with `config`, replacing any previous
-  /// controller. Call before the first query.
+  /// controller. The controller sheds batch queries while the engine's
+  /// breaker (QueryEngine::Config::circuit_breaker) is not closed. Call
+  /// before the first query.
   void ConfigureAdmission(const AdmissionConfig& config);
 
   /// The admission controller, or nullptr when not configured.
   AdmissionController* admission() { return admission_.get(); }
-
-  /// Attaches one circuit breaker to the engine and to the admission
-  /// controller's breaker-open shedding, so every thread sees the same
-  /// backend-health signal. Call before the first query; the breaker must
-  /// outlive this object.
-  void set_shared_breaker(CircuitBreaker* breaker);
 
   /// Attaches a semantic result cache, so any thread's finished fold can
   /// answer any other thread's equivalent query. Call before the first
@@ -103,8 +99,6 @@ class ConcurrentQueryEngine {
  private:
   std::unique_ptr<QueryEngine> engine_;
   std::unique_ptr<AdmissionController> admission_;
-  // Handed to every admission controller for breaker-open shedding.
-  CircuitBreaker* shared_breaker_ = nullptr;
   std::atomic<int64_t> queries_executed_{0};
 };
 

@@ -118,7 +118,6 @@ void QueryEngine::Attach(const EngineLayers& layers) {
   const auto attach = [](auto*& slot, auto* layer) {
     if (layer != nullptr) slot = layer;
   };
-  attach(layers_.breaker, layers.breaker);
   attach(layers_.result_cache, layers.result_cache);
   attach(layers_.warm_tier, layers.warm_tier);
 }

@@ -153,9 +153,6 @@ struct QueryResult {
 /// same cache. A null pointer means "no such layer"; each layer must
 /// outlive every engine it is attached to.
 struct EngineLayers {
-  /// One backend-health signal for all engines; overrides the engine's own
-  /// Config::circuit_breaker.
-  CircuitBreaker* breaker = nullptr;
   /// Semantic result cache: probed by canonical query key before any chunk
   /// work; a clean complete answer is offered to it for cost-based
   /// admission. Callers that want replace-in-place staleness hooks also
@@ -262,17 +259,13 @@ class QueryEngine {
 
   /// Attaches every non-null layer in `layers`, replacing any layer of the
   /// same kind attached before; null members leave the engine unchanged.
-  /// Call before the first query. Without layers an engine uses its own
-  /// breaker (if Config::circuit_breaker) and has no result cache, warm
-  /// tier or fold helpers.
+  /// Call before the first query. Without layers an engine has no result
+  /// cache or warm tier.
   void Attach(const EngineLayers& layers);
 
-  /// The breaker consulted by the fetch path: the attached shared breaker
-  /// if any, else the engine's own (nullptr when Config::circuit_breaker is
-  /// off and none is attached).
-  CircuitBreaker* circuit_breaker() {
-    return layers_.breaker != nullptr ? layers_.breaker : breaker_.get();
-  }
+  /// The engine's breaker, consulted by the fetch path (nullptr when
+  /// Config::circuit_breaker is off).
+  CircuitBreaker* circuit_breaker() { return breaker_.get(); }
 
  private:
   /// One chunk's route: the strategy's plan for it (null when the cache

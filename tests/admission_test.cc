@@ -98,20 +98,6 @@ TEST(Admission, BatchIsShedWhileTheBreakerIsOpen) {
   admission.Release(QueryClass::kInteractive);
 }
 
-TEST(Admission, BreakerShedCanBeDisabled) {
-  SimClock clock;
-  CircuitBreaker breaker(BreakerConfig{.failure_threshold = 1}, &clock);
-  AdmissionConfig config;
-  config.shed_batch_when_breaker_open = false;
-  AdmissionController admission(config);
-  admission.set_circuit_breaker(&breaker);
-
-  breaker.RecordFailure();
-  ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(admission.Admit(Batch()), AdmissionOutcome::kAdmitted);
-  admission.Release(QueryClass::kBatch);
-}
-
 TEST(Admission, DeadlineExpiresWhileQueued) {
   AdmissionConfig config;
   config.max_concurrent = 1;

@@ -434,10 +434,8 @@ TEST_F(ConcurrentEngineDeathTest, LayerSettersAbortAfterTheFirstQuery) {
   warm_config.capacity_bytes = 1 << 20;
   warm_config.num_dims = env_.schema().num_dims();
   WarmTier warm(warm_config);
-  CircuitBreaker breaker(BreakerConfig{}, env_.clock.get());
   EXPECT_DEATH(concurrent_->set_result_cache(&results), "AAC_CHECK");
   EXPECT_DEATH(concurrent_->set_warm_tier(&warm), "AAC_CHECK");
-  EXPECT_DEATH(concurrent_->set_shared_breaker(&breaker), "AAC_CHECK");
   EXPECT_DEATH(concurrent_->ConfigureMorsels(2), "AAC_CHECK");
   EXPECT_DEATH(concurrent_->ConfigureAdmission(AdmissionConfig{}),
                "AAC_CHECK");

@@ -36,10 +36,16 @@ TEST(OverloadStorm, MixedDeadlineStormResolvesEverythingAndLeaksNothing) {
   config.data.seed = 41;
   config.cache_fraction = 0.4;  // small cache: constant eviction pressure
   config.cache_shards = 16;
-  config.faults.transient_error_rate = 0.25;  // backend flaps...
+  config.faults.transient_error_rate = 0.25;  // the backend flaps
   config.engine.retry.max_attempts = 2;
   config.engine.retry.initial_backoff_ns = 100'000;
   config.engine.retry.deadline_ns = 5'000'000;
+  // The faults flip the engine's breaker open and closed throughout the
+  // storm; admission sheds batch work while it is open.
+  config.engine.circuit_breaker = true;
+  config.engine.breaker = BreakerConfig{.failure_threshold = 3,
+                                        .cooldown_ns = 3'000'000,
+                                        .success_threshold = 1};
   // Tiered: constant eviction pressure demotes into a compressed warm
   // tier, and deadline-laden probes race promotions throughout the storm.
   config.warm_fraction = 0.5;
@@ -47,13 +53,6 @@ TEST(OverloadStorm, MixedDeadlineStormResolvesEverythingAndLeaksNothing) {
   ASSERT_NE(exp.warm_tier(), nullptr);
 
   ConcurrentQueryEngine pool([&exp] { return exp.NewEngine(); });
-  // ...which flips the shared breaker open/closed throughout the storm.
-  CircuitBreaker breaker(
-      BreakerConfig{.failure_threshold = 3,
-                    .cooldown_ns = 3'000'000,
-                    .success_threshold = 1},
-      &exp.sim_clock());
-  pool.set_shared_breaker(&breaker);
   AdmissionConfig admission;
   admission.max_concurrent = 4;  // 8 threads against 4 slots: always queued
   admission.max_concurrent_batch = 1;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,6 +14,10 @@
 #include "core/vcm.h"
 #include "core/vcmc.h"
 #include "test_env.h"
+#include "util/rng.h"
+#include "workload/experiment.h"
+#include "workload/query_stream.h"
+#include "workload/workload_runner.h"
 
 namespace aac {
 namespace {
@@ -325,6 +330,122 @@ TEST_F(ResultCacheEngineTest, ChunkEvictionKeepsResults) {
   QueryStats stats;
   engine_->ExecuteQuery(q, &stats);
   EXPECT_TRUE(stats.result_cache_hit);
+}
+
+// --- The result layer at equal total RAM. ---
+
+// Upper bound on a query's answer cells: the product of its range widths
+// at the query's level (the true count is this times the data density).
+int64_t MaxAnswerCells(const Schema& schema, const Query& q) {
+  int64_t cells = 1;
+  for (int d = 0; d < schema.num_dims(); ++d) {
+    const auto& r = q.ranges[static_cast<size_t>(d)];
+    cells *= std::max<int64_t>(r.second - r.first, 1);
+  }
+  return cells;
+}
+
+// A dashboard: `total` arrivals over a pool of `pool_size` small tiles
+// (answers of at most 200 cells, the shape a result layer targets), 80% of
+// them drawn from the hottest 20% of the pool, with a one-off wide scan
+// (at least 20,000 cells) as every 12th arrival. The scans flood the chunk
+// cache and flush the tiles' computed chunks (the two-level policy evicts
+// cache-computed entries first), so without a result layer a repeat after
+// a scan re-folds or re-fetches its answer.
+std::vector<QueryStreamEntry> MakeDashboardStream(const Schema& schema,
+                                                  int pool_size, int total,
+                                                  uint64_t seed) {
+  QueryStreamConfig config;
+  config.seed = seed;
+  QueryStreamGenerator gen(&schema, config);
+  constexpr int64_t max_cells = 200;
+  constexpr int64_t scan_cells = 20'000;
+  constexpr int scan_every = 12;
+  std::vector<QueryStreamEntry> pool;
+  std::vector<QueryStreamEntry> scans;
+  const int want_scans = total / scan_every + 1;
+  for (int rounds = 0;
+       (static_cast<int>(pool.size()) < pool_size ||
+        static_cast<int>(scans.size()) < want_scans) &&
+       rounds < 400;
+       ++rounds) {
+    for (QueryStreamEntry& e : gen.Generate(pool_size)) {
+      const int64_t cells = MaxAnswerCells(schema, e.query);
+      if (cells <= max_cells && static_cast<int>(pool.size()) < pool_size) {
+        pool.push_back(std::move(e));
+      } else if (cells >= scan_cells &&
+                 static_cast<int>(scans.size()) < want_scans) {
+        scans.push_back(std::move(e));
+      }
+    }
+  }
+  pool_size = static_cast<int>(pool.size());
+  const int hot = std::max(1, pool_size / 5);
+  Rng rng(seed + 2);
+  std::vector<QueryStreamEntry> stream;
+  stream.reserve(static_cast<size_t>(total));
+  size_t next_scan = 0;
+  for (int i = 0; i < total; ++i) {
+    if (i % scan_every == scan_every - 1 && next_scan < scans.size()) {
+      stream.push_back(scans[next_scan++]);
+      continue;
+    }
+    const size_t pick =
+        rng.Bernoulli(0.8)
+            ? rng.Uniform(static_cast<uint64_t>(hot))
+            : rng.Uniform(static_cast<uint64_t>(pool_size));
+    stream.push_back(pool[pick]);
+  }
+  return stream;
+}
+
+// At equal total RAM B, a chunk cache of 85% of B plus a result cache of
+// the other 15% beats a chunk cache of all of B on the dashboard: result
+// hits skip lookup, folding and the backend. It builds its own experiments
+// (20k tuples, one cache shard, queries on one thread), so every counter
+// compared here repeats exactly.
+TEST_F(ResultCacheEngineTest, AtEqualRamResultLayerCutsChunkWork) {
+  ExperimentConfig config;
+  config.data.num_tuples = 20'000;
+  config.data.seed = 42;
+  config.data.dense_dim = 2;
+  // Scarce: the cache holds ~1/4 of the base data, so the scans displace
+  // the hot tiles' chunks between repeats.
+  config.cache_fraction = 0.25;
+  constexpr double kResultShare = 0.15;
+
+  Experiment chunk_only(config);
+  const int64_t budget = chunk_only.cache_bytes();
+  const std::vector<QueryStreamEntry> stream =
+      MakeDashboardStream(chunk_only.schema(), /*pool_size=*/30,
+                          /*total=*/240, config.data.seed + 7);
+  const WorkloadTotals base = RunWorkload(chunk_only.engine(), stream);
+
+  ExperimentConfig split_config = config;
+  split_config.cache_fraction = config.cache_fraction * (1.0 - kResultShare);
+  Experiment split(split_config);
+  ResultCache::Config rc_config;
+  rc_config.capacity_bytes = budget - split.cache_bytes();
+  rc_config.bytes_per_tuple = split_config.bytes_per_tuple;
+  // Tiles are small; a one-off scan answer must never displace them.
+  rc_config.max_entry_fraction = 0.1;
+  ResultCache results(rc_config);
+  split.cache().AddListener(&results);
+  split.engine().Attach({.result_cache = &results});
+  const WorkloadTotals with = RunWorkload(split.engine(), stream);
+
+  EXPECT_TRUE(chunk_only.cache().ValidateInvariants());
+  EXPECT_TRUE(split.cache().ValidateInvariants());
+  EXPECT_TRUE(results.ValidateInvariants());
+  EXPECT_GT(results.stats().hits, 0);
+  EXPECT_LE(split.cache_bytes() + results.capacity_bytes(), budget);
+  EXPECT_GE(with.CompleteHitPercent(), base.CompleteHitPercent());
+  EXPECT_LT(with.chunks_backend, base.chunks_backend);
+  EXPECT_LT(with.chunks_direct + with.chunks_aggregated,
+            base.chunks_direct + base.chunks_aggregated);
+  // Simulated backend time is the deterministic part of the engine-time
+  // gain; the real part is too noisy at this size to gate on.
+  EXPECT_LT(with.backend_ms, base.backend_ms);
 }
 
 // --- Satellite: the replace-in-place path, end to end. ---

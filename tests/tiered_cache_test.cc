@@ -25,6 +25,7 @@
 #include "test_util.h"
 #include "util/check.h"
 #include "util/deadline.h"
+#include "util/rng.h"
 #include "workload/experiment.h"
 #include "workload/workload_runner.h"
 
@@ -737,6 +738,143 @@ TEST(TieredCacheTest, EnginedWorkloadPromotesFromWarmTier) {
   EXPECT_TRUE(exp.cache().ValidateInvariants());
   EXPECT_TRUE(exp.warm_tier()->ValidateInvariants());
   EXPECT_EQ(exp.cache().TotalPinCount(), 0);
+}
+
+// --- Each tier at equal total RAM. ---
+
+// `total` arrivals over a pool of `pool_size` whole-level queries, 90% of
+// them drawn from a hot set picked by modeled footprint: the largest
+// group-bys of at most 0.45x the RAM budget each (no single query may
+// thrash every configuration alike), until the set reaches ~1.35x the
+// budget or holds 8 queries. That is more than one tier can keep (CLOCK
+// cycles it, every pass refetches), but a hot+warm split holds more of it,
+// since the warm share's encoded bytes stretch the same RAM. The cold tail
+// keeps eviction pressure on without levels big enough to flush every tier
+// in one pass.
+std::vector<QueryStreamEntry> MakeHotSetStream(const ExperimentConfig& config,
+                                               int pool_size, int total,
+                                               uint64_t seed) {
+  Experiment exp(config);
+  const ChunkSizeModel& sizes = exp.size_model();
+  const double budget = static_cast<double>(exp.cache_bytes());
+  std::vector<GroupById> by_size = exp.lattice().TopoDetailedFirst();
+  std::sort(by_size.begin(), by_size.end(), [&sizes](GroupById a, GroupById b) {
+    return sizes.ExpectedGroupByBytes(a) > sizes.ExpectedGroupByBytes(b);
+  });
+  std::vector<GroupById> hot_set;
+  std::vector<GroupById> cold;
+  int64_t hot_bytes = 0;
+  for (GroupById gb : by_size) {
+    const int64_t bytes = sizes.ExpectedGroupByBytes(gb);
+    if (static_cast<double>(hot_bytes) < 1.35 * budget &&
+        static_cast<double>(bytes) <= 0.45 * budget && hot_set.size() < 8) {
+      hot_set.push_back(gb);
+      hot_bytes += bytes;
+    } else {
+      cold.push_back(gb);
+    }
+  }
+  std::vector<QueryStreamEntry> pool;
+  auto push = [&exp, &pool](GroupById gb) {
+    QueryStreamEntry e;
+    e.query = Query::WholeLevel(exp.schema(), exp.lattice().LevelOf(gb));
+    e.kind = QueryKind::kRandom;
+    pool.push_back(std::move(e));
+  };
+  for (GroupById gb : hot_set) push(gb);
+  for (GroupById gb : cold) {
+    if (static_cast<int>(pool.size()) >= pool_size) break;
+    if (static_cast<double>(sizes.ExpectedGroupByBytes(gb)) <= 0.45 * budget) {
+      push(gb);
+    }
+  }
+  Rng rng(seed);
+  std::vector<QueryStreamEntry> stream;
+  stream.reserve(static_cast<size_t>(total));
+  for (int i = 0; i < total; ++i) {
+    const size_t pick =
+        rng.Bernoulli(0.9) ? rng.Uniform(hot_set.size())
+                           : rng.Uniform(static_cast<uint64_t>(pool.size()));
+    stream.push_back(pool[pick]);
+  }
+  return stream;
+}
+
+// One configuration's run of the hot-set stream.
+struct EqualRamRun {
+  WorkloadTotals totals;
+  int64_t ram_bytes = 0;  // hot capacity plus warm capacity
+  WarmTierStats warm;
+  bool sound = false;     // every tier's invariants hold, no pin is left
+
+  // Requested chunks served without the backend.
+  double HitRate() const {
+    return 1.0 - static_cast<double>(totals.chunks_backend) /
+                     static_cast<double>(totals.chunks_requested);
+  }
+};
+
+EqualRamRun RunEqualRam(const ExperimentConfig& config,
+                        const std::vector<QueryStreamEntry>& stream) {
+  Experiment exp(config);
+  EqualRamRun run;
+  run.ram_bytes = exp.cache_bytes();
+  run.totals = RunWorkload(exp.engine(), stream);
+  run.sound = exp.cache().ValidateInvariants() &&
+              exp.cache().TotalPinCount() == 0;
+  if (exp.warm_tier() != nullptr) {
+    run.ram_bytes += exp.warm_tier()->capacity_bytes();
+    run.warm = exp.warm_tier()->stats();
+    run.sound = run.sound && exp.warm_tier()->ValidateInvariants();
+  }
+  if (exp.disk_tier() != nullptr) {
+    run.sound = run.sound && exp.disk_tier()->ValidateInvariants();
+  }
+  return run;
+}
+
+// At equal RAM B, hot+warm (half of B each, the warm half in encoded
+// bytes) serves more of the hot-set stream without the backend than a hot
+// tier of all of B, and a disk spill file below them serves more still.
+// 20k tuples, one cache shard and queries on one thread: every counter
+// compared here repeats exactly.
+TEST(TieredCacheTest, AtEqualRamEachTierRaisesTheHitRate) {
+  ExperimentConfig one_tier;
+  one_tier.data.num_tuples = 20'000;
+  one_tier.data.seed = 42;
+  one_tier.data.dense_dim = 2;
+  // Exact chunk sizes: the stream sizes its hot set against the budget.
+  one_tier.measured_sizes = true;
+  // Scarce: the budget holds ~1/8 of the base data.
+  one_tier.cache_fraction = 0.125;
+  const std::vector<QueryStreamEntry> stream = MakeHotSetStream(
+      one_tier, /*pool_size=*/10, /*total=*/60, one_tier.data.seed + 3);
+
+  constexpr double kWarmShare = 0.5;
+  ExperimentConfig hot_warm = one_tier;
+  hot_warm.cache_fraction = one_tier.cache_fraction * (1.0 - kWarmShare);
+  hot_warm.warm_fraction = kWarmShare / (1.0 - kWarmShare);  // of hot bytes
+  ExperimentConfig hot_warm_disk = hot_warm;
+  const std::string path = testing::TempDir() + "/aac_equal_ram_spill.bin";
+  hot_warm_disk.disk_spill_path = path;
+  hot_warm_disk.disk_spill_bytes = 64 << 20;
+
+  const EqualRamRun one = RunEqualRam(one_tier, stream);
+  const EqualRamRun warm = RunEqualRam(hot_warm, stream);
+  const EqualRamRun disk = RunEqualRam(hot_warm_disk, stream);
+  std::remove(path.c_str());
+
+  EXPECT_TRUE(one.sound);
+  EXPECT_TRUE(warm.sound);
+  EXPECT_TRUE(disk.sound);
+  EXPECT_LE(warm.ram_bytes, one.ram_bytes);
+  EXPECT_LE(disk.ram_bytes, one.ram_bytes);
+  EXPECT_GT(warm.totals.chunks_warm, 0);
+  EXPECT_GT(disk.totals.chunks_disk, 0);
+  EXPECT_LT(warm.warm.demoted_encoded_bytes, warm.warm.demoted_raw_bytes);
+  EXPECT_GT(warm.HitRate(), one.HitRate());
+  EXPECT_GT(disk.HitRate(), one.HitRate());
+  EXPECT_LT(warm.totals.chunks_backend, one.totals.chunks_backend);
 }
 
 // EXPLAIN names the warm tier when the promotion path would serve a miss.

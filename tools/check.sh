@@ -13,14 +13,15 @@
 #                               # TSan — e.g. robustness (deadlines,
 #                               # admission, the overload storm),
 #                               # resultcache (canonicalization, result
-#                               # cache), tiered (codec fuzz, demotion and
-#                               # promotion, torn spill files), kernel
+#                               # cache, the result layer at equal RAM),
+#                               # tiered (codec fuzz, demotion and
+#                               # promotion, torn spill files, each tier at
+#                               # equal RAM), kernel
 #   tools/check.sh bench-smoke  # under ASan+UBSan, then TSan: the
-#                               # rollup_kernel, overload_storm,
-#                               # result_cache and tiered_cache benches in
-#                               # --smoke mode (each exits nonzero when its
-#                               # own assertions fail), then the "kernel"
-#                               # label
+#                               # rollup_kernel and overload_storm benches
+#                               # in --smoke mode (each exits nonzero when
+#                               # its own assertions fail), then the
+#                               # "kernel" label
 #   tools/check.sh kernel-simd  # the "kernel" label with AAC_FOLD_KERNEL
 #                               # forced to vector and then scalar, in the
 #                               # plain build (which first runs
@@ -101,14 +102,14 @@ run_label() {
 }
 
 # The bench smoke runs are the benches' own assertions at tiny sizes:
-# scalar-vs-vector bit identity (rollup_kernel), goodput, typed resolutions
-# and zero pins (overload_storm), hits and bit-identity (result_cache), and
-# both tiered modes strictly above one tier with every tier's invariants
-# holding (tiered_cache).
+# scalar-vs-vector bit identity (rollup_kernel), and goodput, typed
+# resolutions and zero pins (overload_storm). The result cache's and the
+# tiers' equal-RAM contracts are gtests under the resultcache and tiered
+# labels, which every suite runs.
 run_bench_smoke() {
   local build_dir="$1" bench
   build_tree "$@"
-  for bench in rollup_kernel overload_storm result_cache tiered_cache; do
+  for bench in rollup_kernel overload_storm; do
     echo "=== ${build_dir##*/}: ${bench} --smoke ==="
     "${build_dir}/bench/${bench}" --smoke
   done
