@@ -4,20 +4,6 @@
 
 namespace aac {
 
-const char* BackendStatusName(BackendStatus status) {
-  switch (status) {
-    case BackendStatus::kOk:
-      return "ok";
-    case BackendStatus::kPartial:
-      return "partial";
-    case BackendStatus::kTransientError:
-      return "transient-error";
-    case BackendStatus::kTimeout:
-      return "timeout";
-  }
-  return "?";
-}
-
 BackendServer::BackendServer(const FactTable* table,
                              const BackendCostModel& model, SimClock* clock)
     : table_(table),

@@ -26,8 +26,6 @@ enum class BackendStatus {
   kTimeout,         // nothing returned; the full timeout latency was paid
 };
 
-const char* BackendStatusName(BackendStatus status);
-
 /// Status-carrying result of `Backend::ExecuteChunkQuery`. On kOk, `chunks`
 /// holds one entry per requested chunk; on kPartial, a subset (each entry
 /// still exact for its chunk); on error statuses it is empty.

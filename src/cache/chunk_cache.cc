@@ -317,7 +317,7 @@ void ChunkCache::Unpin(const CacheKey& key) {
 void ChunkCache::ForEach(
     const std::function<void(const CacheEntryInfo&)>& fn) const {
   // Snapshot first so the callback runs without a shard lock and may call
-  // back into the cache (snapshot writers Peek every visited key).
+  // back into the cache (the VCM constructor Peeks every visited key).
   std::vector<CacheEntryInfo> infos;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mutex);

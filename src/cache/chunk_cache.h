@@ -120,7 +120,6 @@ class ChunkCache {
   /// Installs the demotion sink (warm tier); must outlive the cache. Not
   /// thread-safe: install before concurrent use. Null detaches.
   void set_demotion_sink(DemotionSink* sink) { sink_ = sink; }
-  DemotionSink* demotion_sink() const { return sink_; }
 
   int64_t capacity_bytes() const { return capacity_bytes_; }
   int64_t bytes_per_tuple() const { return bytes_per_tuple_; }

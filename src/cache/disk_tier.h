@@ -34,13 +34,13 @@ struct DiskTierStats {
 /// file, promoted back on re-reference.
 ///
 /// Stores the warm tier's codec blobs verbatim — the payload stays
-/// compressed on disk — one framed extent per chunk, following the
-/// chunk_file idiom (magic, fixed header, checksums): each extent carries
-/// its own header and payload WordChecksum, so a torn write
-/// (crash mid-append, truncated file) is detected on read and treated as a
-/// plain miss — the index entry is dropped and the caller falls through to
-/// the backend. The in-memory index maps CacheKey -> file extent under a
-/// byte budget with the same weighted CLOCK (a ClockRing) as the RAM tiers.
+/// compressed on disk — one framed extent per chunk (magic, fixed header,
+/// checksums): each extent carries its own header and payload
+/// WordChecksum, so a torn write (crash mid-append, truncated file) is
+/// detected on read and treated as a plain miss — the index entry is
+/// dropped and the caller falls through to the backend. The in-memory
+/// index maps CacheKey -> file extent under a byte budget with the same
+/// weighted CLOCK (a ClockRing) as the RAM tiers.
 ///
 /// Eviction only drops the index entry; the extent's bytes become dead.
 /// When dead bytes reach half the file, the live extents are rewritten to

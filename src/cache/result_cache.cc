@@ -77,12 +77,11 @@ bool TrimToKey(const ResultCacheKey& key, const std::vector<ChunkData>& chunks,
 bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
                              const std::vector<ChunkData>& chunks,
                              double cost_tuples) {
-  // The cost bar is checked before anything is copied and the entry cap
-  // while trimming, so an oversized answer is copied only up to the cap.
+  // The entry cap is checked while trimming, so an oversized answer is
+  // copied only up to the cap.
   std::vector<ChunkData> answer;
   int64_t bytes = 0;
-  if (cost_tuples < config_.min_admit_cost_tuples ||
-      !TrimToKey(key, chunks, config_.bytes_per_tuple,
+  if (!TrimToKey(key, chunks, config_.bytes_per_tuple,
                  config_.max_entry_fraction *
                      static_cast<double>(config_.capacity_bytes),
                  &bytes, &answer)) {

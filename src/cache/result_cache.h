@@ -62,7 +62,7 @@ struct ResultCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t admitted = 0;
-  int64_t rejected = 0;     // below the cost bar, oversized, or CLOCK refused
+  int64_t rejected = 0;     // over the entry cap, or CLOCK refused
   int64_t evictions = 0;    // capacity evictions (answers stay correct)
   int64_t invalidated = 0;  // dropped because underlying data changed
 };
@@ -77,9 +77,9 @@ struct ResultCacheStats {
 /// weight (the tuples of fold + backend work a future hit avoids) and
 /// logical byte accounting, under the same weighted CLOCK (a ClockRing) as
 /// the chunk cache (ReplacementPolicy::NormalizedWeight compresses benefit
-/// to a bounded clock weight). Admission is cost-based: answers cheaper to
-/// recompute than `Config::min_admit_cost_tuples` are not worth a slot, and
-/// no entry may take more than `Config::max_entry_fraction` of capacity.
+/// to a bounded clock weight). Admission is by size: no entry may take
+/// more than `Config::max_entry_fraction` of capacity, and an answer that
+/// fits is admitted if CLOCK can free room for it.
 ///
 /// Invalidation contract (DESIGN.md §12): capacity eviction never makes an
 /// answer wrong, so eviction is silent. An entry must be *invalidated* when
@@ -105,9 +105,6 @@ class ResultCache : public CacheListener {
     int64_t capacity_bytes = 4 << 20;
     /// Logical accounting size of one cached tuple (match the chunk cache).
     int64_t bytes_per_tuple = 20;
-    /// Answers whose recompute cost (in tuples of fold + backend-scan work)
-    /// is below this are not admitted — a result slot must pay for itself.
-    double min_admit_cost_tuples = 0.0;
     /// No single answer may occupy more than this fraction of capacity.
     double max_entry_fraction = 0.5;
   };
@@ -124,9 +121,9 @@ class ResultCache : public CacheListener {
   /// probe plus a hit or miss.
   bool Probe(const ResultCacheKey& key, std::vector<ChunkData>* out);
 
-  /// Cost-based admission of a finished answer: `cost_tuples` is what
-  /// recomputing it would cost (tuples folded plus backend scan-tuple
-  /// equivalents). Rejects answers below the cost bar or over the size cap;
+  /// Admission of a finished answer: `cost_tuples` is what recomputing it
+  /// would cost (tuples folded plus backend scan-tuple equivalents), and
+  /// weights the entry's CLOCK grant. Rejects answers over the size cap;
   /// otherwise evicts CLOCK victims until the answer fits. Cells outside
   /// the key's value ranges are trimmed before storing (RefineResult's
   /// predicate), so byte accounting charges the answer, not the covering

@@ -6,20 +6,6 @@
 
 namespace aac {
 
-const char* AdmissionOutcomeName(AdmissionOutcome outcome) {
-  switch (outcome) {
-    case AdmissionOutcome::kAdmitted:
-      return "admitted";
-    case AdmissionOutcome::kShedQueueFull:
-      return "shed-queue-full";
-    case AdmissionOutcome::kShedBreakerOpen:
-      return "shed-breaker-open";
-    case AdmissionOutcome::kDeadlineExpiredInQueue:
-      return "deadline-expired-in-queue";
-  }
-  return "?";
-}
-
 AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(config) {
   AAC_CHECK(config.max_concurrent > 0);

@@ -35,8 +35,6 @@ enum class AdmissionOutcome {
   kDeadlineExpiredInQueue, // deadline/cancel fired while queued
 };
 
-const char* AdmissionOutcomeName(AdmissionOutcome outcome);
-
 /// Counter snapshot (see AdmissionController::stats).
 struct AdmissionStats {
   int64_t admitted = 0;

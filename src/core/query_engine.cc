@@ -13,42 +13,6 @@
 
 namespace aac {
 
-const char* ResultStatusName(ResultStatus status) {
-  switch (status) {
-    case ResultStatus::kOk:
-      return "ok";
-    case ResultStatus::kDegradedComplete:
-      return "degraded-complete";
-    case ResultStatus::kDegradedPartial:
-      return "degraded-partial";
-    case ResultStatus::kDeadlineExceeded:
-      return "deadline-exceeded";
-    case ResultStatus::kShedded:
-      return "shedded";
-  }
-  return "?";
-}
-
-const char* FetchAbortReasonName(FetchAbortReason reason) {
-  switch (reason) {
-    case FetchAbortReason::kNone:
-      return "none";
-    case FetchAbortReason::kBreakerOpen:
-      return "breaker-open";
-    case FetchAbortReason::kBreakerTripped:
-      return "breaker-tripped";
-    case FetchAbortReason::kAttemptsExhausted:
-      return "attempts-exhausted";
-    case FetchAbortReason::kRetryBudgetExhausted:
-      return "retry-budget-exhausted";
-    case FetchAbortReason::kDeadlineExceeded:
-      return "deadline-exceeded";
-    case FetchAbortReason::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
 QueryCounters& QueryCounters::operator+=(const QueryCounters& other) {
   chunks_requested += other.chunks_requested;
   chunks_direct += other.chunks_direct;
@@ -661,9 +625,9 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
 
   // --- Result-cache admission: only a clean, complete, healthy answer may
   // become a cached result (a degraded or salvaged answer could be partial
-  // or built over a breaker-open view). The admission itself is cost-based
-  // inside MaybeAdmit: the recompute cost is the fold work plus the
-  // backend scan work a future hit avoids. ---
+  // or built over a breaker-open view). MaybeAdmit admits by size; the
+  // recompute cost, the fold work plus the backend scan work a future hit
+  // avoids, weights the entry's CLOCK grant. ---
   if (layers_.result_cache != nullptr && s.status == ResultStatus::kOk &&
       result.unavailable.empty()) {
     Stopwatch admit_timer;

@@ -43,8 +43,6 @@ enum class ResultStatus {
   kShedded,
 };
 
-const char* ResultStatusName(ResultStatus status);
-
 /// Why the backend phase of a query stopped before answering every pending
 /// chunk (kNone: it didn't stop early). The first cause to fire wins.
 enum class FetchAbortReason {
@@ -56,8 +54,6 @@ enum class FetchAbortReason {
   kDeadlineExceeded,      // the query's end-to-end Deadline fired
   kCancelled,             // the query's CancelToken fired
 };
-
-const char* FetchAbortReasonName(FetchAbortReason reason);
 
 /// The per-query counters that sum across queries: QueryStats carries one
 /// query's values and WorkloadTotals their sums over a workload, so each
@@ -131,7 +127,7 @@ struct QueryStats : QueryCounters {
   bool result_cache_probed = false;   // engine consulted the result cache
   bool result_cache_hit = false;      // answered wholesale from it
   bool result_cache_admitted = false; // this query's finished answer was
-                                      // admitted (cost-based decision)
+                                      // admitted
 };
 
 /// Status-carrying answer to one query: the answered chunks (chunk-aligned
@@ -154,9 +150,9 @@ struct QueryResult {
 /// outlive every engine it is attached to.
 struct EngineLayers {
   /// Semantic result cache: probed by canonical query key before any chunk
-  /// work; a clean complete answer is offered to it for cost-based
-  /// admission. Callers that want replace-in-place staleness hooks also
-  /// register it as a chunk-cache listener.
+  /// work; a clean complete answer is offered to it for admission.
+  /// Callers that want replace-in-place staleness hooks also register it
+  /// as a chunk-cache listener.
   ResultCache* result_cache = nullptr;
   /// Compressed warm tier (and its disk tier): hot-cache misses probe it
   /// before aggregation or the backend, and hits are promoted back into

@@ -61,7 +61,6 @@ class VirtualCounts {
 
   /// Cumulative number of count-array writes (Table 2's update cost driver).
   int64_t updates_applied() const { return updates_applied_; }
-  void ResetUpdateCounter() { updates_applied_ = 0; }
 
  private:
   void Increment(GroupById gb, ChunkId chunk);

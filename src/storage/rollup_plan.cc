@@ -108,11 +108,6 @@ std::shared_ptr<const RollupPlan> RollupPlanCache::Get(const ChunkGrid& grid,
   return it->second;
 }
 
-void RollupPlanCache::Clear() {
-  WriterMutexLock lock(mutex_);
-  plans_.clear();
-}
-
 RollupPlanCache::Stats RollupPlanCache::stats() const {
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);

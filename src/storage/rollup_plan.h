@@ -120,9 +120,6 @@ class RollupPlanCache {
   std::shared_ptr<const RollupPlan> Get(const ChunkGrid& grid, GroupById from,
                                         GroupById to, ChunkId chunk);
 
-  /// Drops every cached plan (in-flight shared_ptrs stay valid).
-  void Clear();
-
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;   // Get calls that had to build (or race-build)

@@ -97,16 +97,6 @@ class Deadline {
 /// overload or while the backend breaker is open.
 enum class QueryClass { kInteractive, kBatch };
 
-inline const char* QueryClassName(QueryClass cls) {
-  switch (cls) {
-    case QueryClass::kInteractive:
-      return "interactive";
-    case QueryClass::kBatch:
-      return "batch";
-  }
-  return "?";
-}
-
 /// Per-query execution context threaded from the caller through admission,
 /// the engine, the fold loops and the backend fetch path. Default
 /// construction means: no deadline, no cancel token, interactive class —

@@ -193,18 +193,6 @@ void OnCondVarWait(const void* lock) {
 
 int HeldCount() { return g_held_count; }
 
-std::vector<EdgeSnapshot> SnapshotEdges() {
-  std::vector<EdgeSnapshot> out;
-  GraphGuard guard;
-  out.reserve(Graph().size());
-  for (const auto& [key, edge] : Graph()) {
-    out.push_back(EdgeSnapshot{key.first, key.second, edge.from_rank,
-                               edge.to_rank, edge.count, edge.from_site,
-                               edge.to_site});
-  }
-  return out;
-}
-
 bool HasEdge(const char* from, const char* to) {
   GraphGuard guard;
   return Graph().count(EdgeKey(from, to)) > 0;

@@ -5,7 +5,6 @@
 
 #if defined(AAC_LOCKDEP)
 #include <string>
-#include <vector>
 #endif
 
 // Lockdep: declared lock ranks and (in AAC_LOCKDEP builds) runtime
@@ -121,20 +120,6 @@ void OnCondVarWait(const void* lock);
 
 /// Depth of this thread's held-lock stack.
 int HeldCount();
-
-/// One edge of the global lock-order graph, keyed by lock name.
-struct EdgeSnapshot {
-  std::string from;
-  std::string to;
-  uint16_t from_rank;
-  uint16_t to_rank;
-  uint64_t count;         // recording events (deduped per thread)
-  std::string from_site;  // first-seen acquisition sites, "file:line"
-  std::string to_site;
-};
-
-/// Copies the current edge graph (tests and tools).
-std::vector<EdgeSnapshot> SnapshotEdges();
 
 /// True if an edge from→to has been recorded.
 bool HasEdge(const char* from, const char* to);

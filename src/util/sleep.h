@@ -1,21 +1,18 @@
 #ifndef AAC_UTIL_SLEEP_H_
 #define AAC_UTIL_SLEEP_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <thread>
 
-#include "util/deadline.h"
-
 namespace aac {
 
-// The clock-aware sleep helpers. This header holds the repo's ONLY
+// The one real-time sleep. This header holds the repo's ONLY
 // std::this_thread::sleep_for call (tools/lint_invariants.py bans it
-// everywhere else): every real-time wait must either be bounded here by a
-// Deadline or be an explicit, reviewed SleepForNanos — a raw sleep deep in
-// a call chain is how an "overloaded" middle tier ends up stalling past
-// every client deadline.
+// everywhere else): a wait on behalf of a query must be a deadline-bounded
+// CondVar::WaitUntil, and any other wait an explicit, reviewed
+// SleepForNanos — a raw sleep deep in a call chain is how an "overloaded"
+// middle tier ends up stalling past every client deadline.
 
 /// Sleeps for `nanos` of real time (<= 0 is a no-op). Use only for waits
 /// that are not on behalf of a deadline-bearing query (bench arrival
@@ -23,15 +20,6 @@ namespace aac {
 inline void SleepForNanos(int64_t nanos) {
   if (nanos <= 0) return;
   std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
-}
-
-/// Sleeps for min(nanos, deadline.remaining_ns()): a backoff or pacing wait
-/// that can never overshoot the query's budget. Returns the nanoseconds
-/// actually slept.
-inline int64_t SleepForNanosClamped(int64_t nanos, const Deadline& deadline) {
-  const int64_t allowed = std::min(nanos, deadline.remaining_ns());
-  SleepForNanos(allowed);
-  return std::max<int64_t>(allowed, 0);
 }
 
 }  // namespace aac

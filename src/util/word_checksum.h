@@ -20,8 +20,7 @@ namespace aac {
 /// cannot alias a longer input's zero bytes, because the lengths differ.
 ///
 /// The sum is computed on the host's byte order and is not a persisted
-/// format: blobs checked with it live no longer than their process. The
-/// chunk file keeps FNV-1a (`fnv1a.h`).
+/// format: blobs checked with it live no longer than their process.
 inline uint64_t WordChecksum(const void* data, size_t size) {
   // Xor in a word, multiply by an odd constant, xorshift: each is a
   // bijection of the state, both for a fixed word and, through the xor,

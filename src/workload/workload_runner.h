@@ -24,7 +24,7 @@ struct WorkloadTotals : QueryCounters {
   // Semantic result-cache outcomes (all zero without a ResultCache).
   int64_t result_hits = 0;      // queries answered wholesale by the layer
   int64_t result_misses = 0;    // probed, not found
-  int64_t result_admitted = 0;  // finished answers admitted (cost-based)
+  int64_t result_admitted = 0;  // finished answers admitted
 
   // Overload-path outcomes (all zero without deadlines/admission control).
   int64_t shedded = 0;            // refused by admission control
@@ -43,13 +43,6 @@ struct WorkloadTotals : QueryCounters {
     return queries == 0 ? 0.0
                         : 100.0 * static_cast<double>(complete_hits) /
                               static_cast<double>(queries);
-  }
-  /// Fraction of result-cache probes that hit.
-  double ResultHitPercent() const {
-    const int64_t probes = result_hits + result_misses;
-    return probes == 0 ? 0.0
-                       : 100.0 * static_cast<double>(result_hits) /
-                             static_cast<double>(probes);
   }
   /// Fraction of queries answered in degraded mode (complete or partial).
   double DegradedPercent() const {

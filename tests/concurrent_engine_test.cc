@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -190,8 +189,9 @@ TEST(ConcurrentEngineLayers, AttachingAResultCacheKeepsTheWarmTier) {
   Experiment exp(TieredConfig());
   ASSERT_NE(exp.warm_tier(), nullptr);
   ResultCache::Config rc_config;
-  // Probe, but admit nothing, so every query still runs the chunk path.
-  rc_config.min_admit_cost_tuples = std::numeric_limits<double>::infinity();
+  // Probe, but admit nothing, so every query still runs the chunk path:
+  // every non-empty answer is over a one-byte cache's entry cap.
+  rc_config.capacity_bytes = 1;
   ResultCache results(rc_config);
   exp.engine().Attach({.result_cache = &results});
   const WorkloadTotals second =

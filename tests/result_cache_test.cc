@@ -81,19 +81,6 @@ TEST(ResultCacheTest, ProbeAdmitRoundTrip) {
   EXPECT_TRUE(rc.ValidateInvariants());
 }
 
-TEST(ResultCacheTest, CostBarRejectsCheapAnswers) {
-  ResultCache::Config config;
-  config.capacity_bytes = 10'000;
-  config.min_admit_cost_tuples = 50.0;
-  ResultCache rc(config);
-  std::vector<ChunkData> answer{MakeChunk(1, 0, 3)};
-  EXPECT_FALSE(rc.MaybeAdmit(MakeKey(1), 1, answer, /*cost_tuples=*/10.0));
-  EXPECT_EQ(rc.num_entries(), 0u);
-  EXPECT_EQ(rc.stats().rejected, 1);
-  EXPECT_TRUE(rc.MaybeAdmit(MakeKey(2), 1, answer, /*cost_tuples=*/50.0));
-  EXPECT_EQ(rc.num_entries(), 1u);
-}
-
 TEST(ResultCacheTest, OversizedAnswersAreRejected) {
   ResultCache::Config config;
   config.capacity_bytes = 1'000;

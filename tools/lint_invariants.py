@@ -37,10 +37,10 @@ it enforces the invariants that keep the clang gate meaningful:
       disk spill tier, or the chunk codec) must carry the "tiered" label,
       which tools/check.sh label tiered runs the same way.
   R6  Raw std::this_thread::sleep_for is banned outside src/util/sleep.h.
-      Every wait must go through the clock-aware helpers (SleepForNanos /
-      SleepForNanosClamped) or a deadline-bounded CondVar wait — a naked
-      sleep deep in a retry or polling loop is invisible to the deadline
-      machinery and happily oversleeps a query's remaining budget.
+      Every wait must go through SleepForNanos or a deadline-bounded
+      CondVar wait — a naked sleep deep in a retry or polling loop is
+      invisible to the deadline machinery and happily oversleeps a
+      query's remaining budget.
   R7  Raw SIMD intrinsics (immintrin.h, _mm* calls, __m128/256/512 types)
       are banned outside src/storage/fold_kernel.{h,cc}. The fold kernel is
       the single CPU-dispatch seam: everywhere else stays portable so the
@@ -61,12 +61,12 @@ it enforces the invariants that keep the clang gate meaningful:
       deadline, once a second and every 2 ms under a cancel token — a
       hand-copied loop drifts from it (tests/lockdep_test.cc, which tests
       the primitive itself, is outside src/ and so exempt).
-  R10 Fnv1a( is called in src/ only by src/storage/chunk_file.cc (a
-      persisted format) and src/core/query_canon.cc (the result-cache key
-      digest), besides src/util/fnv1a.h, which defines it. Byte-serial
-      FNV-1a costs several times WordChecksum per byte; the chunk codec
-      and the disk tier sum every blob they touch with WordChecksum, and
-      this keeps FNV-1a from coming back onto that path.
+  R10 Fnv1a( is called in src/ only by src/core/query_canon.cc (the
+      result-cache key digest), besides src/util/fnv1a.h, which defines
+      it. Byte-serial FNV-1a costs several times WordChecksum per byte;
+      the chunk codec and the disk tier sum every blob they touch with
+      WordChecksum, and this keeps FNV-1a from coming back onto that
+      path.
 
 Exit status 0 with no output (beyond the summary) when clean; 1 with one
 line per finding otherwise.
@@ -449,8 +449,7 @@ def check_raw_sleeps():
                     finding(
                         path, lineno, "R6-raw-sleep",
                         "raw sleep outside src/util/sleep.h — use "
-                        "SleepForNanos / SleepForNanosClamped (deadline-aware)"
-                        " or a bounded CondVar wait",
+                        "SleepForNanos or a bounded CondVar wait",
                     )
 
 
@@ -638,14 +637,13 @@ def check_one_wait():
 
 
 # --------------------------------------------------------------------------
-# R10: FNV-1a stays off the tier path. Its two callers hash a persisted
-# format and the result-cache key; blobs are summed with WordChecksum.
+# R10: FNV-1a stays off the tier path. Its one caller hashes the
+# result-cache key; blobs are summed with WordChecksum.
 # --------------------------------------------------------------------------
 
 FNV_CALL = re.compile(r"\bFnv1a\s*\(")
 FNV_HEADER = REPO / "src" / "util" / "fnv1a.h"
 FNV_CALLERS = {
-    REPO / "src" / "storage" / "chunk_file.cc",
     REPO / "src" / "core" / "query_canon.cc",
 }
 
@@ -659,9 +657,9 @@ def check_fnv_callers():
             if FNV_CALL.search(code):
                 finding(
                     path, lineno, "R10-fnv-callers",
-                    "Fnv1a called outside src/storage/chunk_file.cc and "
-                    "src/core/query_canon.cc — sum tier blobs with "
-                    "WordChecksum (src/util/word_checksum.h)",
+                    "Fnv1a called outside src/core/query_canon.cc — sum "
+                    "tier blobs with WordChecksum "
+                    "(src/util/word_checksum.h)",
                 )
 
 
