@@ -22,6 +22,7 @@
 #include "storage/aggregator.h"
 #include "storage/chunk_codec.h"
 #include "storage/fact_table.h"
+#include "storage/fold_kernel.h"
 #include "storage/measured_size_model.h"
 #include "util/rng.h"
 #include "workload/apb_schema.h"
@@ -110,6 +111,9 @@ void BM_ChunkOfCell(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkOfCell);
 
+// Arg 0 folds with the scalar kernel, 1 with the vector kernel (which runs
+// scalar on a CPU without AVX2): a reading of the fold kernel alone, not a
+// gate.
 void BM_AggregateBaseChunkToTop(benchmark::State& state) {
   static const FactTable* table = [] {
     DataGenConfig config;
@@ -117,7 +121,10 @@ void BM_AggregateBaseChunkToTop(benchmark::State& state) {
     return new FactTable(&Cube().grid(),
                          GenerateFactData(Cube().schema(), config));
   }();
+  const FoldKernelKind kernel =
+      state.range(0) == 0 ? FoldKernelKind::kScalar : FoldKernelKind::kVector;
   Aggregator aggregator(&Cube().grid());
+  aggregator.set_fold_kernel(kernel);
   const GroupById base = Cube().lattice().base_id();
   const GroupById top = Cube().lattice().top_id();
   ChunkId c = 0;
@@ -131,8 +138,9 @@ void BM_AggregateBaseChunkToTop(benchmark::State& state) {
     c = (c + 1) % table->num_chunks();
   }
   state.SetItemsProcessed(tuples);
+  state.SetLabel(FoldKernelName(kernel));
 }
-BENCHMARK(BM_AggregateBaseChunkToTop);
+BENCHMARK(BM_AggregateBaseChunkToTop)->Arg(0)->Arg(1);
 
 // bench/e2e's data: APB-1, 120k tuples, time-dense, seed 1.
 std::vector<Cell> TimeDenseCells() {

@@ -555,30 +555,26 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   // its successors). ---
   Stopwatch update_timer;
   int64_t admitted = 0;
-  if (config_.cache_computed_results || config_.boost_groups) {
-    for (const ComputedInfo& info : computed) {
-      const double benefit = benefit_->CacheComputedChunkBenefit(
-          static_cast<double>(info.tuples));
-      if (config_.cache_computed_results) {
-        cache_->Insert(results[info.result_index], benefit,
-                       ChunkSource::kCacheComputed);
-        ++admitted;
-      }
-      if (config_.boost_groups) {
-        const double boost = ReplacementPolicy::NormalizedWeight(benefit);
-        for (const CacheKey& key : info.group) cache_->Boost(key, boost);
-      }
+  // Chunks computed by in-cache aggregation go in as cache-computed,
+  // lower-priority entries under the two-level policy.
+  for (const ComputedInfo& info : computed) {
+    const double benefit = benefit_->CacheComputedChunkBenefit(
+        static_cast<double>(info.tuples));
+    cache_->Insert(results[info.result_index], benefit,
+                   ChunkSource::kCacheComputed);
+    ++admitted;
+    if (config_.boost_groups) {
+      const double boost = ReplacementPolicy::NormalizedWeight(benefit);
+      for (const CacheKey& key : info.group) cache_->Boost(key, boost);
     }
   }
-  if (config_.cache_backend_results) {
-    // Only chunks this query fetched itself are inserted: for coalesced
-    // chunks the leading query already inserted them, and re-inserting
-    // would just churn the replacement state.
-    for (ChunkData& data : backend_results) {
-      const double benefit = benefit_->BackendChunkBenefit(gb, data.chunk);
-      cache_->Insert(data, benefit, ChunkSource::kBackend);
-      ++admitted;
-    }
+  // Only chunks this query fetched itself are inserted: for coalesced
+  // chunks the leading query already inserted them, and re-inserting would
+  // just churn the replacement state.
+  for (ChunkData& data : backend_results) {
+    const double benefit = benefit_->BackendChunkBenefit(gb, data.chunk);
+    cache_->Insert(data, benefit, ChunkSource::kBackend);
+    ++admitted;
   }
   // The query's cache events (promotions, inserts and their evictions)
   // reach the strategy's summary state here, so its upkeep counts as

@@ -187,13 +187,6 @@ struct EngineLayers {
 class QueryEngine {
  public:
   struct Config {
-    /// Insert backend-fetched chunks into the cache.
-    bool cache_backend_results = true;
-
-    /// Insert chunks computed by in-cache aggregation (as cache-computed,
-    /// lower-priority entries under the two-level policy).
-    bool cache_computed_results = true;
-
     /// Boost the clock value of every chunk in a group used to compute an
     /// aggregate by the computed chunk's (normalized) benefit — rule 2 of
     /// the two-level policy.

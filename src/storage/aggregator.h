@@ -99,11 +99,9 @@ class Aggregator {
   const RollupPlanCache& plan_cache() const { return *plan_cache_; }
 
   /// Forces the dense fold inner loop onto one kernel (tests, benches).
-  /// The default is DefaultFoldKernel() — the AAC_FOLD_KERNEL environment
-  /// variable, else vector where the CPU supports it. Either kernel
-  /// produces bit-identical output (DESIGN.md §13).
+  /// The default is DefaultFoldKernel(): vector where the CPU supports it.
+  /// Either kernel produces bit-identical output (DESIGN.md §13).
   void set_fold_kernel(FoldKernelKind kind) { fold_kernel_ = kind; }
-  FoldKernelKind fold_kernel() const { return fold_kernel_; }
 
   /// Debug/test introspection of the most recent fold.
   struct FoldInfo {

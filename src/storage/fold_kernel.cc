@@ -1,13 +1,10 @@
 #include "storage/fold_kernel.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
-#define AAC_FOLD_KERNEL_HAVE_AVX2 1
+#define AAC_HAVE_AVX2_FOLD 1
 #else
-#define AAC_FOLD_KERNEL_HAVE_AVX2 0
+#define AAC_HAVE_AVX2_FOLD 0
 #endif
 
 namespace aac {
@@ -36,7 +33,7 @@ void FoldCellsScalar(const RollupPlan& plan, const Cell* cells, size_t n,
   }
 }
 
-#if AAC_FOLD_KERNEL_HAVE_AVX2
+#if AAC_HAVE_AVX2_FOLD
 
 // The vector kernel leans on the exact memory layout of Cell and FoldState:
 // a Cell is 16 int32 lanes (values at lane 0..7, aggregates as two doubles +
@@ -185,7 +182,7 @@ __attribute__((target("avx2"))) void FoldCellsAvx2(const RollupPlan& plan,
   }
 }
 
-#endif  // AAC_FOLD_KERNEL_HAVE_AVX2
+#endif  // AAC_HAVE_AVX2_FOLD
 
 }  // namespace
 
@@ -194,7 +191,7 @@ const char* FoldKernelName(FoldKernelKind kind) {
 }
 
 bool VectorFoldKernelSupported() {
-#if AAC_FOLD_KERNEL_HAVE_AVX2
+#if AAC_HAVE_AVX2_FOLD
   static const bool supported = __builtin_cpu_supports("avx2") != 0;
   return supported;
 #else
@@ -202,27 +199,16 @@ bool VectorFoldKernelSupported() {
 #endif
 }
 
-FoldKernelKind ResolveFoldKernel(const char* mode) {
-  if (mode != nullptr && std::strcmp(mode, "scalar") == 0) {
-    return FoldKernelKind::kScalar;
-  }
-  // "vector" and auto both require hardware support; forcing the vector
-  // kernel on a machine without AVX2 degrades to scalar instead of SIGILL.
+FoldKernelKind DefaultFoldKernel() {
   return VectorFoldKernelSupported() ? FoldKernelKind::kVector
                                      : FoldKernelKind::kScalar;
-}
-
-FoldKernelKind DefaultFoldKernel() {
-  static const FoldKernelKind kind =
-      ResolveFoldKernel(std::getenv("AAC_FOLD_KERNEL"));
-  return kind;
 }
 
 void FoldCellsDense(const RollupPlan& plan, const Cell* cells, size_t n,
                     bool at_source_level, FoldKernelKind kind,
                     FoldArena& arena) {
   AAC_DCHECK(arena.dense_capacity() >= plan.cells);
-#if AAC_FOLD_KERNEL_HAVE_AVX2
+#if AAC_HAVE_AVX2_FOLD
   if (kind == FoldKernelKind::kVector && VectorFoldKernelSupported()) {
     FoldCellsAvx2(plan, cells, n, at_source_level, arena);
     return;

@@ -32,14 +32,8 @@ const char* FoldKernelName(FoldKernelKind kind);
 /// must degrade, not SIGILL.
 bool VectorFoldKernelSupported();
 
-/// Maps a mode string to a kernel: "scalar", "vector", anything else
-/// (including null) = auto. "vector" and auto both resolve to kVector only
-/// when VectorFoldKernelSupported().
-FoldKernelKind ResolveFoldKernel(const char* mode);
-
-/// The process-wide default, resolved once from the AAC_FOLD_KERNEL
-/// environment variable (tools/check.sh kernel-simd forces "scalar" or
-/// "vector" through it) and the CPU check.
+/// The kernel a new Aggregator runs: kVector exactly when
+/// VectorFoldKernelSupported(), else kScalar.
 FoldKernelKind DefaultFoldKernel();
 
 /// Folds `n` cells into the arena's dense buffers, which EnsureDense must

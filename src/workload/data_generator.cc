@@ -12,7 +12,6 @@ namespace aac {
 std::vector<Cell> GenerateFactData(const Schema& schema,
                                    const DataGenConfig& config) {
   AAC_CHECK_GE(config.num_tuples, 0);
-  AAC_CHECK_GT(config.measure_max, 0);
   Rng rng(config.seed);
   const int nd = schema.num_dims();
   const LevelVector& base = schema.base_level();
@@ -35,7 +34,7 @@ std::vector<Cell> GenerateFactData(const Schema& schema,
             samplers[static_cast<size_t>(d)]->Sample(rng));
       }
       InitCellAggregates(c, static_cast<double>(
-                                rng.UniformInt(1, config.measure_max)));
+                                rng.UniformInt(1, kMeasureMax)));
       cells.push_back(c);
     }
     return cells;
@@ -69,7 +68,7 @@ std::vector<Cell> GenerateFactData(const Schema& schema,
       Cell c = proto;
       c.values[static_cast<size_t>(dd)] = v;
       InitCellAggregates(c, static_cast<double>(
-                                rng.UniformInt(1, config.measure_max)));
+                                rng.UniformInt(1, kMeasureMax)));
       cells.push_back(c);
     }
   }

@@ -9,6 +9,9 @@
 
 namespace aac {
 
+/// Generated measure values are uniform integers in [1, kMeasureMax].
+inline constexpr int64_t kMeasureMax = 1000;
+
 /// Synthetic fact-data parameters, standing in for the OLAP Council's APB-1
 /// data generator (see DESIGN.md "Substitutions"). Tuple count and skew are
 /// configurable; duplicates collapse in FactTable, so the resulting table
@@ -21,9 +24,6 @@ struct DataGenConfig {
   /// Real sales data clusters on popular products/customers; skew makes
   /// chunk occupancy non-uniform the way APB-1's generator does.
   double zipf_theta = 0.4;
-
-  /// Measure values are uniform integers in [1, measure_max].
-  int64_t measure_max = 1000;
 
   /// Index of a dimension to generate *densely*, or -1 for fully
   /// independent sampling. APB-1's generator emits a record for (almost)

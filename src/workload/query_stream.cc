@@ -27,9 +27,6 @@ QueryStreamGenerator::QueryStreamGenerator(const Schema* schema,
   AAC_CHECK(config.drill_down_frac + config.roll_up_frac +
                 config.proximity_frac <=
             1.0 + 1e-9);
-  AAC_CHECK(config.min_selectivity > 0.0 &&
-            config.min_selectivity <= config.max_selectivity &&
-            config.max_selectivity <= 1.0);
 }
 
 std::vector<QueryStreamEntry> QueryStreamGenerator::Generate(int num_queries) {
@@ -83,9 +80,13 @@ std::pair<int32_t, int32_t> QueryStreamGenerator::RandomRange(int d,
                                                               int level) {
   const auto card =
       static_cast<int32_t>(schema_->dimension(d).cardinality(level));
+  // The fraction of the dimension's values a random query selects, drawn
+  // uniformly from [kMinSelectivity, kMaxSelectivity].
+  constexpr double kMinSelectivity = 0.2;
+  constexpr double kMaxSelectivity = 0.7;
   const double sel =
-      config_.min_selectivity +
-      rng_.UniformDouble() * (config_.max_selectivity - config_.min_selectivity);
+      kMinSelectivity +
+      rng_.UniformDouble() * (kMaxSelectivity - kMinSelectivity);
   const int32_t width = std::clamp(
       static_cast<int32_t>(sel * static_cast<double>(card) + 0.5), 1, card);
   const int32_t lo =

@@ -33,11 +33,6 @@ struct QueryStreamConfig {
   double proximity_frac = 0.3;
   // Remaining probability mass is random queries.
 
-  /// Fraction of each dimension's values a random query selects, drawn
-  /// uniformly from [min_selectivity, max_selectivity].
-  double min_selectivity = 0.2;
-  double max_selectivity = 0.7;
-
   uint64_t seed = 7;
 };
 
@@ -66,8 +61,8 @@ class QueryStreamGenerator {
   Query RollUp(const Query& prev);
   Query Proximity(const Query& prev);
 
-  /// Random value range at `level` of dimension `d` with the configured
-  /// selectivity.
+  /// Random value range at `level` of dimension `d`, covering 20-70% of
+  /// its values.
   std::pair<int32_t, int32_t> RandomRange(int d, int level);
 
   const Schema* schema_;

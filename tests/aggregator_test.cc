@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <tuple>
 #include <vector>
 
 #include "storage/aggregator.h"
@@ -8,6 +10,16 @@
 #include "test_util.h"
 
 namespace aac {
+
+// ctest names a parameterized instance by its printed parameter: a
+// (seed, fold kernel) pair prints as the seed, with "_scalar" appended when
+// the test forces the scalar kernel.
+void PrintTo(const std::tuple<uint64_t, FoldKernelKind>& param,
+             std::ostream* os) {
+  *os << std::get<0>(param)
+      << (std::get<1>(param) == FoldKernelKind::kScalar ? "_scalar" : "");
+}
+
 namespace {
 
 // Brute-force cube: aggregate all base cells to `gb`, keep only cells in
@@ -43,13 +55,17 @@ ChunkData OracleChunk(const TestCube& cube, const std::vector<Cell>& base_cells,
   return out;
 }
 
-class AggregatorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+// Every seed runs with each fold kernel.
+class AggregatorPropertyTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, FoldKernelKind>> {};
 
 TEST_P(AggregatorPropertyTest, BaseToAnyLevelMatchesOracle) {
+  const auto [seed, kernel] = GetParam();
   TestCube cube = MakeThreeDimCube();
-  std::vector<Cell> base_cells = RandomBaseCells(cube, 0.5, GetParam());
+  std::vector<Cell> base_cells = RandomBaseCells(cube, 0.5, seed);
   FactTable table(cube.grid.get(), base_cells);
   Aggregator agg(cube.grid.get());
+  agg.set_fold_kernel(kernel);
   const Lattice& lat = *cube.lattice;
   const GroupById base = lat.base_id();
   for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
@@ -73,8 +89,11 @@ TEST_P(AggregatorPropertyTest, BaseToAnyLevelMatchesOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, AggregatorPropertyTest,
-                         ::testing::Values(1u, 2u, 3u, 17u, 123u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, AggregatorPropertyTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 17u, 123u),
+                       ::testing::Values(FoldKernelKind::kVector,
+                                         FoldKernelKind::kScalar)));
 
 TEST(Aggregator, MultiSourceSingleCall) {
   TestCube cube = MakeSmallCube();

@@ -21,8 +21,7 @@ class BypassTest : public ::testing::Test {
         env_.cube.grid.get(), env_.cache.get(), env_.size_model.get());
     env_.cache->AddListener(strategy_->listener());
     BuildEngine(config);
-    // Warm with the base level directly (not via the engine, which would
-    // skip caching under this config).
+    // Warm with the base level directly, not through the engine.
     const GroupById base = env_.lattice().base_id();
     for (ChunkId c = 0; c < env_.grid().NumChunks(base); ++c) {
       CacheChunkFromBackend(env_, base, c);
@@ -30,10 +29,7 @@ class BypassTest : public ::testing::Test {
   }
 
   // (Re)builds the engine over the fixture's cache and strategy.
-  void BuildEngine(QueryEngine::Config config) {
-    // Never cache results so repeated queries exercise the same decision.
-    config.cache_computed_results = false;
-    config.cache_backend_results = false;
+  void BuildEngine(const QueryEngine::Config& config) {
     engine_ = std::make_unique<QueryEngine>(
         env_.cube.grid.get(), env_.cache.get(), strategy_.get(),
         env_.backend.get(), env_.benefit.get(), env_.clock.get(), config);

@@ -54,7 +54,7 @@ TEST(DataGenerator, ValuesWithinCardinalities) {
                 cube.schema().dimension(d).cardinality(base[d]));
     }
     EXPECT_GE(c.measure, 1.0);
-    EXPECT_LE(c.measure, static_cast<double>(config.measure_max));
+    EXPECT_LE(c.measure, static_cast<double>(kMeasureMax));
   }
 }
 

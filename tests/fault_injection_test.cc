@@ -399,19 +399,22 @@ TEST(FaultPath, BypassIsSuspendedWhileTheBreakerIsOpen) {
   // Make in-cache aggregation look absurdly slow so the optimizer would
   // bypass every computable chunk to the backend when it is trusted.
   config.engine.cache_aggregation_ns_per_tuple = 1e9;
-  config.engine.cache_backend_results = false;  // keep cache state fixed
-  config.engine.cache_computed_results = false;
   Experiment exp(config);
   WarmBaseLevel(exp);
 
-  const Query q = Query::WholeLevel(
-      exp.schema(), exp.lattice().LevelOf(exp.lattice().top_id()));
+  const GroupById top = exp.lattice().top_id();
+  const Query q = Query::WholeLevel(exp.schema(), exp.lattice().LevelOf(top));
 
   QueryStats stats;
   QueryResult trusted = exp.engine().ExecuteQuery(q, &stats);
   EXPECT_EQ(trusted.status, ResultStatus::kOk);
   EXPECT_GT(stats.chunks_bypassed, 0);
   EXPECT_GT(stats.backend_attempts, 0);
+  // Drop the chunks the first query admitted, so the second finds the
+  // cache as the first did.
+  for (const ChunkData& c : trusted.chunks) {
+    exp.cache().Remove(CacheKey{top, c.chunk});
+  }
 
   for (int i = 0; i < config.engine.breaker.failure_threshold; ++i) {
     exp.engine().circuit_breaker()->RecordFailure();

@@ -72,13 +72,8 @@ void ExpectExactlyEqual(int num_dims, const ChunkData& got,
 }
 
 TEST(FoldKernelDispatch, ResolvesModes) {
-  EXPECT_EQ(ResolveFoldKernel("scalar"), FoldKernelKind::kScalar);
-  const FoldKernelKind expected_vector = VectorFoldKernelSupported()
-                                             ? FoldKernelKind::kVector
-                                             : FoldKernelKind::kScalar;
-  EXPECT_EQ(ResolveFoldKernel("vector"), expected_vector);
-  EXPECT_EQ(ResolveFoldKernel("auto"), expected_vector);
-  EXPECT_EQ(ResolveFoldKernel(nullptr), expected_vector);
+  EXPECT_EQ(DefaultFoldKernel() == FoldKernelKind::kVector,
+            VectorFoldKernelSupported());
   EXPECT_STREQ(FoldKernelName(FoldKernelKind::kScalar), "scalar");
   EXPECT_STREQ(FoldKernelName(FoldKernelKind::kVector), "vector");
 }
@@ -106,8 +101,7 @@ TEST(FoldKernelDispatch, AggregatorReportsKernelUsed) {
 // non-uniform hierarchies and chunkings, every (from, to) pair, random
 // spans, tail lengths straddling the 8-cell vector batch). On machines
 // without AVX2 the vector kernel resolves to scalar and the property holds
-// trivially; the interesting coverage runs wherever tools/check.sh
-// kernel-simd runs.
+// trivially.
 TEST(FoldKernelProperty, ScalarAndVectorBitIdenticalOn1000Shapes) {
   int64_t shapes = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {

@@ -106,20 +106,6 @@ TEST_F(QueryEngineTest, ComputedChunksAreCachedForReuse) {
   EXPECT_EQ(stats.chunks_aggregated, 0);
 }
 
-TEST_F(QueryEngineTest, CacheComputedDisabledRecomputesEachTime) {
-  QueryEngine::Config config;
-  config.cache_computed_results = false;
-  Reset(MakeSmallCube(), kBigCache, config);
-  Query base_q = Query::WholeLevel(env_.schema(), env_.schema().base_level());
-  engine_->ExecuteQuery(base_q, nullptr);
-  Query roll_up = Query::WholeLevel(env_.schema(), LevelVector{0, 0});
-  engine_->ExecuteQuery(roll_up, nullptr);
-  QueryStats stats;
-  engine_->ExecuteQuery(roll_up, &stats);
-  EXPECT_EQ(stats.chunks_aggregated, stats.chunks_requested);
-  EXPECT_EQ(stats.chunks_direct, 0);
-}
-
 TEST_F(QueryEngineTest, PartialHitFetchesOnlyMissing) {
   // Cache half the base level via a range query, then ask for the whole
   // level: only the other half goes to the backend.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "storage/aggregator.h"
@@ -11,6 +13,16 @@
 #include "util/rng.h"
 
 namespace aac {
+
+// ctest names a parameterized instance by its printed parameter: a
+// (seed, fold kernel) pair prints as the seed, with "_scalar" appended when
+// the test forces the scalar kernel.
+void PrintTo(const std::tuple<uint64_t, FoldKernelKind>& param,
+             std::ostream* os) {
+  *os << std::get<0>(param)
+      << (std::get<1>(param) == FoldKernelKind::kScalar ? "_scalar" : "");
+}
+
 namespace {
 
 // Naive reference fold, replicating the pre-plan kernel semantics exactly:
@@ -124,16 +136,19 @@ void ExpectBitIdentical(int num_dims, ChunkData got, ChunkData want,
 // The tentpole property: for randomized cubes (non-uniform hierarchies and
 // chunkings included), every (from, to, chunk) rollup over 0..8 spans —
 // empty spans included — matches the naive reference fold cell-for-cell and
-// bit-for-bit, both in one call and as repeated accumulator folds.
-class RollupKernelPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+// bit-for-bit, both in one call and as repeated accumulator folds. Every
+// seed runs with each fold kernel.
+class RollupKernelPropertyTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, FoldKernelKind>> {};
 
 TEST_P(RollupKernelPropertyTest, MatchesReferenceFold) {
-  const uint64_t seed = GetParam();
+  const auto [seed, kernel] = GetParam();
   TestCube cube = seed % 3 == 0   ? MakeThreeDimCube()
                   : seed % 3 == 1 ? MakeSmallCube()
                                   : MakeRandomCube(seed);
   Rng rng(seed * 7919 + 1);
   Aggregator agg(cube.grid.get());
+  agg.set_fold_kernel(kernel);
   const Lattice& lat = *cube.lattice;
   const int nd = cube.schema->num_dims();
   for (GroupById to = 0; to < lat.num_groupbys(); ++to) {
@@ -177,9 +192,12 @@ TEST_P(RollupKernelPropertyTest, MatchesReferenceFold) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RollupKernelPropertyTest,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u,
-                                           17u, 99u, 123u, 424242u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RollupKernelPropertyTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 17u,
+                                         99u, 123u, 424242u),
+                       ::testing::Values(FoldKernelKind::kVector,
+                                         FoldKernelKind::kScalar)));
 
 // A two-dimensional cube whose base group-by is one side x side chunk.
 // side=64 gives 4096 cells (the dense-path threshold); side=128 gives
@@ -387,9 +405,10 @@ TEST(RollupPlan, TablesMatchAncestorWalk) {
   }
 }
 
-// Engine pools share one plan cache: concurrent aggregators racing on the
-// same and different rollup targets must agree with the reference fold and
-// end up with one plan per target. Runs under TSan via the "kernel" label.
+// An engine's queries share one plan cache: concurrent aggregators racing
+// on the same and different rollup targets must agree with the reference
+// fold and end up with one plan per target. Runs under TSan via the
+// "concurrency" label.
 TEST(RollupPlanCache, SharedAcrossThreadsIsRaceFree) {
   TestCube cube = MakeThreeDimCube();
   const Lattice& lat = *cube.lattice;

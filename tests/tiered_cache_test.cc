@@ -896,8 +896,8 @@ TEST(TieredCacheTest, ExplainShowsWarmPromotion) {
   EXPECT_NE(plan.find("warm tier"), std::string::npos) << plan;
 }
 
-// The satellite-4 race, run under TSan via the "tiered"+"concurrency"
-// labels: threads race to promote the same warm chunk. Contract: every
+// A promotion race, run under TSan via the "concurrency" label: threads
+// race to promote the same warm chunk. Contract: every
 // probe in a round hits; when probes overlap, followers coalesce onto the
 // leader's single decode; all promoters end up pinning the SAME hot entry;
 // and after the storm nothing stays pinned and both tiers' invariants

@@ -26,16 +26,7 @@ it enforces the invariants that keep the clang gate meaningful:
       SingleFlight, the sharded ChunkCache, RollupPlanCache, raw
       std::thread) must carry the "concurrency" ctest label, because
       tools/check.sh tsan only runs that label — an unlabeled concurrent
-      test never sees ThreadSanitizer. Likewise, tests that exercise the
-      overload surface (deadlines/cancellation via util/deadline.h, the
-      admission controller) must carry the "robustness" label, which
-      tools/check.sh label robustness runs under ASan/UBSan and TSan.
-      Tests that exercise the semantic result cache or the query
-      canonicalizer must carry the "resultcache" label, which
-      tools/check.sh label resultcache runs under both sanitizer
-      configurations. Tests that exercise the tiered cache (warm tier,
-      disk spill tier, or the chunk codec) must carry the "tiered" label,
-      which tools/check.sh label tiered runs the same way.
+      test never sees ThreadSanitizer.
   R6  Raw std::this_thread::sleep_for is banned outside src/util/sleep.h.
       Every wait must go through SleepForNanos or a deadline-bounded
       CondVar wait — a naked sleep deep in a retry or polling loop is
@@ -44,9 +35,9 @@ it enforces the invariants that keep the clang gate meaningful:
   R7  Raw SIMD intrinsics (immintrin.h, _mm* calls, __m128/256/512 types)
       are banned outside src/storage/fold_kernel.{h,cc}. The fold kernel is
       the single CPU-dispatch seam: everywhere else stays portable so the
-      scalar fallback always compiles, tools/check.sh kernel-simd can force
-      either path, and bit-identity is proven against one seam instead of
-      scattered vector code.
+      scalar fallback always compiles, Aggregator::set_fold_kernel can
+      force either path, and bit-identity is proven against one seam
+      instead of scattered vector code.
   R8  Every Mutex / SharedMutex member in src/ must be constructed with an
       explicit LockRank (src/util/lockdep.h), and both the LockRank enum
       and the rank declared at each known construction site are pinned
@@ -349,49 +340,20 @@ CONCURRENCY_MARKERS = re.compile(
     r"|\"workload/parallel_runner\.h\")"
 )
 
-# Tests that drive the overload surface directly (deadlines, cancellation,
-# admission) belong to the robustness label — tools/check.sh label
-# robustness runs that label under ASan/UBSan and TSan builds.
-ROBUSTNESS_MARKERS = re.compile(
-    r"#\s*include\s*(\"core/admission\.h\""
-    r"|\"util/deadline\.h\""
-    r"|\"core/retry_policy\.h\""
-    r"|\"backend/fault_injector\.h\")"
-)
-
-# Tests that drive the semantic result layer (the result cache itself or
-# the query canonicalizer feeding it) belong to the resultcache label —
-# tools/check.sh label resultcache runs that label under ASan/UBSan and
-# TSan.
-RESULTCACHE_MARKERS = re.compile(
-    r"#\s*include\s*(\"cache/result_cache\.h\""
-    r"|\"core/query_canon\.h\")"
-)
-
-# Tests that drive the tiered cache (the compressed warm tier, the disk
-# spill tier, or the chunk codec feeding both) belong to the tiered label —
-# tools/check.sh label tiered runs that label under ASan/UBSan and TSan.
-TIERED_MARKERS = re.compile(
-    r"#\s*include\s*(\"cache/warm_tier\.h\""
-    r"|\"cache/disk_tier\.h\""
-    r"|\"storage/chunk_codec\.h\")"
-)
-
 
 def check_test_registry():
     cmake = REPO / "tests" / "CMakeLists.txt"
     text = cmake.read_text(encoding="utf-8")
-    # name -> label list, from aac_add_test(name [labels...]) calls.
+    # name -> label list, from aac_add_test(name [label]) calls.
     registered = {
         m.group(1): m.group(2).split()
         for m in re.finditer(r"aac_add_test\(\s*(\w+)([^)]*)\)", text)
     }
-    for name, labels in registered.items():
+    for name in registered:
         if not (REPO / "tests" / f"{name}.cc").exists():
             finding(cmake, 1, "R4-test-registry",
                     f"aac_add_test({name}) has no tests/{name}.cc — the "
                     "function silently skips it, so nothing runs")
-        del labels
     for path in sorted((REPO / "tests").glob("*_test.cc")):
         name = path.stem
         if name not in registered:
@@ -406,27 +368,6 @@ def check_test_registry():
                         f"{name} exercises the concurrent core but is not "
                         "labeled \"concurrency\" — tools/check.sh tsan will "
                         "never run it under ThreadSanitizer")
-        if ROBUSTNESS_MARKERS.search(text):
-            if "robustness" not in registered[name]:
-                finding(path, 1, "R5-robustness-label",
-                        f"{name} exercises the overload surface (deadlines/"
-                        "admission/retries/faults) but is not labeled "
-                        "\"robustness\" — tools/check.sh label robustness "
-                        "will never run it under the sanitizers")
-        if RESULTCACHE_MARKERS.search(text):
-            if "resultcache" not in registered[name]:
-                finding(path, 1, "R5-resultcache-label",
-                        f"{name} exercises the result cache / canonicalizer "
-                        "but is not labeled \"resultcache\" — "
-                        "tools/check.sh label resultcache will never run it "
-                        "under the sanitizers")
-        if TIERED_MARKERS.search(text):
-            if "tiered" not in registered[name]:
-                finding(path, 1, "R5-tiered-label",
-                        f"{name} exercises the tiered cache (warm/disk tier "
-                        "or chunk codec) but is not labeled \"tiered\" — "
-                        "tools/check.sh label tiered will never run it under "
-                        "the sanitizers")
 
 
 # --------------------------------------------------------------------------
