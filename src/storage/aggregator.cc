@@ -71,35 +71,23 @@ ChunkData Aggregator::AggregateSpans(
 
 bool Aggregator::FoldDense(const RollupPlan& plan,
                            const std::vector<std::span<const Cell>>& spans,
-                           FoldArena& arena, std::vector<Cell>* accumulator) {
+                           FoldArena& arena, std::vector<Cell>* out) {
   arena.EnsureDense(plan.cells);
   // Checkpoints run BETWEEN blocks of kCancelCheckStride cells, never
   // inside the kernel loops, so the uncancelled hot path pays nothing —
   // and an aborted fold stops at a block boundary with nothing emitted,
   // which keeps partially-executed queries' emitted chunks bit-identical
-  // to an uncancelled run (docs/ALGORITHMS.md).
-  auto abort_dense = [&]() {
-    arena.ResetDense();  // wipes exactly the touched offsets
-    accumulator->clear();
-    return false;
-  };
-  // Existing accumulator cells (already at the target level) participate in
-  // the fold first, then the source spans — the fixed merge order every
-  // kernel preserves. The accumulator is read in full before the emit
-  // below (or an abort) clears it.
-  for (size_t base = 0; base < accumulator->size();
-       base += kCancelCheckStride) {
-    if (CancelCheckpoint()) return abort_dense();
-    const size_t end = std::min(accumulator->size(), base + kCancelCheckStride);
-    FoldCellsDense(plan, accumulator->data() + base, end - base,
-                   /*at_source_level=*/false, fold_kernel_, arena);
-  }
+  // to an uncancelled run (docs/ALGORITHMS.md). Spans merge in order, each
+  // span's cells in order — the fixed merge order every kernel preserves.
   for (const auto& span : spans) {
     for (size_t base = 0; base < span.size(); base += kCancelCheckStride) {
-      if (CancelCheckpoint()) return abort_dense();
+      if (CancelCheckpoint()) {
+        arena.ResetDense();  // wipes exactly the touched offsets
+        return false;
+      }
       const size_t end = std::min(span.size(), base + kCancelCheckStride);
-      FoldCellsDense(plan, span.data() + base, end - base,
-                     /*at_source_level=*/true, fold_kernel_, arena);
+      FoldCellsDense(plan, span.data() + base, end - base, fold_kernel_,
+                     arena);
       tuples_processed_ += static_cast<int64_t>(end - base);
     }
   }
@@ -115,8 +103,7 @@ bool Aggregator::FoldDense(const RollupPlan& plan,
   // sorting — a fold that touches half a 64k-cell chunk would otherwise
   // spend more time in std::sort than in the fold itself.
   std::vector<int64_t>& touched = arena.touched();
-  accumulator->clear();
-  accumulator->reserve(touched.size());
+  out->reserve(touched.size());
   DenseEmitWalker walker(plan);
   const FoldState* states = arena.dense_states();
   const uint8_t* occupied = arena.dense_occupied();
@@ -128,7 +115,7 @@ bool Aggregator::FoldDense(const RollupPlan& plan,
     cell.count = s.count;
     cell.min = s.min;
     cell.max = s.max;
-    accumulator->push_back(cell);
+    out->push_back(cell);
   };
   if (static_cast<int64_t>(touched.size()) >= plan.cells / 8) {
     for (int64_t off = 0; off < plan.cells; ++off) {
@@ -145,10 +132,9 @@ bool Aggregator::FoldDense(const RollupPlan& plan,
 
 bool Aggregator::FoldSpans(const RollupPlan& plan,
                            const std::vector<std::span<const Cell>>& spans,
-                           std::vector<Cell>* accumulator) {
-  // Existing accumulator cells participate in the fold so repeated calls
-  // (one per source chunk) combine correctly.
-  int64_t incoming = static_cast<int64_t>(accumulator->size());
+                           std::vector<Cell>* out) {
+  AAC_DCHECK(out->empty());
+  int64_t incoming = 0;
   for (const auto& span : spans) incoming += static_cast<int64_t>(span.size());
 
   // Dense folding writes O(touched cells) thanks to the arena's
@@ -166,28 +152,15 @@ bool Aggregator::FoldSpans(const RollupPlan& plan,
   last_fold_.kernel =
       use_dense ? fold_kernel_ : FoldKernelKind::kScalar;  // sparse = scalar
 
-  if (use_dense) return FoldDense(plan, spans, arena, accumulator);
+  if (use_dense) return FoldDense(plan, spans, arena, out);
 
+  // No arena cleanup needed on abort: Reset() reinitializes the sparse
+  // table at the next fold's entry, and nothing was emitted yet.
   SparseFoldTable& table = arena.sparse();
   table.Reset(incoming);
-  // No arena cleanup needed on abort: Reset() reinitializes the sparse
-  // table at the next fold's entry.
-  auto abort_sparse = [&]() {
-    accumulator->clear();
-    return false;
-  };
-  for (size_t base = 0; base < accumulator->size();
-       base += kCancelCheckStride) {
-    if (CancelCheckpoint()) return abort_sparse();
-    const size_t end = std::min(accumulator->size(), base + kCancelCheckStride);
-    for (size_t i = base; i < end; ++i) {
-      const Cell& c = (*accumulator)[i];
-      table.Slot(plan.TargetOffsetOf(c.values.data())).Merge(c);
-    }
-  }
   for (const auto& span : spans) {
     for (size_t base = 0; base < span.size(); base += kCancelCheckStride) {
-      if (CancelCheckpoint()) return abort_sparse();
+      if (CancelCheckpoint()) return false;
       const size_t end = std::min(span.size(), base + kCancelCheckStride);
       for (size_t i = base; i < end; ++i) {
         table.Slot(plan.SourceOffsetOf(span[i].values.data())).Merge(span[i]);
@@ -195,10 +168,9 @@ bool Aggregator::FoldSpans(const RollupPlan& plan,
       tuples_processed_ += static_cast<int64_t>(end - base);
     }
   }
-  accumulator->clear();
-  accumulator->reserve(static_cast<size_t>(table.size()));
+  out->reserve(static_cast<size_t>(table.size()));
   table.ForEach([&](int64_t off, const FoldState& s) {
-    accumulator->push_back(MakeCell(plan, off, s));
+    out->push_back(MakeCell(plan, off, s));
   });
   last_fold_.cells_touched = table.size();
   return true;

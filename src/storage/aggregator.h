@@ -114,20 +114,20 @@ class Aggregator {
   const FoldInfo& last_fold() const { return last_fold_; }
 
  private:
-  /// Folds all spans into the accumulator. Returns false when a
-  /// cancellation checkpoint fired mid-fold; the accumulator is then empty
-  /// and the arena has been wiped. Updates tuples_processed_ with the span
-  /// cells actually merged.
+  /// Folds all spans and writes the target chunk's cells into the empty
+  /// *out. Returns false when a cancellation checkpoint fired mid-fold;
+  /// *out is then empty and the arena has been wiped. Updates
+  /// tuples_processed_ with the span cells actually merged.
   bool FoldSpans(const RollupPlan& plan,
                  const std::vector<std::span<const Cell>>& spans,
-                 std::vector<Cell>* accumulator);
+                 std::vector<Cell>* out);
 
-  /// FoldSpans' dense path: folds the accumulator's cells, then `spans`,
-  /// into the arena's dense buffers for the whole target chunk, and emits
-  /// the touched cells in offset order back into *accumulator.
+  /// FoldSpans' dense path: folds `spans` into the arena's dense buffers
+  /// for the whole target chunk, and emits the touched cells in offset
+  /// order into *out.
   bool FoldDense(const RollupPlan& plan,
                  const std::vector<std::span<const Cell>>& spans,
-                 FoldArena& arena, std::vector<Cell>* accumulator);
+                 FoldArena& arena, std::vector<Cell>* out);
 
   /// One cancellation checkpoint: true = abort the fold now.
   bool CancelCheckpoint() {

@@ -1,5 +1,7 @@
 #include "storage/fold_kernel.h"
 
+#include "util/check.h"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define AAC_HAVE_AVX2_FOLD 1
@@ -11,19 +13,13 @@ namespace aac {
 
 namespace {
 
-inline int64_t OffsetOf(const RollupPlan& plan, const Cell& c,
-                        bool at_source_level) {
-  return at_source_level ? plan.SourceOffsetOf(c.values.data())
-                         : plan.TargetOffsetOf(c.values.data());
-}
-
 void FoldCellsScalar(const RollupPlan& plan, const Cell* cells, size_t n,
-                     bool at_source_level, FoldArena& arena) {
+                     FoldArena& arena) {
   FoldState* states = arena.dense_states();
   uint8_t* occupied = arena.dense_occupied();
   std::vector<int64_t>& touched = arena.touched();
   for (size_t i = 0; i < n; ++i) {
-    const int64_t off = OffsetOf(plan, cells[i], at_source_level);
+    const int64_t off = plan.SourceOffsetOf(cells[i].values.data());
     AAC_DCHECK(off >= 0 && off < plan.cells);
     if (!occupied[off]) {
       occupied[off] = 1;
@@ -89,32 +85,19 @@ __attribute__((target("avx2"))) inline void MergeStateAvx2(FoldState* s,
 // valid offset < plan.cells, so nothing can land outside the chunk. Merges
 // run cell by cell in source order in every phase, so the fold stays
 // bit-identical to the scalar kernel.
-template <int ND, bool kAtSource>
+template <int ND>
 __attribute__((target("avx2"))) void FoldCellsAvx2Impl(
     const RollupPlan& plan, const Cell* cells, size_t n, FoldArena& arena) {
   const int32_t* table[ND];
   int32_t begin[ND];
-  int32_t stride[ND];
   for (int d = 0; d < ND; ++d) {
-    if constexpr (kAtSource) {
-      table[d] = plan.table[static_cast<size_t>(d)];
-      begin[d] = plan.src_begin[static_cast<size_t>(d)];
-      stride[d] = 0;
-    } else {
-      table[d] = nullptr;
-      begin[d] = plan.range_begin[static_cast<size_t>(d)];
-      stride[d] = static_cast<int32_t>(plan.stride[static_cast<size_t>(d)]);
-    }
+    table[d] = plan.table[static_cast<size_t>(d)];
+    begin[d] = plan.src_begin[static_cast<size_t>(d)];
   }
   const auto offset_of = [&](const Cell& c) -> int64_t {
     int64_t off = 0;
     for (int d = 0; d < ND; ++d) {
-      const int32_t rel = c.values[static_cast<size_t>(d)] - begin[d];
-      if constexpr (kAtSource) {
-        off += table[d][rel];
-      } else {
-        off += static_cast<int64_t>(rel) * stride[d];
-      }
+      off += table[d][c.values[static_cast<size_t>(d)] - begin[d]];
     }
     return off;
   };
@@ -152,33 +135,21 @@ __attribute__((target("avx2"))) void FoldCellsAvx2Impl(
   }
 }
 
-template <int ND>
-__attribute__((target("avx2"))) void FoldCellsAvx2Dims(
-    const RollupPlan& plan, const Cell* cells, size_t n, bool at_source_level,
-    FoldArena& arena) {
-  if (at_source_level) {
-    FoldCellsAvx2Impl<ND, true>(plan, cells, n, arena);
-  } else {
-    FoldCellsAvx2Impl<ND, false>(plan, cells, n, arena);
-  }
-}
-
 __attribute__((target("avx2"))) void FoldCellsAvx2(const RollupPlan& plan,
                                                    const Cell* cells, size_t n,
-                                                   bool at_source,
                                                    FoldArena& arena) {
   // A Cell carries at most 8 coordinate lanes, so every dimensionality has
   // a straight-line specialization.
   switch (plan.num_dims) {
-    case 1: FoldCellsAvx2Dims<1>(plan, cells, n, at_source, arena); return;
-    case 2: FoldCellsAvx2Dims<2>(plan, cells, n, at_source, arena); return;
-    case 3: FoldCellsAvx2Dims<3>(plan, cells, n, at_source, arena); return;
-    case 4: FoldCellsAvx2Dims<4>(plan, cells, n, at_source, arena); return;
-    case 5: FoldCellsAvx2Dims<5>(plan, cells, n, at_source, arena); return;
-    case 6: FoldCellsAvx2Dims<6>(plan, cells, n, at_source, arena); return;
-    case 7: FoldCellsAvx2Dims<7>(plan, cells, n, at_source, arena); return;
-    case 8: FoldCellsAvx2Dims<8>(plan, cells, n, at_source, arena); return;
-    default: FoldCellsScalar(plan, cells, n, at_source, arena); return;
+    case 1: FoldCellsAvx2Impl<1>(plan, cells, n, arena); return;
+    case 2: FoldCellsAvx2Impl<2>(plan, cells, n, arena); return;
+    case 3: FoldCellsAvx2Impl<3>(plan, cells, n, arena); return;
+    case 4: FoldCellsAvx2Impl<4>(plan, cells, n, arena); return;
+    case 5: FoldCellsAvx2Impl<5>(plan, cells, n, arena); return;
+    case 6: FoldCellsAvx2Impl<6>(plan, cells, n, arena); return;
+    case 7: FoldCellsAvx2Impl<7>(plan, cells, n, arena); return;
+    case 8: FoldCellsAvx2Impl<8>(plan, cells, n, arena); return;
+    default: FoldCellsScalar(plan, cells, n, arena); return;
   }
 }
 
@@ -205,18 +176,17 @@ FoldKernelKind DefaultFoldKernel() {
 }
 
 void FoldCellsDense(const RollupPlan& plan, const Cell* cells, size_t n,
-                    bool at_source_level, FoldKernelKind kind,
-                    FoldArena& arena) {
+                    FoldKernelKind kind, FoldArena& arena) {
   AAC_DCHECK(arena.dense_capacity() >= plan.cells);
 #if AAC_HAVE_AVX2_FOLD
   if (kind == FoldKernelKind::kVector && VectorFoldKernelSupported()) {
-    FoldCellsAvx2(plan, cells, n, at_source_level, arena);
+    FoldCellsAvx2(plan, cells, n, arena);
     return;
   }
 #else
   (void)kind;
 #endif
-  FoldCellsScalar(plan, cells, n, at_source_level, arena);
+  FoldCellsScalar(plan, cells, n, arena);
 }
 
 }  // namespace aac

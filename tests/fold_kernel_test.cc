@@ -134,8 +134,8 @@ TEST(FoldKernelProperty, ScalarAndVectorBitIdenticalOn1000Shapes) {
         ExpectExactlyEqual(nd, got, want, seed);
         ++shapes;
 
-        // Accumulator re-fold (target-level cells through the kernels'
-        // TargetOffsetOf path) stays bit-identical too.
+        // Re-folding target-level cells (from == to, an identity plan)
+        // stays bit-identical too.
         std::vector<const ChunkData*> sources{&got, &want};
         ChunkData got2 = vector_agg.Aggregate(to, sources, to, chunk);
         ChunkData want2 = scalar_agg.Aggregate(to, sources, to, chunk);
@@ -145,54 +145,6 @@ TEST(FoldKernelProperty, ScalarAndVectorBitIdenticalOn1000Shapes) {
     }
   }
   EXPECT_GE(shapes, 1000) << "property suite shrank below the acceptance bar";
-}
-
-// The mixed-radix emit walker must reproduce RollupPlan::ValuesOf exactly
-// over arbitrary non-decreasing offset sequences: adjacent steps, in-row
-// jumps, row-crossing carries and long jumps that force a re-seed.
-TEST(DenseEmitWalker, MatchesValuesOfOnRandomSortedOffsets) {
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
-    TestCube cube = MakeRandomCube(seed);
-    const Lattice& lat = *cube.lattice;
-    Rng rng(seed * 31 + 7);
-    for (GroupById to = 0; to < lat.num_groupbys(); ++to) {
-      for (GroupById from = 0; from < lat.num_groupbys(); ++from) {
-        if (!lat.IsAncestor(to, from)) continue;
-        const ChunkId chunk = static_cast<ChunkId>(rng.Uniform(
-            static_cast<uint64_t>(cube.grid->NumChunks(to))));
-        std::shared_ptr<const RollupPlan> plan =
-            BuildRollupPlan(*cube.grid, from, to, chunk);
-        // A sorted mix of small and large strides through the offsets.
-        std::vector<int64_t> offsets;
-        int64_t off = static_cast<int64_t>(
-            rng.Uniform(2));  // sometimes starts past zero
-        while (off < plan->cells) {
-          offsets.push_back(off);
-          const uint64_t kind = rng.Uniform(10);
-          if (kind < 5) {
-            off += 1;  // adjacent (the dominant dense-emit case)
-          } else if (kind < 8) {
-            off += 1 + static_cast<int64_t>(rng.Uniform(7));
-          } else {
-            off += 1 + static_cast<int64_t>(
-                           rng.Uniform(static_cast<uint64_t>(plan->cells)));
-          }
-        }
-        DenseEmitWalker walker(*plan);
-        for (int64_t o : offsets) {
-          std::array<int32_t, kMaxDims> got{};
-          std::array<int32_t, kMaxDims> want{};
-          walker.ValuesAt(o, got.data());
-          plan->ValuesOf(o, want.data());
-          for (int d = 0; d < plan->num_dims; ++d) {
-            ASSERT_EQ(got[static_cast<size_t>(d)],
-                      want[static_cast<size_t>(d)])
-                << "seed " << seed << " offset " << o << " dim " << d;
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

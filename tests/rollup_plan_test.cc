@@ -27,12 +27,11 @@ namespace {
 
 // Naive reference fold, replicating the pre-plan kernel semantics exactly:
 // per cell, walk the hierarchy with Dimension::AncestorValue, merge full
-// aggregate state per target coordinate, in accumulator-then-spans order so
-// floating-point sums are bit-identical to the kernel's.
+// aggregate state per target coordinate, in span order so floating-point
+// sums are bit-identical to the kernel's.
 ChunkData ReferenceFold(const TestCube& cube, GroupById from,
                         const std::vector<std::vector<Cell>>& spans,
-                        GroupById to, ChunkId chunk,
-                        const std::vector<Cell>& accumulator = {}) {
+                        GroupById to, ChunkId chunk) {
   const Schema& schema = *cube.schema;
   const Lattice& lat = *cube.lattice;
   const LevelVector& from_lv = lat.LevelOf(from);
@@ -50,11 +49,6 @@ ChunkData ReferenceFold(const TestCube& cube, GroupById from,
     }
     MergeCellAggregates(s, c);
   };
-  for (const Cell& c : accumulator) {
-    std::vector<int32_t> key(static_cast<size_t>(nd));
-    for (int d = 0; d < nd; ++d) key[static_cast<size_t>(d)] = c.values[static_cast<size_t>(d)];
-    merge(key, c);
-  }
   for (const auto& span : spans) {
     for (const Cell& c : span) {
       std::vector<int32_t> key(static_cast<size_t>(nd));
@@ -136,8 +130,8 @@ void ExpectBitIdentical(int num_dims, ChunkData got, ChunkData want,
 // The tentpole property: for randomized cubes (non-uniform hierarchies and
 // chunkings included), every (from, to, chunk) rollup over 0..8 spans —
 // empty spans included — matches the naive reference fold cell-for-cell and
-// bit-for-bit, both in one call and as repeated accumulator folds. Every
-// seed runs with each fold kernel.
+// bit-for-bit, both in one call and as repeated folds of a running result.
+// Every seed runs with each fold kernel.
 class RollupKernelPropertyTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, FoldKernelKind>> {};
 
@@ -169,8 +163,8 @@ TEST_P(RollupKernelPropertyTest, MatchesReferenceFold) {
       ChunkData want = ReferenceFold(cube, from, spans, to, chunk);
       ExpectBitIdentical(nd, got, want, "one-call");
 
-      // Repeated accumulator folds: one call per span, feeding the running
-      // result back in as an extra source at the target level.
+      // Repeated folds: one call per span, feeding the running result back
+      // in as an extra source at the target level.
       ChunkData acc;
       acc.gb = to;
       acc.chunk = chunk;
@@ -180,7 +174,7 @@ TEST_P(RollupKernelPropertyTest, MatchesReferenceFold) {
         std::vector<const ChunkData*> sources{&partial, &acc};
         acc = agg.Aggregate(to, sources, to, chunk);
         // Mirror the kernel's merge order exactly (partial cells before the
-        // running accumulator) so floating-point sums stay bit-identical.
+        // running result) so floating-point sums stay bit-identical.
         ChunkData ref_partial = ReferenceFold(cube, from, {span}, to, chunk);
         ChunkData ref_next = ReferenceFold(
             cube, to, {ref_partial.cells, ref_acc}, to, chunk);
@@ -456,6 +450,54 @@ TEST(RollupPlanCache, SharedAcrossThreadsIsRaceFree) {
   // Racing builders may duplicate a miss, but never an entry.
   EXPECT_GE(stats.misses, stats.entries);
   EXPECT_EQ(stats.hits + stats.misses, int64_t{kThreads} * kRounds);
+}
+
+// The mixed-radix emit walker must reproduce RollupPlan::ValuesOf exactly
+// over arbitrary non-decreasing offset sequences: adjacent steps, in-row
+// jumps, row-crossing carries and long jumps that force a re-seed.
+TEST(DenseEmitWalker, MatchesValuesOfOnRandomSortedOffsets) {
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    TestCube cube = MakeRandomCube(seed);
+    const Lattice& lat = *cube.lattice;
+    Rng rng(seed * 31 + 7);
+    for (GroupById to = 0; to < lat.num_groupbys(); ++to) {
+      for (GroupById from = 0; from < lat.num_groupbys(); ++from) {
+        if (!lat.IsAncestor(to, from)) continue;
+        const ChunkId chunk = static_cast<ChunkId>(rng.Uniform(
+            static_cast<uint64_t>(cube.grid->NumChunks(to))));
+        std::shared_ptr<const RollupPlan> plan =
+            BuildRollupPlan(*cube.grid, from, to, chunk);
+        // A sorted mix of small and large strides through the offsets.
+        std::vector<int64_t> offsets;
+        int64_t off = static_cast<int64_t>(
+            rng.Uniform(2));  // sometimes starts past zero
+        while (off < plan->cells) {
+          offsets.push_back(off);
+          const uint64_t kind = rng.Uniform(10);
+          if (kind < 5) {
+            off += 1;  // adjacent (the dominant dense-emit case)
+          } else if (kind < 8) {
+            off += 1 + static_cast<int64_t>(rng.Uniform(7));
+          } else {
+            off += 1 + static_cast<int64_t>(
+                           rng.Uniform(static_cast<uint64_t>(plan->cells)));
+          }
+        }
+        DenseEmitWalker walker(*plan);
+        for (int64_t o : offsets) {
+          std::array<int32_t, kMaxDims> got{};
+          std::array<int32_t, kMaxDims> want{};
+          walker.ValuesAt(o, got.data());
+          plan->ValuesOf(o, want.data());
+          for (int d = 0; d < plan->num_dims; ++d) {
+            ASSERT_EQ(got[static_cast<size_t>(d)],
+                      want[static_cast<size_t>(d)])
+                << "seed " << seed << " offset " << o << " dim " << d;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

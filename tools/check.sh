@@ -55,10 +55,12 @@ run_suite() {
 }
 
 # The "concurrency" label under ThreadSanitizer: every test that starts a
-# thread or drives the concurrent core carries it (lint rule R5). TSan
+# thread carries it (lint rule R5), and a single-threaded test does not,
+# even where it drives the locked chunk cache or plan cache. TSan
 # instruments everything it touches ~10x slower and has nothing to check
-# in a single-threaded test. Fails when no test carries the label, so a
-# broken registration cannot pass as an empty run.
+# in a single-threaded test; the plain, asan and lockdep modes run those.
+# Fails when no test carries the label, so a broken registration cannot
+# pass as an empty run.
 run_tsan() {
   local build_dir="${repo_root}/build-tsan" count
   build_tree "${build_dir}" thread

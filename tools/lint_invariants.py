@@ -22,11 +22,14 @@ it enforces the invariants that keep the clang gate meaningful:
   R4  Every tests/*_test.cc is registered in tests/CMakeLists.txt via
       aac_add_test (the function silently skips missing files, so an
       unregistered test compiles green and never runs).
-  R5  Tests that exercise the concurrent core (ConcurrentQueryEngine,
-      SingleFlight, the sharded ChunkCache, RollupPlanCache, raw
-      std::thread) must carry the "concurrency" ctest label, because
-      tools/check.sh tsan only runs that label — an unlabeled concurrent
-      test never sees ThreadSanitizer.
+  R5  Tests that include <thread> or the threaded core
+      (ConcurrentQueryEngine, SingleFlight, ParallelWorkloadRunner, the
+      threaded MeasuredChunkSizeModel constructor) must carry the
+      "concurrency" ctest label, because tools/check.sh tsan only runs
+      that label — an unlabeled concurrent test never sees
+      ThreadSanitizer. Including a header of code that starts no thread
+      (the chunk cache, the rollup plan, the fold kernel) does not ask
+      for the label.
   R6  Raw std::this_thread::sleep_for is banned outside src/util/sleep.h.
       Every wait must go through SleepForNanos or a deadline-bounded
       CondVar wait — a naked sleep deep in a retry or polling loop is
@@ -333,9 +336,6 @@ CONCURRENCY_MARKERS = re.compile(
     r"#\s*include\s*(<thread>"
     r"|\"core/concurrent_engine\.h\""
     r"|\"cache/single_flight\.h\""
-    r"|\"cache/chunk_cache\.h\""
-    r"|\"storage/rollup_plan\.h\""
-    r"|\"storage/fold_kernel\.h\""
     r"|\"storage/measured_size_model\.h\""
     r"|\"workload/parallel_runner\.h\")"
 )
