@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench/support.h"
-#include "core/chunk_indexer.h"
 #include "core/vcmc.h"
 #include "util/table_printer.h"
 
@@ -18,14 +17,15 @@ namespace {
 
 // Max-cost counterpart of the min-cost DP: the most expensive way to compute
 // each chunk from the cache, in topological order.
-std::vector<double> MaxCosts(Experiment& exp, const ChunkIndexer& indexer) {
+std::vector<double> MaxCosts(Experiment& exp) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const ChunkGrid& grid = exp.grid();
   const Lattice& lattice = exp.lattice();
-  std::vector<double> costs(static_cast<size_t>(indexer.size()), -kInf);
+  std::vector<double> costs(
+      static_cast<size_t>(grid.TotalChunksAllGroupBys()), -kInf);
   for (GroupById gb : lattice.TopoDetailedFirst()) {
     for (ChunkId chunk = 0; chunk < grid.NumChunks(gb); ++chunk) {
-      const size_t idx = static_cast<size_t>(indexer.IndexOf(gb, chunk));
+      const size_t idx = static_cast<size_t>(grid.FlatIndex(gb, chunk));
       if (exp.cache().Contains({gb, chunk})) {
         // Cached: may still be *computable* more expensively, but the paper
         // compares computation paths; a cached chunk costs 0 to obtain.
@@ -37,7 +37,7 @@ std::vector<double> MaxCosts(Experiment& exp, const ChunkIndexer& indexer) {
         const bool complete = grid.ForEachParentChunk(
             gb, chunk, parent, [&](ChunkId pc) {
               const double c =
-                  costs[static_cast<size_t>(indexer.IndexOf(parent, pc))];
+                  costs[static_cast<size_t>(grid.FlatIndex(parent, pc))];
               if (c == -kInf) return false;
               sum += c + exp.size_model().ExpectedChunkTuples(parent, pc);
               return true;
@@ -61,13 +61,11 @@ void Run() {
                      exp);
 
   auto& vcmc = static_cast<VcmcStrategy&>(exp.strategy());
-  ChunkIndexer indexer(&exp.grid());
-  const std::vector<double> max_costs = MaxCosts(exp, indexer);
+  const std::vector<double> max_costs = MaxCosts(exp);
 
   // Ratio of slowest to fastest path per group-by (chunk 0), grouped by the
   // total aggregation depth (sum of level gaps from the base).
   const Lattice& lattice = exp.lattice();
-  const LevelVector& base = exp.schema().base_level();
   std::vector<StatAccumulator> by_depth(32);
   StatAccumulator overall;
   double log_sum = 0;
@@ -76,13 +74,11 @@ void Run() {
     if (gb == lattice.base_id()) continue;
     const double fastest = vcmc.CostOf(gb, 0);
     const double slowest =
-        max_costs[static_cast<size_t>(indexer.IndexOf(gb, 0))];
+        max_costs[static_cast<size_t>(exp.grid().FlatIndex(gb, 0))];
     if (!(fastest > 0) || !(slowest > 0)) continue;
     const double ratio = slowest / fastest;
-    int depth = 0;
-    for (int d = 0; d < base.size(); ++d) {
-      depth += base[d] - lattice.LevelOf(gb)[d];
-    }
+    const int depth =
+        lattice.LevelSum(lattice.base_id()) - lattice.LevelSum(gb);
     by_depth[static_cast<size_t>(depth)].Add(ratio);
     overall.Add(ratio);
     log_sum += std::log(ratio);

@@ -40,7 +40,7 @@ int main() {
               static_cast<long long>(grid.NumChunks(lattice.base_id())));
 
   // Aggregate per depth (levels of aggregation above the base).
-  const LevelVector& base = schema.base_level();
+  const int base_rank = lattice.LevelSum(lattice.base_id());
   struct DepthRow {
     int64_t nodes = 0;
     int64_t chunks = 0;
@@ -50,9 +50,7 @@ int main() {
   std::vector<DepthRow> rows(32);
   int max_depth = 0;
   for (GroupById gb = 0; gb < lattice.num_groupbys(); ++gb) {
-    const LevelVector& lv = lattice.LevelOf(gb);
-    int depth = 0;
-    for (int d = 0; d < lv.size(); ++d) depth += base[d] - lv[d];
+    const int depth = base_rank - lattice.LevelSum(gb);
     max_depth = std::max(max_depth, depth);
     DepthRow& row = rows[static_cast<size_t>(depth)];
     ++row.nodes;

@@ -396,8 +396,8 @@ bool ChunkCache::EvictFor(Shard& shard, const CacheEntryInfo& incoming,
   // cache-computed chunks before touching any backend chunk). Within a
   // class, the weighted CLOCK decides.
   int64_t freed = 0;
-  auto eligible = [&](const CacheKey&, const Entry& entry) {
-    return entry.pin_count == 0 && policy_->CanReplace(incoming, entry.info);
+  auto eligible = [](const CacheKey&, const Entry& entry) {
+    return entry.pin_count == 0;
   };
   auto evict = [&](EntryMap::iterator it) AAC_NO_THREAD_SAFETY_ANALYSIS {
     const int64_t bytes = it->second.info.bytes;

@@ -286,9 +286,9 @@ class ChunkCache {
                         std::vector<Demoted>* demoted)
       AAC_REQUIRES(shard.mutex);
 
-  /// Frees at least `needed` bytes in `shard` by sweeping the per-class
-  /// clock rings; returns true on success. Entries the policy refuses to
-  /// replace or that are pinned are ineligible. Victims demote into
+  /// Frees at least `needed` bytes in `shard` by sweeping the clock rings
+  /// of the classes `incoming` may replace (MayReplaceClass); returns true
+  /// on success. Pinned entries are ineligible. Victims demote into
   /// `*demoted` (see EvictEntry). Caller holds the shard lock.
   bool EvictFor(Shard& shard, const CacheEntryInfo& incoming, int64_t needed,
                 std::vector<Demoted>* demoted) AAC_REQUIRES(shard.mutex);

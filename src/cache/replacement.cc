@@ -14,49 +14,15 @@ double BenefitPolicy::ClockValue(const CacheEntryInfo& entry) const {
   return NormalizedWeight(entry.benefit);
 }
 
-bool BenefitPolicy::CanReplace(const CacheEntryInfo& incoming,
-                               const CacheEntryInfo& victim) const {
-  (void)incoming;
-  (void)victim;
-  return true;
-}
-
 double LruPolicy::ClockValue(const CacheEntryInfo& entry) const {
   (void)entry;
   return 1.0;
-}
-
-bool LruPolicy::CanReplace(const CacheEntryInfo& incoming,
-                           const CacheEntryInfo& victim) const {
-  (void)incoming;
-  (void)victim;
-  return true;
 }
 
 double SizeAwarePolicy::ClockValue(const CacheEntryInfo& entry) const {
   const double density =
       entry.benefit / static_cast<double>(std::max<int64_t>(entry.bytes, 1));
   return NormalizedWeight(density * 64.0);
-}
-
-bool SizeAwarePolicy::CanReplace(const CacheEntryInfo& incoming,
-                                 const CacheEntryInfo& victim) const {
-  (void)incoming;
-  (void)victim;
-  return true;
-}
-
-double TwoLevelPolicy::ClockValue(const CacheEntryInfo& entry) const {
-  return NormalizedWeight(entry.benefit);
-}
-
-bool TwoLevelPolicy::CanReplace(const CacheEntryInfo& incoming,
-                                const CacheEntryInfo& victim) const {
-  // Cache-computed chunks must not displace backend chunks; the fetch they
-  // would force is far more expensive than re-running an in-cache
-  // aggregation.
-  return !(incoming.source == ChunkSource::kCacheComputed &&
-           victim.source == ChunkSource::kBackend);
 }
 
 }  // namespace aac

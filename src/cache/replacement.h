@@ -7,8 +7,8 @@ namespace aac {
 
 /// Strategy hooks for the chunk cache's weighted CLOCK (ClockRing): the
 /// policy grants every entry its clock value on insert and on each hit, and
-/// arbitrates whether an incoming chunk is allowed to evict a given victim,
-/// which is how the paper's two-level priority classes are expressed.
+/// sorts entries into victim classes, which is how the paper's two-level
+/// priority classes are expressed.
 class ReplacementPolicy {
  public:
   virtual ~ReplacementPolicy() = default;
@@ -16,10 +16,6 @@ class ReplacementPolicy {
   /// Clock value granted on insert and restored on every cache hit.
   /// Expected to be a small bounded weight (see NormalizedWeight).
   virtual double ClockValue(const CacheEntryInfo& entry) const = 0;
-
-  /// True if `incoming` may evict `victim`.
-  virtual bool CanReplace(const CacheEntryInfo& incoming,
-                          const CacheEntryInfo& victim) const = 0;
 
   /// Number of victim priority classes (>= 1). Eviction exhausts class 0
   /// before considering class 1, and so on.
@@ -31,9 +27,10 @@ class ReplacementPolicy {
     return 0;
   }
 
-  /// True if `incoming` may evict *some* entry of `victim_class` — a cheap
-  /// aggregate form of CanReplace the cache uses to reject hopeless inserts
-  /// without sweeping.
+  /// True if `incoming` may evict the entries of `victim_class`. This is
+  /// the replacement rule: an incoming chunk may evict exactly the unpinned
+  /// entries of the classes it may replace, so the cache rejects a hopeless
+  /// insert from the classes' byte totals without sweeping.
   virtual bool MayReplaceClass(const CacheEntryInfo& incoming,
                                int victim_class) const {
     (void)incoming;
@@ -54,8 +51,6 @@ class ReplacementPolicy {
 class BenefitPolicy : public ReplacementPolicy {
  public:
   double ClockValue(const CacheEntryInfo& entry) const override;
-  bool CanReplace(const CacheEntryInfo& incoming,
-                  const CacheEntryInfo& victim) const override;
 };
 
 /// Plain CLOCK (≈ LRU): every entry gets the same weight regardless of its
@@ -64,8 +59,6 @@ class BenefitPolicy : public ReplacementPolicy {
 class LruPolicy : public ReplacementPolicy {
  public:
   double ClockValue(const CacheEntryInfo& entry) const override;
-  bool CanReplace(const CacheEntryInfo& incoming,
-                  const CacheEntryInfo& victim) const override;
 };
 
 /// GreedyDual-Size-flavoured baseline: weight grows with benefit *density*
@@ -74,25 +67,22 @@ class LruPolicy : public ReplacementPolicy {
 class SizeAwarePolicy : public ReplacementPolicy {
  public:
   double ClockValue(const CacheEntryInfo& entry) const override;
-  bool CanReplace(const CacheEntryInfo& incoming,
-                  const CacheEntryInfo& victim) const override;
 };
 
 /// The paper's two-level policy (Section 6.3): backend-fetched chunks can
 /// replace cache-computed chunks but not vice versa; within a class the
 /// benefit weighting applies.
-class TwoLevelPolicy : public ReplacementPolicy {
+class TwoLevelPolicy : public BenefitPolicy {
  public:
-  double ClockValue(const CacheEntryInfo& entry) const override;
-  bool CanReplace(const CacheEntryInfo& incoming,
-                  const CacheEntryInfo& victim) const override;
-
   /// Cache-computed chunks (class 0) are evicted before backend chunks
   /// (class 1).
   int num_victim_classes() const override { return 2; }
   int VictimClass(const CacheEntryInfo& entry) const override {
     return entry.source == ChunkSource::kBackend ? 1 : 0;
   }
+  /// Cache-computed chunks must not displace backend chunks: the fetch
+  /// they would force costs far more than re-running an in-cache
+  /// aggregation.
   bool MayReplaceClass(const CacheEntryInfo& incoming,
                        int victim_class) const override {
     return !(incoming.source == ChunkSource::kCacheComputed &&

@@ -16,6 +16,7 @@ ChunkGrid::ChunkGrid(const Lattice* lattice,
                  &schema().dimension(d));
   }
   num_chunks_.resize(static_cast<size_t>(lattice_->num_groupbys()));
+  flat_begin_.assign(static_cast<size_t>(lattice_->num_groupbys()) + 1, 0);
   strides_.resize(static_cast<size_t>(lattice_->num_groupbys()));
   for (GroupById gb = 0; gb < lattice_->num_groupbys(); ++gb) {
     const LevelVector& lv = lattice_->LevelOf(gb);
@@ -26,6 +27,8 @@ ChunkGrid::ChunkGrid(const Lattice* lattice,
       total *= layouts_[static_cast<size_t>(d)]->num_chunks(lv[d]);
     }
     num_chunks_[static_cast<size_t>(gb)] = total;
+    flat_begin_[static_cast<size_t>(gb) + 1] =
+        flat_begin_[static_cast<size_t>(gb)] + total;
   }
 }
 
@@ -37,14 +40,6 @@ const DimensionChunkLayout& ChunkGrid::layout(int dim) const {
 int64_t ChunkGrid::NumChunks(GroupById gb) const {
   AAC_CHECK(gb >= 0 && gb < lattice_->num_groupbys());
   return num_chunks_[static_cast<size_t>(gb)];
-}
-
-int64_t ChunkGrid::TotalChunksAllGroupBys() const {
-  int64_t total = 0;
-  for (GroupById gb = 0; gb < lattice_->num_groupbys(); ++gb) {
-    total += num_chunks_[static_cast<size_t>(gb)];
-  }
-  return total;
 }
 
 ChunkId ChunkGrid::ChunkIdOf(GroupById gb, const ChunkCoords& coords) const {
@@ -98,56 +93,12 @@ std::vector<ChunkId> ChunkGrid::ParentChunkNumbers(GroupById from,
                                                    ChunkId chunk,
                                                    GroupById to) const {
   AAC_CHECK(lattice_->IsAncestor(from, to));
-  const LevelVector& from_lv = lattice_->LevelOf(from);
-  const LevelVector& to_lv = lattice_->LevelOf(to);
-  const ChunkCoords coords = CoordsOf(from, chunk);
-  const int nd = schema().num_dims();
-
-  // Per-dimension chunk ranges at the target level.
-  std::array<std::pair<int32_t, int32_t>, kMaxDims> ranges;
-  int64_t total = 1;
-  for (int d = 0; d < nd; ++d) {
-    ranges[static_cast<size_t>(d)] =
-        layouts_[static_cast<size_t>(d)]->DescendantChunkRange(
-            from_lv[d], coords[static_cast<size_t>(d)], to_lv[d]);
-    total *= ranges[static_cast<size_t>(d)].second -
-             ranges[static_cast<size_t>(d)].first;
-  }
-
   std::vector<ChunkId> out;
-  out.reserve(static_cast<size_t>(total));
-  ChunkCoords cur{};
-  for (int d = 0; d < nd; ++d) {
-    cur[static_cast<size_t>(d)] = ranges[static_cast<size_t>(d)].first;
-  }
-  while (true) {
-    out.push_back(ChunkIdOf(to, cur));
-    int d = nd - 1;
-    while (d >= 0) {
-      if (++cur[static_cast<size_t>(d)] < ranges[static_cast<size_t>(d)].second) {
-        break;
-      }
-      cur[static_cast<size_t>(d)] = ranges[static_cast<size_t>(d)].first;
-      --d;
-    }
-    if (d < 0) break;
-  }
+  ForEachParentChunk(from, chunk, to, [&out](ChunkId id) {
+    out.push_back(id);
+    return true;
+  });
   return out;
-}
-
-int64_t ChunkGrid::NumParentChunks(GroupById from, ChunkId chunk,
-                                   GroupById to) const {
-  AAC_CHECK(lattice_->IsAncestor(from, to));
-  const LevelVector& from_lv = lattice_->LevelOf(from);
-  const LevelVector& to_lv = lattice_->LevelOf(to);
-  const ChunkCoords coords = CoordsOf(from, chunk);
-  int64_t total = 1;
-  for (int d = 0; d < schema().num_dims(); ++d) {
-    auto [b, e] = layouts_[static_cast<size_t>(d)]->DescendantChunkRange(
-        from_lv[d], coords[static_cast<size_t>(d)], to_lv[d]);
-    total *= e - b;
-  }
-  return total;
 }
 
 ChunkId ChunkGrid::ChildChunkNumber(GroupById from, ChunkId chunk,

@@ -45,7 +45,16 @@ class ChunkGrid {
 
   /// Sum of NumChunks over every group-by in the lattice (paper: 32256 for
   /// their APB configuration); sizes the virtual-count arrays.
-  int64_t TotalChunksAllGroupBys() const;
+  int64_t TotalChunksAllGroupBys() const { return flat_begin_.back(); }
+
+  /// Dense index of (gb, chunk) over the chunks of every group-by, group-by
+  /// major: the layout of the per-chunk arrays the lookup strategies and the
+  /// size model keep (the paper's Count, Cost and BestParent, Section 4,
+  /// Table 3).
+  int64_t FlatIndex(GroupById gb, ChunkId chunk) const {
+    AAC_DCHECK(chunk >= 0 && chunk < NumChunks(gb));
+    return flat_begin_[static_cast<size_t>(gb)] + chunk;
+  }
 
   /// Chunk number from per-dimension chunk coordinates.
   ChunkId ChunkIdOf(GroupById gb, const ChunkCoords& coords) const;
@@ -70,17 +79,14 @@ class ChunkGrid {
   /// i.e. LevelOf(from) <= LevelOf(to)) whose aggregation yields `chunk` of
   /// `from`. This is the paper's GetParentChunkNumbers; for an immediate
   /// lattice parent the result is the child chunk range on one dimension.
+  /// The chunks are those ForEachParentChunk visits, in its order.
   std::vector<ChunkId> ParentChunkNumbers(GroupById from, ChunkId chunk,
                                           GroupById to) const;
 
-  /// Number of chunks ParentChunkNumbers would return, without
-  /// materializing them.
-  int64_t NumParentChunks(GroupById from, ChunkId chunk, GroupById to) const;
-
   /// Allocation-free ParentChunkNumbers: calls `fn(ChunkId)` for each parent
-  /// chunk until `fn` returns false. Returns false if `fn` stopped early.
-  /// The lookup strategies' inner recursions use this (they run millions of
-  /// these per exhaustive search).
+  /// chunk, in ascending order, until `fn` returns false. Returns false if
+  /// `fn` stopped early. The lookup strategies' inner recursions use this
+  /// (they run millions of these per exhaustive search).
   template <typename Fn>
   bool ForEachParentChunk(GroupById from, ChunkId chunk, GroupById to,
                           Fn&& fn) const {
@@ -137,6 +143,9 @@ class ChunkGrid {
   std::vector<const DimensionChunkLayout*> layouts_;
   // Cached per-group-by chunk counts and row-major strides.
   std::vector<int64_t> num_chunks_;
+  // Per group-by, the flat index of its chunk 0; one more entry holds the
+  // total.
+  std::vector<int64_t> flat_begin_;
   std::vector<std::array<int64_t, kMaxDims>> strides_;
 };
 

@@ -58,9 +58,7 @@ QueryResult ConcurrentQueryEngine::ExecuteQuery(const Query& query,
       s.queue_wait_ms = queue_wait_ms;
       QueryResult result;
       if (outcome == AdmissionOutcome::kDeadlineExpiredInQueue) {
-        s.fetch_abort = ctx->cancel != nullptr && ctx->cancel->cancelled()
-                            ? FetchAbortReason::kCancelled
-                            : FetchAbortReason::kDeadlineExceeded;
+        s.fetch_abort = AbortReasonFor(*ctx);
         s.status = ResultStatus::kDeadlineExceeded;
       } else {
         s.status = ResultStatus::kShedded;

@@ -15,19 +15,20 @@ constexpr int8_t kNone = -2;
 MemoizedEsmcStrategy::MemoizedEsmcStrategy(const ChunkGrid* grid,
                                            const ChunkCache* cache,
                                            const ChunkSizeModel* size_model)
-    : grid_(grid), cache_(cache), size_model_(size_model), indexer_(grid) {
+    : grid_(grid), cache_(cache), size_model_(size_model) {
   AAC_CHECK(grid != nullptr);
   AAC_CHECK(cache != nullptr);
   AAC_CHECK(size_model != nullptr);
-  memo_cost_.resize(static_cast<size_t>(indexer_.size()), kInf);
-  memo_parent_.resize(static_cast<size_t>(indexer_.size()), kNone);
-  memo_epoch_.resize(static_cast<size_t>(indexer_.size()), 0);
+  const auto chunks = static_cast<size_t>(grid_->TotalChunksAllGroupBys());
+  memo_cost_.resize(chunks, kInf);
+  memo_parent_.resize(chunks, kNone);
+  memo_epoch_.resize(chunks, 0);
 }
 
 void MemoizedEsmcStrategy::BeginLookup() { ++epoch_; }
 
 double MemoizedEsmcStrategy::ComputeCost(GroupById gb, ChunkId chunk) {
-  const size_t idx = static_cast<size_t>(indexer_.IndexOf(gb, chunk));
+  const size_t idx = static_cast<size_t>(grid_->FlatIndex(gb, chunk));
   if (memo_epoch_[idx] == epoch_) return memo_cost_[idx];
   ++metrics_.nodes_visited;
   memo_epoch_[idx] = epoch_;
@@ -72,7 +73,7 @@ std::unique_ptr<PlanNode> MemoizedEsmcStrategy::FindPlan(GroupById gb,
 
 std::unique_ptr<PlanNode> MemoizedEsmcStrategy::Build(GroupById gb,
                                                       ChunkId chunk) {
-  const size_t idx = static_cast<size_t>(indexer_.IndexOf(gb, chunk));
+  const size_t idx = static_cast<size_t>(grid_->FlatIndex(gb, chunk));
   AAC_CHECK_EQ(memo_epoch_[idx], epoch_);
   auto node = std::make_unique<PlanNode>();
   node->key = {gb, chunk};

@@ -7,7 +7,6 @@
 
 #include "cache/chunk_cache.h"
 #include "chunks/chunk_size_model.h"
-#include "core/chunk_indexer.h"
 #include "core/strategy.h"
 
 namespace aac {
@@ -43,7 +42,6 @@ class MemoizedEsmcStrategy : public LookupStrategy {
   const ChunkGrid* grid_;
   const ChunkCache* cache_;
   const ChunkSizeModel* size_model_;
-  ChunkIndexer indexer_;
   // Epoch-tagged memo reused across lookups without clearing.
   std::vector<double> memo_cost_;
   std::vector<int8_t> memo_parent_;

@@ -48,13 +48,13 @@ void NoteAbort(QueryStats& s, FetchAbortReason reason) {
   if (s.fetch_abort == FetchAbortReason::kNone) s.fetch_abort = reason;
 }
 
+}  // namespace
+
 FetchAbortReason AbortReasonFor(const ExecContext& ctx) {
   return ctx.cancel != nullptr && ctx.cancel->cancelled()
              ? FetchAbortReason::kCancelled
              : FetchAbortReason::kDeadlineExceeded;
 }
-
-}  // namespace
 
 QueryEngine::QueryEngine(const ChunkGrid* grid, ChunkCache* cache,
                          LookupStrategy* strategy, Backend* backend,

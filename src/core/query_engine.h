@@ -55,6 +55,11 @@ enum class FetchAbortReason {
   kCancelled,             // the query's CancelToken fired
 };
 
+/// Why a query whose context says abort stopped: kCancelled if its cancel
+/// token fired, else kDeadlineExceeded. The engine and the admission gate
+/// both report through this.
+FetchAbortReason AbortReasonFor(const ExecContext& ctx);
+
 /// The per-query counters that sum across queries: QueryStats carries one
 /// query's values and WorkloadTotals their sums over a workload, so each
 /// counter is declared here once and summed by one operator+=.

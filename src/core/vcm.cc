@@ -10,8 +10,7 @@ namespace aac {
 VcmStrategy::VcmStrategy(const ChunkGrid* grid, const ChunkCache* cache)
     : grid_(grid),
       cache_(cache),
-      indexer_(grid),
-      counts_(&indexer_, cache) {
+      counts_(grid, cache) {
   AAC_CHECK(grid != nullptr);
   AAC_CHECK(cache != nullptr);
   // Seed the membership mirror from the cache's current contents (setup is

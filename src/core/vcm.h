@@ -78,7 +78,6 @@ class VcmStrategy : public LookupStrategy, public CacheListener {
 
   const ChunkGrid* grid_;
   const ChunkCache* cache_;
-  ChunkIndexer indexer_;
   mutable SharedMutex mutex_{LockRank::kStrategy, "vcm"};
   VirtualCounts counts_ AAC_GUARDED_BY(mutex_);
   /// Mirror of cache membership with tuple counts, maintained by the

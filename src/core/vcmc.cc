@@ -1,6 +1,5 @@
 #include "core/vcmc.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "util/check.h"
@@ -16,7 +15,6 @@ VcmcStrategy::VcmcStrategy(const ChunkGrid* grid, const ChunkCache* cache,
     : grid_(grid),
       cache_(cache),
       size_model_(size_model),
-      indexer_(grid),
       links_(grid) {
   AAC_CHECK(grid != nullptr);
   AAC_CHECK(cache != nullptr);
@@ -24,42 +22,33 @@ VcmcStrategy::VcmcStrategy(const ChunkGrid* grid, const ChunkCache* cache,
   // Setup is single-threaded; logged cache events maintain both arrays
   // from here on.
   auto [costs, parents] = ComputeCostsFromScratch();
-
   const Lattice& lattice = grid_->lattice();
-  level_sums_.resize(static_cast<size_t>(lattice.num_groupbys()));
-  int max_sum = 0;
-  for (GroupById gb = 0; gb < lattice.num_groupbys(); ++gb) {
-    const LevelVector& lv = lattice.LevelOf(gb);
-    int sum = 0;
-    for (int d = 0; d < lv.size(); ++d) sum += lv[d];
-    level_sums_[static_cast<size_t>(gb)] = static_cast<int16_t>(sum);
-    max_sum = std::max(max_sum, sum);
-  }
 
   WriterMutexLock lock(mutex_);
   costs_ = std::move(costs);
   best_parents_ = std::move(parents);
-  queue_.resize(static_cast<size_t>(max_sum) + 1);
-  queued_epoch_.assign(static_cast<size_t>(indexer_.size()), 0);
+  queue_.resize(static_cast<size_t>(lattice.LevelSum(lattice.base_id())) + 1);
+  queued_epoch_.assign(
+      static_cast<size_t>(grid_->TotalChunksAllGroupBys()), 0);
 }
 
 bool VcmcStrategy::IsComputable(GroupById gb, ChunkId chunk) {
   ++metrics_.nodes_visited;
   DrainLog();
   ReaderMutexLock lock(mutex_);
-  return costs_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] != kInf;
+  return costs_[static_cast<size_t>(grid_->FlatIndex(gb, chunk))] != kInf;
 }
 
 double VcmcStrategy::CostOf(GroupById gb, ChunkId chunk) const {
   DrainLog();
   ReaderMutexLock lock(mutex_);
-  return costs_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))];
+  return costs_[static_cast<size_t>(grid_->FlatIndex(gb, chunk))];
 }
 
 int8_t VcmcStrategy::BestParentOf(GroupById gb, ChunkId chunk) const {
   DrainLog();
   ReaderMutexLock lock(mutex_);
-  return best_parents_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))];
+  return best_parents_[static_cast<size_t>(grid_->FlatIndex(gb, chunk))];
 }
 
 int64_t VcmcStrategy::SpaceOverheadBytes() const {
@@ -113,7 +102,7 @@ void VcmcStrategy::PropagateBatch() const {
   // propagation, which compares them with the new ones.
   for (const Event& event : batch_) {
     best_parents_[static_cast<size_t>(
-        indexer_.IndexOf(event.key.gb, event.key.chunk))] =
+        grid_->FlatIndex(event.key.gb, event.key.chunk))] =
         event.resident ? kSelf : kNone;
     Enqueue(event.key.gb, event.key.chunk);
   }
@@ -129,7 +118,7 @@ void VcmcStrategy::PropagateBatch() const {
     // Enqueue appends only to lower ranks, so this bucket stays put.
     for (const CacheKey& key : queue_[rank]) {
       const size_t idx =
-          static_cast<size_t>(indexer_.IndexOf(key.gb, key.chunk));
+          static_cast<size_t>(grid_->FlatIndex(key.gb, key.chunk));
       const auto [cost, parent] = Evaluate(key.gb, key.chunk);
       const bool cost_changed = cost != costs_[idx];
       if (!cost_changed && parent == best_parents_[idx]) continue;
@@ -149,16 +138,16 @@ void VcmcStrategy::PropagateBatch() const {
 }
 
 void VcmcStrategy::Enqueue(GroupById gb, ChunkId chunk) const {
-  const size_t idx = static_cast<size_t>(indexer_.IndexOf(gb, chunk));
+  const size_t idx = static_cast<size_t>(grid_->FlatIndex(gb, chunk));
   if (queued_epoch_[idx] == epoch_) return;
   queued_epoch_[idx] = epoch_;
-  queue_[static_cast<size_t>(level_sums_[static_cast<size_t>(gb)])].push_back(
+  queue_[static_cast<size_t>(grid_->lattice().LevelSum(gb))].push_back(
       CacheKey{gb, chunk});
 }
 
 std::pair<double, int8_t> VcmcStrategy::Evaluate(GroupById gb,
                                                  ChunkId chunk) const {
-  if (best_parents_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] ==
+  if (best_parents_[static_cast<size_t>(grid_->FlatIndex(gb, chunk))] ==
       kSelf) {
     return {0.0, kSelf};
   }
@@ -169,7 +158,7 @@ std::pair<double, int8_t> VcmcStrategy::Evaluate(GroupById gb,
     const GroupById parent = parents[pi];
     const ChunkLinks::ParentRange range = links_.ParentChunks(gb, chunk, pi);
     const double* parent_costs =
-        &costs_[static_cast<size_t>(indexer_.IndexOf(parent, 0))];
+        &costs_[static_cast<size_t>(grid_->FlatIndex(parent, 0))];
     // The parent chunks in ForEachParentChunk's order, so the sum is the
     // same to the bit.
     double sum = 0.0;
@@ -190,8 +179,9 @@ std::pair<double, int8_t> VcmcStrategy::Evaluate(GroupById gb,
 
 std::pair<std::vector<double>, std::vector<int8_t>>
 VcmcStrategy::ComputeCostsFromScratch() const {
-  std::vector<double> costs(static_cast<size_t>(indexer_.size()), kInf);
-  std::vector<int8_t> parents(static_cast<size_t>(indexer_.size()), kNone);
+  const auto chunks = static_cast<size_t>(grid_->TotalChunksAllGroupBys());
+  std::vector<double> costs(chunks, kInf);
+  std::vector<int8_t> parents(chunks, kNone);
   const Lattice& lattice = grid_->lattice();
   // One pass over the cache marks the cached chunks and the group-bys that
   // hold one.
@@ -199,7 +189,7 @@ VcmcStrategy::ComputeCostsFromScratch() const {
       static_cast<size_t>(lattice.num_groupbys()), 0);
   cache_->ForEach([&](const CacheEntryInfo& info) {
     const size_t idx =
-        static_cast<size_t>(indexer_.IndexOf(info.key.gb, info.key.chunk));
+        static_cast<size_t>(grid_->FlatIndex(info.key.gb, info.key.chunk));
     costs[idx] = 0.0;
     parents[idx] = kSelf;
     holds_cached[static_cast<size_t>(info.key.gb)] = 1;
@@ -219,14 +209,14 @@ VcmcStrategy::ComputeCostsFromScratch() const {
     if (!reachable) continue;
     for (ChunkId chunk = 0; chunk < grid_->NumChunks(gb); ++chunk) {
       // The same evaluation as Evaluate(), against the local arrays.
-      const size_t idx = static_cast<size_t>(indexer_.IndexOf(gb, chunk));
+      const size_t idx = static_cast<size_t>(grid_->FlatIndex(gb, chunk));
       if (parents[idx] == kSelf) continue;
       for (size_t pi = 0; pi < gb_parents.size(); ++pi) {
         double sum = 0.0;
         const bool complete = grid_->ForEachParentChunk(
             gb, chunk, gb_parents[pi], [&](ChunkId pc) {
               const double pc_cost = costs[static_cast<size_t>(
-                  indexer_.IndexOf(gb_parents[pi], pc))];
+                  grid_->FlatIndex(gb_parents[pi], pc))];
               if (pc_cost == kInf) return false;
               sum += pc_cost +
                      size_model_->ExpectedChunkTuples(gb_parents[pi], pc);
@@ -248,7 +238,7 @@ std::unique_ptr<PlanNode> VcmcStrategy::FindPlan(GroupById gb, ChunkId chunk) {
   ++metrics_.nodes_visited;
   DrainLog();
   ReaderMutexLock lock(mutex_);
-  if (costs_[static_cast<size_t>(indexer_.IndexOf(gb, chunk))] == kInf) {
+  if (costs_[static_cast<size_t>(grid_->FlatIndex(gb, chunk))] == kInf) {
     return nullptr;
   }
   return Build(gb, chunk);
@@ -259,7 +249,7 @@ std::unique_ptr<PlanNode> VcmcStrategy::FindPlan(GroupById gb, ChunkId chunk) {
 // pointers, so exactly the least-cost plan is constructed.
 std::unique_ptr<PlanNode> VcmcStrategy::Build(GroupById gb, ChunkId chunk) {
   ++metrics_.nodes_visited;
-  const size_t idx = static_cast<size_t>(indexer_.IndexOf(gb, chunk));
+  const size_t idx = static_cast<size_t>(grid_->FlatIndex(gb, chunk));
   auto node = std::make_unique<PlanNode>();
   node->key = {gb, chunk};
   node->estimated_cost = costs_[idx];

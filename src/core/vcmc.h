@@ -9,7 +9,6 @@
 #include "cache/chunk_cache.h"
 #include "chunks/chunk_links.h"
 #include "chunks/chunk_size_model.h"
-#include "core/chunk_indexer.h"
 #include "core/strategy.h"
 #include "util/lockdep.h"
 #include "util/mutex.h"
@@ -137,10 +136,7 @@ class VcmcStrategy : public LookupStrategy, public CacheListener {
   const ChunkGrid* grid_;
   const ChunkCache* cache_;
   const ChunkSizeModel* size_model_;
-  ChunkIndexer indexer_;
   const ChunkLinks links_;
-  // Immutable after construction: per group-by, its level sum (rank).
-  std::vector<int16_t> level_sums_;
 
   mutable SharedMutex mutex_{LockRank::kStrategy, "vcmc"};
   mutable std::vector<double> costs_ AAC_GUARDED_BY(mutex_);
@@ -148,7 +144,8 @@ class VcmcStrategy : public LookupStrategy, public CacheListener {
   /// residency here instead of from the cache.
   mutable std::vector<int8_t> best_parents_ AAC_GUARDED_BY(mutex_);
   // Propagation scratch, reused by every drain: the taken log, chunks queued
-  // per rank, and per chunk the drain that last queued it.
+  // per rank (Lattice::LevelSum), and per chunk the drain that last queued
+  // it.
   mutable std::vector<Event> batch_ AAC_GUARDED_BY(mutex_);
   mutable std::vector<std::vector<CacheKey>> queue_ AAC_GUARDED_BY(mutex_);
   mutable std::vector<int64_t> queued_epoch_ AAC_GUARDED_BY(mutex_);

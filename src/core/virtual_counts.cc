@@ -4,20 +4,18 @@
 
 namespace aac {
 
-VirtualCounts::VirtualCounts(const ChunkIndexer* indexer,
-                             const ChunkCache* cache)
-    : indexer_(indexer), cache_(cache) {
-  AAC_CHECK(indexer != nullptr);
+VirtualCounts::VirtualCounts(const ChunkGrid* grid, const ChunkCache* cache)
+    : grid_(grid), cache_(cache) {
+  AAC_CHECK(grid != nullptr);
   AAC_CHECK(cache != nullptr);
-  counts_.assign(static_cast<size_t>(indexer_->size()), 0);
+  counts_.assign(static_cast<size_t>(grid_->TotalChunksAllGroupBys()), 0);
   Rebuild();
 }
 
 GroupById VirtualCounts::FindParentWithCompletePath(GroupById gb,
                                                     ChunkId chunk) const {
-  const ChunkGrid& grid = indexer_->grid();
-  for (GroupById parent : grid.lattice().Parents(gb)) {
-    const bool complete = grid.ForEachParentChunk(
+  for (GroupById parent : grid_->lattice().Parents(gb)) {
+    const bool complete = grid_->ForEachParentChunk(
         gb, chunk, parent,
         [&](ChunkId pc) { return CountOf(parent, pc) > 0; });
     if (complete) return parent;
@@ -37,13 +35,13 @@ void VirtualCounts::OnChunkEvicted(GroupById gb, ChunkId chunk) {
 // became computable, each more-aggregated neighbour whose covering set is
 // now fully computable gains one parent path.
 void VirtualCounts::Increment(GroupById gb, ChunkId chunk) {
-  uint8_t& count = counts_[static_cast<size_t>(indexer_->IndexOf(gb, chunk))];
+  uint8_t& count = counts_[static_cast<size_t>(grid_->FlatIndex(gb, chunk))];
   AAC_CHECK_LT(count, 255);
   ++count;
   ++updates_applied_;
   if (count > 1) return;  // was already computable: children unaffected
 
-  const ChunkGrid& grid = indexer_->grid();
+  const ChunkGrid& grid = *grid_;
   for (GroupById child : grid.lattice().Children(gb)) {
     const ChunkId cc = grid.ChildChunkNumber(gb, chunk, child);
     const bool complete = grid.ForEachParentChunk(
@@ -54,13 +52,13 @@ void VirtualCounts::Increment(GroupById gb, ChunkId chunk) {
 }
 
 void VirtualCounts::Decrement(GroupById gb, ChunkId chunk) {
-  uint8_t& count = counts_[static_cast<size_t>(indexer_->IndexOf(gb, chunk))];
+  uint8_t& count = counts_[static_cast<size_t>(grid_->FlatIndex(gb, chunk))];
   AAC_CHECK_GT(count, 0);
   --count;
   ++updates_applied_;
   if (count > 0) return;  // still computable: children keep their paths
 
-  const ChunkGrid& grid = indexer_->grid();
+  const ChunkGrid& grid = *grid_;
   for (GroupById child : grid.lattice().Children(gb)) {
     const ChunkId cc = grid.ChildChunkNumber(gb, chunk, child);
     // The path through `gb` existed before exactly if every sibling other
@@ -74,9 +72,10 @@ void VirtualCounts::Decrement(GroupById gb, ChunkId chunk) {
 }
 
 std::vector<uint8_t> VirtualCounts::ComputeFromScratch() const {
-  const ChunkGrid& grid = indexer_->grid();
+  const ChunkGrid& grid = *grid_;
   const Lattice& lattice = grid.lattice();
-  std::vector<uint8_t> counts(static_cast<size_t>(indexer_->size()), 0);
+  std::vector<uint8_t> counts(
+      static_cast<size_t>(grid.TotalChunksAllGroupBys()), 0);
   // Detailed levels first: a chunk's count depends only on strictly more
   // detailed group-bys.
   for (GroupById gb : lattice.TopoDetailedFirst()) {
@@ -87,11 +86,11 @@ std::vector<uint8_t> VirtualCounts::ComputeFromScratch() const {
         const bool complete = grid.ForEachParentChunk(
             gb, chunk, parent, [&](ChunkId pc) {
               return counts[static_cast<size_t>(
-                         indexer_->IndexOf(parent, pc))] != 0;
+                         grid.FlatIndex(parent, pc))] != 0;
             });
         if (complete) ++count;
       }
-      counts[static_cast<size_t>(indexer_->IndexOf(gb, chunk))] =
+      counts[static_cast<size_t>(grid.FlatIndex(gb, chunk))] =
           static_cast<uint8_t>(count);
     }
   }

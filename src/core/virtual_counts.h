@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "cache/chunk_cache.h"
-#include "core/chunk_indexer.h"
+#include "chunks/chunk_grid.h"
 
 namespace aac {
 
@@ -25,13 +25,13 @@ namespace aac {
 /// (Lemma 2 bounds one insert by n * prod(l_i + 1) updates).
 class VirtualCounts {
  public:
-  /// `indexer` and `cache` must outlive this object. Initializes counts from
+  /// `grid` and `cache` must outlive this object. Initializes counts from
   /// the cache's current contents.
-  VirtualCounts(const ChunkIndexer* indexer, const ChunkCache* cache);
+  VirtualCounts(const ChunkGrid* grid, const ChunkCache* cache);
 
   /// Count of (gb, chunk); non-zero iff computable from the cache.
   int32_t CountOf(GroupById gb, ChunkId chunk) const {
-    return counts_[static_cast<size_t>(indexer_->IndexOf(gb, chunk))];
+    return counts_[static_cast<size_t>(grid_->FlatIndex(gb, chunk))];
   }
 
   bool IsComputable(GroupById gb, ChunkId chunk) const {
@@ -66,7 +66,7 @@ class VirtualCounts {
   void Increment(GroupById gb, ChunkId chunk);
   void Decrement(GroupById gb, ChunkId chunk);
 
-  const ChunkIndexer* indexer_;
+  const ChunkGrid* grid_;
   const ChunkCache* cache_;
   std::vector<uint8_t> counts_;
   int64_t updates_applied_ = 0;

@@ -19,17 +19,21 @@ Lattice::Lattice(const Schema* schema) : schema_(schema) {
   num_groupbys_ = static_cast<int32_t>(total);
 
   levels_.resize(static_cast<size_t>(num_groupbys_));
+  ranks_.resize(static_cast<size_t>(num_groupbys_));
   parents_.resize(static_cast<size_t>(num_groupbys_));
   children_.resize(static_cast<size_t>(num_groupbys_));
   for (GroupById id = 0; id < num_groupbys_; ++id) {
     LevelVector lv = LevelVector::Uniform(nd, 0);
     int32_t rem = id;
+    int rank = 0;
     for (int d = 0; d < nd; ++d) {
       const int32_t stride = strides_[static_cast<size_t>(d)];
       lv.Set(d, rem / stride);
       rem %= stride;
+      rank += lv[d];
     }
     levels_[static_cast<size_t>(id)] = lv;
+    ranks_[static_cast<size_t>(id)] = rank;
     for (int d = 0; d < nd; ++d) {
       const int h = schema_->dimension(d).hierarchy_size();
       if (lv[d] < h) {
@@ -50,15 +54,9 @@ Lattice::Lattice(const Schema* schema) : schema_(schema) {
   for (GroupById id = 0; id < num_groupbys_; ++id) {
     topo_detailed_first_[static_cast<size_t>(id)] = id;
   }
-  auto level_sum = [this](GroupById id) {
-    const LevelVector& lv = levels_[static_cast<size_t>(id)];
-    int sum = 0;
-    for (int d = 0; d < lv.size(); ++d) sum += lv[d];
-    return sum;
-  };
   std::stable_sort(topo_detailed_first_.begin(), topo_detailed_first_.end(),
-                   [&](GroupById a, GroupById b) {
-                     return level_sum(a) > level_sum(b);
+                   [this](GroupById a, GroupById b) {
+                     return LevelSum(a) > LevelSum(b);
                    });
 }
 

@@ -6,6 +6,7 @@
 
 #include "schema/level_vector.h"
 #include "schema/schema.h"
+#include "util/check.h"
 
 namespace aac {
 
@@ -61,6 +62,14 @@ class Lattice {
   /// targets (sums of level gaps up to 20).
   uint64_t NumPathsToBase(GroupById id) const;
 
+  /// Sum of the group-by's levels: its rank in the lattice. The top is 0,
+  /// the base the sum of the hierarchy sizes, and each lattice parent one
+  /// above its child, so a group-by is computed from the rank above it.
+  int LevelSum(GroupById id) const {
+    AAC_DCHECK(id >= 0 && id < num_groupbys_);
+    return ranks_[static_cast<size_t>(id)];
+  }
+
   /// Group-by ids ordered most-detailed first (descending level sum). Every
   /// node appears after all of its lattice parents, so a single pass in this
   /// order can propagate information from the base toward the top.
@@ -73,6 +82,7 @@ class Lattice {
   int32_t num_groupbys_;
   std::vector<int32_t> strides_;  // per dimension, for mixed-radix ids
   std::vector<LevelVector> levels_;
+  std::vector<int> ranks_;  // per group-by, its level sum
   std::vector<std::vector<GroupById>> parents_;
   std::vector<std::vector<GroupById>> children_;
   std::vector<GroupById> topo_detailed_first_;

@@ -49,8 +49,7 @@ struct KeptRows {
 class LatticeCounter {
  public:
   LatticeCounter(const ChunkGrid& grid, const FactTable& table,
-                 std::span<const int64_t> offsets, std::span<int32_t> counts,
-                 std::span<int64_t> totals);
+                 std::span<int32_t> counts, std::span<int64_t> totals);
 
   MeasuredChunkSizeModel::CountStats Run();
 
@@ -117,8 +116,7 @@ class LatticeCounter {
   const Lattice& lattice_;
   const int nd_;
   const GroupById base_;
-  std::span<const int64_t> offsets_;
-  std::span<int32_t> counts_;
+  std::span<int32_t> counts_;  // per chunk, at ChunkGrid::FlatIndex
   std::span<int64_t> totals_;
 
   // Per dimension and level: each value's offset inside its chunk, and the
@@ -144,7 +142,6 @@ class LatticeCounter {
 };
 
 LatticeCounter::LatticeCounter(const ChunkGrid& grid, const FactTable& table,
-                               std::span<const int64_t> offsets,
                                std::span<int32_t> counts,
                                std::span<int64_t> totals)
     : grid_(grid),
@@ -152,7 +149,6 @@ LatticeCounter::LatticeCounter(const ChunkGrid& grid, const FactTable& table,
       lattice_(grid.lattice()),
       nd_(grid.schema().num_dims()),
       base_(table.base_gb()),
-      offsets_(offsets),
       counts_(counts),
       totals_(totals) {
   const Schema& schema = grid.schema();
@@ -177,14 +173,9 @@ LatticeCounter::LatticeCounter(const ChunkGrid& grid, const FactTable& table,
     }
   }
 
-  const auto level_sum = [this](GroupById gb) {
-    int sum = 0;
-    for (int d = 0; d < nd_; ++d) sum += lattice_.LevelOf(gb)[d];
-    return static_cast<size_t>(sum);
-  };
-  ranks_.resize(level_sum(base_) + 1);
+  ranks_.resize(static_cast<size_t>(lattice_.LevelSum(base_)) + 1);
   for (GroupById gb : lattice_.TopoDetailedFirst()) {
-    ranks_[level_sum(gb)].push_back(gb);
+    ranks_[static_cast<size_t>(lattice_.LevelSum(gb))].push_back(gb);
   }
   source_.assign(static_cast<size_t>(lattice_.num_groupbys()), base_);
   kept_.resize(static_cast<size_t>(lattice_.num_groupbys()));
@@ -192,7 +183,7 @@ LatticeCounter::LatticeCounter(const ChunkGrid& grid, const FactTable& table,
 
 MeasuredChunkSizeModel::CountStats LatticeCounter::Run() {
   // The table holds one tuple per cell.
-  int32_t* base_counts = counts_.data() + offsets_[static_cast<size_t>(base_)];
+  int32_t* base_counts = counts_.data() + grid_.FlatIndex(base_, 0);
   for (ChunkId c = 0; c < grid_.NumChunks(base_); ++c) {
     base_counts[c] = static_cast<int32_t>(table_.ChunkTupleCount(c));
   }
@@ -237,8 +228,7 @@ void LatticeCounter::Advance() {
   if (counting_) {
     // Workers wrote only chunk counts; the totals are summed here.
     for (GroupById gb : ranks_[static_cast<size_t>(rank_)]) {
-      const int32_t* counts =
-          counts_.data() + offsets_[static_cast<size_t>(gb)];
+      const int32_t* counts = counts_.data() + grid_.FlatIndex(gb, 0);
       int64_t total = 0;
       for (ChunkId c = 0; c < grid_.NumChunks(gb); ++c) total += counts[c];
       totals_[static_cast<size_t>(gb)] = total;
@@ -291,7 +281,7 @@ bool LatticeCounter::KeepFromRank() {
 
     Kept& kept = kept_[static_cast<size_t>(gb)];
     kept.values = kept_values_.get() + stats_.kept_cells * nd_;
-    const int32_t* counts = counts_.data() + offsets_[static_cast<size_t>(gb)];
+    const int32_t* counts = counts_.data() + grid_.FlatIndex(gb, 0);
     kept.begin.assign(static_cast<size_t>(grid_.NumChunks(gb)) + 1, 0);
     for (ChunkId c = 0; c < grid_.NumChunks(gb); ++c) {
       kept.begin[static_cast<size_t>(c) + 1] =
@@ -339,7 +329,7 @@ void LatticeCounter::RunTask(Worker& w, const Task& task) {
 template <int ND>
 void LatticeCounter::RunTaskDims(Worker& w, const Task& task) {
   const auto run = [&](const auto& source) {
-    int32_t* counts = counts_.data() + offsets_[static_cast<size_t>(task.gb)];
+    int32_t* counts = counts_.data() + grid_.FlatIndex(task.gb, 0);
     const Kept& kept = kept_[static_cast<size_t>(task.gb)];
     for (ChunkId c = task.begin; c < task.end; ++c) {
       if (!counting_) {  // the chunk's rows are its count, already known
@@ -506,24 +496,15 @@ MeasuredChunkSizeModel::MeasuredChunkSizeModel(const ChunkGrid* grid,
                                                int64_t bytes_per_tuple)
     : ChunkSizeModel(grid, table->num_tuples(), bytes_per_tuple) {
   AAC_CHECK_EQ(&table->grid(), grid);
-  const GroupById num_gbs = grid->lattice().num_groupbys();
-  offsets_.assign(static_cast<size_t>(num_gbs) + 1, 0);
-  for (GroupById gb = 0; gb < num_gbs; ++gb) {
-    offsets_[static_cast<size_t>(gb) + 1] =
-        offsets_[static_cast<size_t>(gb)] + grid->NumChunks(gb);
-  }
-  chunk_tuples_.assign(static_cast<size_t>(offsets_.back()), 0);
-  gb_tuples_.assign(static_cast<size_t>(num_gbs), 0);
-  count_stats_ =
-      LatticeCounter(*grid, *table, offsets_, chunk_tuples_, gb_tuples_).Run();
+  chunk_tuples_.assign(static_cast<size_t>(grid->TotalChunksAllGroupBys()), 0);
+  gb_tuples_.assign(static_cast<size_t>(grid->lattice().num_groupbys()), 0);
+  count_stats_ = LatticeCounter(*grid, *table, chunk_tuples_, gb_tuples_).Run();
 }
 
 double MeasuredChunkSizeModel::ExpectedChunkTuples(GroupById gb,
                                                    ChunkId chunk) const {
-  AAC_DCHECK(chunk >= 0 && chunk < grid()->NumChunks(gb));
   return static_cast<double>(
-      chunk_tuples_[static_cast<size_t>(offsets_[static_cast<size_t>(gb)] +
-                                        chunk)]);
+      chunk_tuples_[static_cast<size_t>(grid()->FlatIndex(gb, chunk))]);
 }
 
 double MeasuredChunkSizeModel::ExpectedGroupByTuples(GroupById gb) const {

@@ -75,8 +75,7 @@ class MeasuredChunkSizeModel : public ChunkSizeModel {
   const CountStats& count_stats() const { return count_stats_; }
 
  private:
-  std::vector<int64_t> offsets_;       // per group-by, into chunk_tuples_
-  std::vector<int32_t> chunk_tuples_;  // exact count per chunk
+  std::vector<int32_t> chunk_tuples_;  // exact count per chunk, at FlatIndex
   std::vector<int64_t> gb_tuples_;     // exact count per group-by
   CountStats count_stats_;
 };

@@ -215,7 +215,7 @@ void DumpEdges(const std::string& path) {
   }
   if (out.empty()) return;
   // O_APPEND + one write(): concurrent test binaries dumping into the same
-  // file (tools/check.sh lockdep) interleave at line granularity.
+  // file (tools/check.sh asan) interleave at line granularity.
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return;
   ssize_t written = 0;

@@ -184,9 +184,10 @@ TEST_P(MeasuredChunkSizeModelApb, MatchesOracle) {
   const ChunkGrid& grid = cube.grid();
   // The model counts each chunk from the base chunks that aggregate into
   // it, so some chunk must read more than one of them.
-  EXPECT_GT(grid.NumParentChunks(cube.lattice().top_id(), 0,
-                                 cube.lattice().base_id()),
-            1);
+  EXPECT_GT(grid.ParentChunkNumbers(cube.lattice().top_id(), 0,
+                                    cube.lattice().base_id())
+                .size(),
+            1u);
   // APB-1 chunks each level evenly; NonUniformHierarchiesMatchOracle and
   // ChunksOver2To24CellsMatchOracle cover levels of unequal chunk widths.
 

@@ -162,6 +162,23 @@ TEST(Lattice, TopoDetailedFirstRespectsParentOrder) {
   }
 }
 
+TEST(Lattice, LevelSumIsTheRank) {
+  for (const Schema& s : {MakeExample2Schema(), MakeApbShapeSchema()}) {
+    Lattice lat(&s);
+    EXPECT_EQ(lat.LevelSum(lat.top_id()), 0);
+    int hierarchy_sizes = 0;
+    for (int d = 0; d < s.num_dims(); ++d) {
+      hierarchy_sizes += s.dimension(d).hierarchy_size();
+    }
+    EXPECT_EQ(lat.LevelSum(lat.base_id()), hierarchy_sizes);
+    for (GroupById id = 0; id < lat.num_groupbys(); ++id) {
+      for (GroupById p : lat.Parents(id)) {
+        EXPECT_EQ(lat.LevelSum(p), lat.LevelSum(id) + 1);
+      }
+    }
+  }
+}
+
 TEST(Lattice, SingleDimensionDegenerateChain) {
   std::vector<Dimension> dims;
   dims.push_back(Dimension::Uniform("only", 1, {2, 2}));

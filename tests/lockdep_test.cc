@@ -4,9 +4,9 @@
 // cycle split across two runs — invisible to any single run's checks — is
 // caught by the offline graph checker (tools/lockdep_report.py).
 //
-// The whole suite is a no-op unless built with -DAAC_LOCKDEP=ON
-// (tools/check.sh lockdep, and the asan/tsan gates): without the
-// instrumentation there is nothing to validate, so the tests skip.
+// The whole suite is a no-op unless built with -DAAC_LOCKDEP=ON (the
+// asan and tsan gates of tools/check.sh): without the instrumentation
+// there is nothing to validate, so the tests skip.
 
 #include "util/lockdep.h"
 #include "util/mutex.h"

@@ -32,8 +32,9 @@ TEST(LruPolicy, UniformWeights) {
   LruPolicy p;
   EXPECT_DOUBLE_EQ(p.ClockValue(MakeInfo(1.0, 10, ChunkSource::kBackend)),
                    p.ClockValue(MakeInfo(1e9, 10, ChunkSource::kBackend)));
-  EXPECT_TRUE(p.CanReplace(MakeInfo(1, 10, ChunkSource::kCacheComputed),
-                           MakeInfo(1e9, 10, ChunkSource::kBackend)));
+  EXPECT_TRUE(p.MayReplaceClass(
+      MakeInfo(1, 10, ChunkSource::kCacheComputed),
+      p.VictimClass(MakeInfo(1e9, 10, ChunkSource::kBackend))));
 }
 
 TEST(LruPolicy, EvictsInInsertionOrderWithoutReuse) {

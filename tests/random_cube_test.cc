@@ -44,6 +44,13 @@ TEST_P(RandomCubeTest, ChunkMappingInvariants) {
   }
 }
 
+// The one parent-chunk walk against lists materialized from
+// ChildChunkNumber, over every ancestor pair (ChunkMappingInvariants takes
+// only immediate parents): each chunk of `to`, in ascending order, goes to
+// the list of the chunk of `gb` it aggregates into, and the walk from that
+// chunk must visit exactly its list, in order. So the walks over the chunks
+// of `gb` partition the chunks of `to`, each walk is strictly ascending, and
+// ChildChunkNumber maps every parent chunk back.
 TEST_P(RandomCubeTest, ForEachParentChunkMatchesMaterialized) {
   TestCube cube = MakeRandomCube(GetParam() + 1000);
   const Lattice& lat = *cube.lattice;
@@ -51,13 +58,21 @@ TEST_P(RandomCubeTest, ForEachParentChunkMatchesMaterialized) {
   for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
     for (GroupById to = 0; to < lat.num_groupbys(); ++to) {
       if (!lat.IsAncestor(gb, to)) continue;
+      std::vector<std::vector<ChunkId>> materialized(
+          static_cast<size_t>(grid.NumChunks(gb)));
+      for (ChunkId pc = 0; pc < grid.NumChunks(to); ++pc) {
+        materialized[static_cast<size_t>(grid.ChildChunkNumber(to, pc, gb))]
+            .push_back(pc);
+      }
       for (ChunkId c = 0; c < grid.NumChunks(gb); ++c) {
-        std::vector<ChunkId> via_fn;
+        std::vector<ChunkId> walked;
         grid.ForEachParentChunk(gb, c, to, [&](ChunkId id) {
-          via_fn.push_back(id);
+          walked.push_back(id);
           return true;
         });
-        EXPECT_EQ(via_fn, grid.ParentChunkNumbers(gb, c, to));
+        EXPECT_EQ(walked, materialized[static_cast<size_t>(c)])
+            << "from=" << lat.LevelOf(gb).ToString() << " chunk=" << c
+            << " to=" << lat.LevelOf(to).ToString();
       }
     }
   }

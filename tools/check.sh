@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build and run the full test suite in the
 # plain Release configuration, again with AddressSanitizer + UBSan
-# (-DAAC_SANITIZE=ON), and run the concurrency-labeled suite under
-# ThreadSanitizer (-DAAC_SANITIZE=thread). Run from anywhere; builds land
-# in build/, build-asan/, build-tsan/ and build-lockdep/ under the repo root.
+# (-DAAC_SANITIZE=ON) and the lock-order gate, and run the
+# concurrency-labeled suite under ThreadSanitizer (-DAAC_SANITIZE=thread).
+# Run from anywhere; builds land in build/, build-asan/ and build-tsan/
+# under the repo root.
 #
-#   tools/check.sh              # lint + plain + asan + tsan + lockdep
+#   tools/check.sh              # lint + plain + asan + tsan
 #   tools/check.sh plain        # plain only
-#   tools/check.sh asan         # ASan+UBSan only
+#   tools/check.sh asan         # the full suite under ASan+UBSan and the
+#                               # runtime lock-order validator, every binary
+#                               # dumping its lock-order graph to one edge
+#                               # file ($AAC_LOCKDEP_DUMP), then
+#                               # tools/lockdep_report.py cycle-checks the
+#                               # union — a cross-run ABBA fails the gate
+#                               # even if no single run inverted the order
 #   tools/check.sh tsan         # the "concurrency" label under TSan
 #   tools/check.sh bench-smoke  # overload_storm --smoke under ASan+UBSan,
 #                               # then TSan (it exits nonzero when its own
 #                               # assertions fail)
-#   tools/check.sh lockdep      # the full suite built with -DAAC_LOCKDEP=ON,
-#                               # every binary dumping its lock-order graph
-#                               # to one edge file ($AAC_LOCKDEP_DUMP), then
-#                               # tools/lockdep_report.py cycle-checks the
-#                               # union — a cross-run ABBA fails the gate
-#                               # even if no single run inverted the order
 #   tools/check.sh lint         # the lint wall (tools/lint.sh): repo
 #                               # invariants always; clang thread-safety
 #                               # analysis and clang-tidy when LLVM is
@@ -54,11 +55,28 @@ run_suite() {
   (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}")
 }
 
+# The whole suite under ASan+UBSan and the lock-order gate: every test
+# binary appends its lock-order graph to one edge file, then the offline
+# cycle checker reads the union. The runtime validator aborts any in-run
+# rank violation on the spot (failing ctest); the checker also fails the
+# gate on a cycle assembled across *different* binaries' runs.
+run_asan() {
+  local build_dir="${repo_root}/build-asan"
+  local edges="${build_dir}/lockdep_edges.tsv"
+  build_tree "${build_dir}" ON
+  rm -f "${edges}"
+  echo "=== ${build_dir##*/}: ctest (dumping lock-order edges) ==="
+  (cd "${build_dir}" &&
+    AAC_LOCKDEP_DUMP="${edges}" ctest --output-on-failure -j "${jobs}")
+  echo "=== ${build_dir##*/}: cross-run lock-order cycle check ==="
+  python3 "${repo_root}/tools/lockdep_report.py" "${edges}"
+}
+
 # The "concurrency" label under ThreadSanitizer: every test that starts a
 # thread carries it (lint rule R5), and a single-threaded test does not,
 # even where it drives the locked chunk cache or plan cache. TSan
 # instruments everything it touches ~10x slower and has nothing to check
-# in a single-threaded test; the plain, asan and lockdep modes run those.
+# in a single-threaded test; the plain and asan modes run those.
 # Fails when no test carries the label, so a broken registration cannot
 # pass as an empty run.
 run_tsan() {
@@ -84,33 +102,12 @@ run_bench_smoke() {
   "${build_dir}/bench/overload_storm" --smoke
 }
 
-# Lock-order gate: the whole suite under -DAAC_LOCKDEP=ON, with every test
-# binary appending its lock-order graph to one edge file, then the offline
-# cycle checker over the union. The runtime validator aborts any in-run
-# rank violation on the spot (failing ctest); the checker additionally
-# fails the gate on a cycle assembled across *different* binaries' runs.
-run_lockdep() {
-  local build_dir="${repo_root}/build-lockdep"
-  echo "=== lockdep: configure ==="
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_LOCKDEP=ON
-  echo "=== lockdep: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  local edges="${build_dir}/lockdep_edges.tsv"
-  rm -f "${edges}"
-  echo "=== lockdep: ctest (full suite, dumping edges) ==="
-  (cd "${build_dir}" &&
-    AAC_LOCKDEP_DUMP="${edges}" ctest --output-on-failure -j "${jobs}")
-  echo "=== lockdep: cross-run cycle check ==="
-  python3 "${repo_root}/tools/lockdep_report.py" "${edges}"
-  echo "=== lockdep: OK ==="
-}
-
 case "${mode}" in
   plain)
     run_suite "${repo_root}/build" OFF
     ;;
   asan)
-    run_suite "${repo_root}/build-asan" ON
+    run_asan
     ;;
   tsan)
     run_tsan
@@ -119,21 +116,17 @@ case "${mode}" in
     run_bench_smoke "${repo_root}/build-asan" ON
     run_bench_smoke "${repo_root}/build-tsan" thread
     ;;
-  lockdep)
-    run_lockdep
-    ;;
   lint)
     "${repo_root}/tools/lint.sh"
     ;;
   all)
     "${repo_root}/tools/lint.sh"
     run_suite "${repo_root}/build" OFF
-    run_suite "${repo_root}/build-asan" ON
+    run_asan
     run_tsan
-    run_lockdep
     ;;
   *)
-    echo "usage: tools/check.sh [plain|asan|tsan|bench-smoke|lockdep|lint|all]" >&2
+    echo "usage: tools/check.sh [plain|asan|tsan|bench-smoke|lint|all]" >&2
     exit 2
     ;;
 esac
