@@ -300,6 +300,13 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   const GroupById gb = grid_->lattice().IdOf(query.level);
   const std::vector<ChunkId> chunks = ChunksForQuery(*grid_, query);
   s.chunks_requested = static_cast<int64_t>(chunks.size());
+  // A batch-class query (a one-off scan, a report) reads through every
+  // layer without changing what any layer holds: it promotes, inserts,
+  // boosts and admits nothing, so it salvages nothing either, and it
+  // fetches its misses outside the single-flight group. Its large,
+  // costly, never-repeated chunks and answers would otherwise outrank
+  // and evict the small hot entries interactive queries reuse.
+  const bool admits = ctx->query_class == QueryClass::kInteractive;
 
   // Dead on arrival — the deadline was burned waiting in an admission
   // queue, or the client is already gone: resolve immediately, typed,
@@ -464,9 +471,12 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
       }
       // Promote: the hot insert's demotion hooks purge the warm/disk copy,
       // so the chunk is resident in exactly one tier again. The entry keeps
-      // the decoded blob, so demoting it unchanged encodes nothing.
-      cache_->Insert(probe.data, probe.info.benefit, probe.info.source,
-                     std::move(probe.blob));
+      // the decoded blob, so demoting it unchanged encodes nothing. A batch
+      // query leaves the copy where it is.
+      if (admits) {
+        cache_->Insert(probe.data, probe.info.benefit, probe.info.source,
+                       std::move(probe.blob));
+      }
       results.push_back(std::move(probe.data));
     }
     missing = std::move(still_missing);
@@ -493,13 +503,16 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     // Single-flight: for each missing chunk either lead (this query will
     // fetch it and publish the result) or follow (another query's fetch
     // for the same chunk is in flight — wait for its result instead of
-    // issuing a duplicate backend call).
+    // issuing a duplicate backend call). A batch query does neither: it
+    // fetches every missing chunk itself and publishes nothing, because a
+    // follower inserts nothing it coalesced (so a batch leader's chunk
+    // would never be cached) and would wait on the scan's whole call.
     using Flight = SingleFlight<ChunkData>;
     std::vector<ChunkId> lead;
     std::vector<std::pair<ChunkId, std::shared_ptr<Flight::Slot>>> follow;
     for (ChunkId chunk : missing) {
       std::shared_ptr<Flight::Slot> slot =
-          single_flight_.JoinOrLead(CacheKey{gb, chunk});
+          admits ? single_flight_.JoinOrLead(CacheKey{gb, chunk}) : nullptr;
       if (slot == nullptr) {
         lead.push_back(chunk);
       } else {
@@ -511,10 +524,12 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     // leading/following each other's chunks cannot deadlock.
     std::vector<ChunkId> failed =
         FetchWithRetry(gb, lead, &backend_results, retry, ctx, &s);
-    for (const ChunkData& data : backend_results) {
-      single_flight_.Publish(CacheKey{gb, data.chunk}, data);
+    if (admits) {
+      for (const ChunkData& data : backend_results) {
+        single_flight_.Publish(CacheKey{gb, data.chunk}, data);
+      }
+      for (ChunkId chunk : failed) single_flight_.Fail(CacheKey{gb, chunk});
     }
-    for (ChunkId chunk : failed) single_flight_.Fail(CacheKey{gb, chunk});
     std::vector<ChunkId> retry_self;
     for (auto& [chunk, slot] : follow) {
       ChunkData data;
@@ -548,33 +563,36 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   }
   s.chunks_unavailable = static_cast<int64_t>(result.unavailable.size());
 
-  // --- Update phase: admit new chunks to the cache. This runs even for a
-  // deadline-killed query — everything below was fully computed or fetched
-  // before the abort, and trashing it would waste the work the query
-  // already paid for (salvage: the aborted query still warms the cache for
-  // its successors). ---
+  // --- Update phase: an interactive query admits its new chunks to the
+  // cache. This runs even for a deadline-killed query — everything below
+  // was fully computed or fetched before the abort, and trashing it would
+  // waste the work the query already paid for (salvage: the aborted query
+  // still warms the cache for its successors). A batch query admits
+  // nothing, so it salvages nothing. ---
   Stopwatch update_timer;
   int64_t admitted = 0;
-  // Chunks computed by in-cache aggregation go in as cache-computed,
-  // lower-priority entries under the two-level policy.
-  for (const ComputedInfo& info : computed) {
-    const double benefit = benefit_->CacheComputedChunkBenefit(
-        static_cast<double>(info.tuples));
-    cache_->Insert(results[info.result_index], benefit,
-                   ChunkSource::kCacheComputed);
-    ++admitted;
-    if (config_.boost_groups) {
-      const double boost = ReplacementPolicy::NormalizedWeight(benefit);
-      for (const CacheKey& key : info.group) cache_->Boost(key, boost);
+  if (admits) {
+    // Chunks computed by in-cache aggregation go in as cache-computed,
+    // lower-priority entries under the two-level policy.
+    for (const ComputedInfo& info : computed) {
+      const double benefit = benefit_->CacheComputedChunkBenefit(
+          static_cast<double>(info.tuples));
+      cache_->Insert(results[info.result_index], benefit,
+                     ChunkSource::kCacheComputed);
+      ++admitted;
+      if (config_.boost_groups) {
+        const double boost = ReplacementPolicy::NormalizedWeight(benefit);
+        for (const CacheKey& key : info.group) cache_->Boost(key, boost);
+      }
     }
-  }
-  // Only chunks this query fetched itself are inserted: for coalesced
-  // chunks the leading query already inserted them, and re-inserting would
-  // just churn the replacement state.
-  for (ChunkData& data : backend_results) {
-    const double benefit = benefit_->BackendChunkBenefit(gb, data.chunk);
-    cache_->Insert(data, benefit, ChunkSource::kBackend);
-    ++admitted;
+    // Only chunks this query fetched itself are inserted: for coalesced
+    // chunks the leading query already inserted them, and re-inserting
+    // would just churn the replacement state.
+    for (ChunkData& data : backend_results) {
+      const double benefit = benefit_->BackendChunkBenefit(gb, data.chunk);
+      cache_->Insert(data, benefit, ChunkSource::kBackend);
+      ++admitted;
+    }
   }
   // The query's cache events (promotions, inserts and their evictions)
   // reach the strategy's summary state here, so its upkeep counts as
@@ -586,7 +604,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   // recompute cost a future result-cache hit would save; tallied before
   // the fetched chunks are moved into the answer.
   double backend_cost_tuples = 0.0;
-  if (layers_.result_cache != nullptr) {
+  if (admits && layers_.result_cache != nullptr) {
     for (const ChunkData& data : backend_results) {
       backend_cost_tuples += benefit_->BackendRecomputeTuples(gb, data.chunk);
     }
@@ -619,13 +637,14 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
   }
   result.status = s.status;
 
-  // --- Result-cache admission: only a clean, complete, healthy answer may
-  // become a cached result (a degraded or salvaged answer could be partial
-  // or built over a breaker-open view). MaybeAdmit admits by size; the
-  // recompute cost, the fold work plus the backend scan work a future hit
-  // avoids, weights the entry's CLOCK grant. ---
-  if (layers_.result_cache != nullptr && s.status == ResultStatus::kOk &&
-      result.unavailable.empty()) {
+  // --- Result-cache admission: only a clean, complete, healthy answer of
+  // an interactive query may become a cached result (a degraded or
+  // salvaged answer could be partial or built over a breaker-open view).
+  // MaybeAdmit admits by size; the recompute cost, the fold work plus the
+  // backend scan work a future hit avoids, weights the entry's CLOCK
+  // grant. ---
+  if (admits && layers_.result_cache != nullptr &&
+      s.status == ResultStatus::kOk && result.unavailable.empty()) {
     Stopwatch admit_timer;
     const double recompute_cost =
         static_cast<double>(s.tuples_aggregated) + backend_cost_tuples;

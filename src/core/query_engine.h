@@ -33,8 +33,9 @@ enum class ResultStatus {
   /// Some chunks could not be answered; see QueryResult::unavailable.
   kDegradedPartial,
   /// The query's end-to-end deadline or cancel token fired mid-execution:
-  /// whatever finished is returned (and was admitted to the cache —
-  /// salvage), the rest is listed in QueryResult::unavailable.
+  /// whatever finished is returned (and, for an interactive query, was
+  /// admitted to the cache — salvage), the rest is listed in
+  /// QueryResult::unavailable.
   kDeadlineExceeded,
   /// Admission control refused the query outright (run queue full, or a
   /// batch query while the breaker is open): no work was done and no
@@ -235,17 +236,21 @@ class QueryEngine {
   /// cells inside fold kernels, before each backend attempt, and inside
   /// retry backoff and single-flight waits); when one fires the query
   /// resolves promptly with status kDeadlineExceeded, unanswered chunks
-  /// listed unavailable — and everything already computed or fetched is
-  /// still admitted to the cache (salvage), so an aborted query still warms
-  /// the cache for its successors. `ctx` may be null (no deadline);
-  /// `*ctx` is charged with this query's simulated backend nanos.
+  /// listed unavailable — and everything an interactive query already
+  /// computed or fetched is still admitted to the cache (salvage), so an
+  /// aborted query still warms the cache for its successors. A batch-class
+  /// query (QueryClass::kBatch) reads through every layer but inserts,
+  /// promotes, boosts and admits nothing, so it salvages nothing, and it
+  /// fetches its misses outside the single-flight group. `ctx` may be null
+  /// (no deadline, interactive); `*ctx` is charged with this query's
+  /// simulated backend nanos.
   QueryResult ExecuteQuery(const Query& query, ExecContext* ctx,
                            QueryStats* stats);
 
-  /// EXPLAIN: describes how `query` *would* be answered right now — per
-  /// chunk, the route (direct hit / aggregation / backend / bypass) and
-  /// the aggregation plan — without executing anything or touching cache
-  /// state beyond the strategy probes.
+  /// EXPLAIN: describes how `query` *would* be answered right now, as an
+  /// interactive query — per chunk, the route (direct hit / aggregation /
+  /// backend / bypass / warm promotion) and the aggregation plan — without
+  /// executing anything or touching cache state beyond the strategy probes.
   std::string ExplainQuery(const Query& query);
 
   LookupStrategy* strategy() { return strategy_; }

@@ -91,10 +91,14 @@ class Deadline {
   std::chrono::steady_clock::time_point start_{};
 };
 
-/// Scheduling class of a query, for admission control: interactive traffic
-/// (a user waiting on a dashboard) is admitted ahead of batch traffic
-/// (report generation, warming sweeps), and batch is shed first under
-/// overload or while the backend breaker is open.
+/// Scheduling class of a query. Admission control admits interactive
+/// traffic (a user waiting on a dashboard) ahead of batch traffic (report
+/// generation, one-off scans), and sheds batch first under overload or
+/// while the backend breaker is open. For cache residency, batch means
+/// read-only: a batch query is answered from every cache layer but
+/// inserts, promotes and admits nothing (QueryEngine::ExecuteQuery), so a
+/// one-off scan cannot evict the entries interactive queries reuse. Warm
+/// a cache with interactive queries or the preloader, not with batch ones.
 enum class QueryClass { kInteractive, kBatch };
 
 /// Per-query execution context threaded from the caller through admission,

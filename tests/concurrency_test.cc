@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/concurrent_engine.h"
 #include "core/vcmc.h"
 #include "test_env.h"
+#include "util/deadline.h"
 #include "util/rng.h"
 #include "workload/parallel_runner.h"
 #include "workload/workload_runner.h"
@@ -369,6 +371,91 @@ TEST(VcmcBatchConcurrencyTest, FourThreadsOverASmallCacheEndAtScratch) {
       ASSERT_EQ(strategy.BestParentOf(gb, c), parents[OracleIndex(env, gb, c)]);
     }
   }
+}
+
+// Holds its first ExecuteChunkQuery call until Release(), and counts the
+// calls.
+class LatchedBackend : public Backend {
+ public:
+  explicit LatchedBackend(Backend* wrapped) : wrapped_(wrapped) {}
+
+  const BackendCostModel& cost_model() const override {
+    return wrapped_->cost_model();
+  }
+  BackendResult ExecuteChunkQuery(
+      GroupById gb, const std::vector<ChunkId>& chunks) override {
+    if (calls_.fetch_add(1) == 0) {
+      entered_.set_value();
+      released_.wait();
+    }
+    return wrapped_->ExecuteChunkQuery(gb, chunks);
+  }
+  int64_t EstimateQueryCostNanos(
+      GroupById gb, const std::vector<ChunkId>& chunks) const override {
+    return wrapped_->EstimateQueryCostNanos(gb, chunks);
+  }
+  int64_t EstimateMarginalChunkCostNanos(GroupById gb,
+                                         ChunkId chunk) const override {
+    return wrapped_->EstimateMarginalChunkCostNanos(gb, chunk);
+  }
+
+  /// Blocks until the first call is being held.
+  void AwaitFirstCall() { entered_future_.wait(); }
+  void Release() { release_.set_value(); }
+  int calls() const { return calls_.load(); }
+
+ private:
+  Backend* wrapped_;
+  std::atomic<int> calls_{0};
+  std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+// A batch-class query fetches outside the single-flight group: while a
+// batch query's backend call for a chunk is held, an interactive query for
+// the same chunk leads its own fetch instead of waiting on the scan, and
+// it caches the chunk (a follower would cache nothing it coalesced, and a
+// batch leader caches nothing). The interactive query's deadline only
+// bounds the test should it wait on the held fetch.
+TEST(EngineSingleFlightTest, InteractiveQueryLeadsItsOwnFetchBesideABatchFetch) {
+  TestEnv env = MakeTestEnv(MakeSmallCube(), 0.7, 53, kBigCache,
+                            /*two_level_policy=*/true);
+  VcmcStrategy strategy(env.cube.grid.get(), env.cache.get(),
+                        env.size_model.get());
+  env.cache->AddListener(strategy.listener());
+  LatchedBackend backend(env.backend.get());
+  QueryEngine engine(env.cube.grid.get(), env.cache.get(), &strategy,
+                     &backend, env.benefit.get(), env.clock.get(),
+                     QueryEngine::Config());
+  const GroupById top = env.lattice().top_id();
+  const Query q = Query::WholeLevel(env.schema(), env.lattice().LevelOf(top));
+
+  QueryStats batch_stats;
+  QueryResult batch_result;
+  std::thread scan([&] {
+    ExecContext ctx;
+    ctx.query_class = QueryClass::kBatch;
+    batch_result = engine.ExecuteQuery(q, &ctx, &batch_stats);
+  });
+  backend.AwaitFirstCall();
+
+  ExecContext ctx;
+  ctx.deadline = Deadline::AfterNanos(5'000'000'000);
+  QueryStats stats;
+  const QueryResult result = engine.ExecuteQuery(q, &ctx, &stats);
+  backend.Release();
+  scan.join();
+
+  EXPECT_EQ(result.status, ResultStatus::kOk);
+  EXPECT_EQ(stats.chunks_backend, 1);
+  EXPECT_EQ(stats.chunks_coalesced, 0);
+  EXPECT_EQ(batch_result.status, ResultStatus::kOk);
+  EXPECT_EQ(batch_stats.chunks_backend, 1);
+  EXPECT_EQ(backend.calls(), 2);
+  EXPECT_TRUE(env.cache->Contains(CacheKey{top, 0}));
+  EXPECT_TRUE(env.cache->ValidateInvariants());
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@
 #include "cache/single_flight.h"
 #include "storage/aggregator.h"
 #include "storage/fact_table.h"
-#include "test_util.h"
+#include "test_env.h"
 #include "util/deadline.h"
 #include "util/mutex.h"
 #include "util/sleep.h"
@@ -356,39 +356,6 @@ TEST(EngineDeadline, UnlimitedContextMatchesPlainExecution) {
   EXPECT_EQ(plain_stats.chunks_backend, ctx_stats.chunks_backend);
   EXPECT_EQ(plain_stats.fetch_abort, ctx_stats.fetch_abort);
 }
-
-// Cancels its token during the Nth ExecuteChunkQuery call, then still
-// returns the data — models a client disconnecting while the backend round
-// trip is in flight.
-class CancelDuringFetchBackend : public Backend {
- public:
-  CancelDuringFetchBackend(Backend* wrapped, CancelToken* token,
-                           int cancel_on_call)
-      : wrapped_(wrapped), token_(token), cancel_on_call_(cancel_on_call) {}
-
-  const BackendCostModel& cost_model() const override {
-    return wrapped_->cost_model();
-  }
-  BackendResult ExecuteChunkQuery(
-      GroupById gb, const std::vector<ChunkId>& chunks) override {
-    if (++calls_ == cancel_on_call_) token_->Cancel();
-    return wrapped_->ExecuteChunkQuery(gb, chunks);
-  }
-  int64_t EstimateQueryCostNanos(
-      GroupById gb, const std::vector<ChunkId>& chunks) const override {
-    return wrapped_->EstimateQueryCostNanos(gb, chunks);
-  }
-  int64_t EstimateMarginalChunkCostNanos(GroupById gb,
-                                         ChunkId chunk) const override {
-    return wrapped_->EstimateMarginalChunkCostNanos(gb, chunk);
-  }
-
- private:
-  Backend* wrapped_;
-  CancelToken* token_;
-  int cancel_on_call_;
-  int calls_ = 0;
-};
 
 TEST(EngineDeadline, CancelledQueryStillSalvagesFetchedChunksIntoTheCache) {
   Experiment exp(TinyConfig());

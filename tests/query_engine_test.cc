@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/no_aggregation.h"
 #include "core/query_engine.h"
@@ -11,6 +14,39 @@ namespace aac {
 namespace {
 
 constexpr int64_t kBigCache = 1'000'000;
+
+// What the client sees of an answer: its RefineResult rows, sorted by
+// coordinates, so answers built over different routes compare exactly.
+std::vector<ResultRow> SortedRows(const Schema& schema, const Query& q,
+                                  const std::vector<ChunkData>& chunks) {
+  std::vector<ResultRow> rows = RefineResult(schema, q, chunks);
+  std::sort(rows.begin(), rows.end(),
+            [](const ResultRow& a, const ResultRow& b) {
+              return a.values < b.values;
+            });
+  return rows;
+}
+
+void ExpectSameRows(const std::vector<ResultRow>& got,
+                    const std::vector<ResultRow>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_FALSE(got.empty());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].values, want[i].values);
+    EXPECT_EQ(got[i].value, want[i].value);  // exact doubles
+  }
+}
+
+// The cache's resident keys, in (group-by, chunk) order.
+std::vector<std::pair<GroupById, ChunkId>> ResidentKeys(
+    const ChunkCache& cache) {
+  std::vector<std::pair<GroupById, ChunkId>> keys;
+  cache.ForEach([&keys](const CacheEntryInfo& info) {
+    keys.emplace_back(info.key.gb, info.key.chunk);
+  });
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
 
 class QueryEngineTest : public ::testing::Test {
  protected:
@@ -253,6 +289,69 @@ TEST_F(QueryEngineTest, EveryQueryTrimsTheThreadsFoldArenaAboveTheBound) {
   const int64_t small = arena.retained_bytes();
   EXPECT_GT(small, 0);
   EXPECT_LE(small, FoldArena::kTrimBytes);
+}
+
+// A batch-class query reads through the cache without changing it. After
+// an interactive warm-up of (1,1), a batch query over the uncached base
+// level cancelled mid-fetch salvages nothing; then a batch roll-up to
+// (0,1) is computed from the cached chunks and the same base-level query,
+// uncancelled, goes to the backend. Each answers exactly what the same
+// query answers run interactive on a fresh stack, and none of them
+// inserts, evicts or changes a resident key.
+TEST_F(QueryEngineTest, BatchQueriesReadThroughWithoutChangingTheCache) {
+  const Query warm_up = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
+  const Query roll_up = Query::WholeLevel(env_.schema(), LevelVector{0, 1});
+  const Query base_q =
+      Query::WholeLevel(env_.schema(), env_.schema().base_level());
+
+  // The interactive reference on the fixture's stack.
+  engine_->ExecuteQuery(warm_up, nullptr);
+  const std::vector<ResultRow> want_roll_up = SortedRows(
+      env_.schema(), roll_up, engine_->ExecuteQuery(roll_up, nullptr).chunks);
+  const std::vector<ResultRow> want_base = SortedRows(
+      env_.schema(), base_q, engine_->ExecuteQuery(base_q, nullptr).chunks);
+
+  Reset(MakeSmallCube(), kBigCache);
+  engine_->ExecuteQuery(warm_up, nullptr);
+  const auto keys = ResidentKeys(*env_.cache);
+  const CacheStats before = env_.cache->stats();
+  ASSERT_GT(before.inserts, 0);
+  ExecContext batch;
+  batch.query_class = QueryClass::kBatch;
+  QueryStats stats;
+
+  // Cancelled while its fetch is in flight: the fetched chunks answer the
+  // killed query, and none of them is kept.
+  CancelToken token;
+  CancelDuringFetchBackend cancelling(env_.backend.get(), &token,
+                                      /*cancel_on_call=*/1);
+  QueryEngine engine(env_.cube.grid.get(), env_.cache.get(), strategy_.get(),
+                     &cancelling, env_.benefit.get(), env_.clock.get(), {});
+  ExecContext cancelled = batch;
+  cancelled.cancel = &token;
+  QueryResult killed = engine.ExecuteQuery(base_q, &cancelled, &stats);
+  EXPECT_EQ(killed.status, ResultStatus::kDeadlineExceeded);
+  EXPECT_EQ(stats.chunks_backend, stats.chunks_requested);
+  EXPECT_EQ(stats.salvaged_chunks, 0);
+  EXPECT_EQ(ResidentKeys(*env_.cache), keys);
+
+  QueryResult computed = engine_->ExecuteQuery(roll_up, &batch, &stats);
+  ASSERT_EQ(computed.status, ResultStatus::kOk);
+  EXPECT_TRUE(stats.complete_hit);
+  EXPECT_EQ(stats.chunks_aggregated, stats.chunks_requested);
+  ExpectSameRows(SortedRows(env_.schema(), roll_up, computed.chunks),
+                 want_roll_up);
+
+  QueryResult fetched = engine_->ExecuteQuery(base_q, &batch, &stats);
+  ASSERT_EQ(fetched.status, ResultStatus::kOk);
+  EXPECT_EQ(stats.chunks_backend, stats.chunks_requested);
+  ExpectSameRows(SortedRows(env_.schema(), base_q, fetched.chunks),
+                 want_base);
+
+  EXPECT_EQ(ResidentKeys(*env_.cache), keys);
+  EXPECT_EQ(env_.cache->stats().inserts, before.inserts);
+  EXPECT_EQ(env_.cache->stats().evictions, before.evictions);
+  EXPECT_TRUE(env_.cache->ValidateInvariants());
 }
 
 TEST_F(QueryEngineTest, SmallCacheStillAnswersCorrectly) {

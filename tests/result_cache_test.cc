@@ -304,6 +304,29 @@ TEST_F(ResultCacheEngineTest, BaseWriteInvalidatesDependentResults) {
   EXPECT_NEAR(sum_after, sum_before + 500.0, 1e-6);
 }
 
+// A batch-class answer is never admitted, even under the entry cap: a
+// later probe misses, and the same query run interactive is admitted.
+TEST_F(ResultCacheEngineTest, BatchAnswersAreNotAdmitted) {
+  Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
+  q.ranges[0] = {0, 3};
+  ExecContext batch;
+  batch.query_class = QueryClass::kBatch;
+  QueryStats stats;
+  QueryResult answer = engine_->ExecuteQuery(q, &batch, &stats);
+  ASSERT_EQ(answer.status, ResultStatus::kOk);
+  EXPECT_TRUE(stats.result_cache_probed);
+  EXPECT_FALSE(stats.result_cache_admitted);
+  EXPECT_EQ(results_->stats().admitted, 0);
+  EXPECT_EQ(results_->num_entries(), 0u);
+
+  engine_->ExecuteQuery(q, &stats);
+  EXPECT_TRUE(stats.result_cache_probed);
+  EXPECT_FALSE(stats.result_cache_hit);
+  EXPECT_TRUE(stats.result_cache_admitted);
+  EXPECT_EQ(results_->stats().admitted, 1);
+  EXPECT_TRUE(results_->ValidateInvariants());
+}
+
 // Capacity eviction in the chunk cache must NOT invalidate results: an
 // evicted chunk doesn't change what a stored answer means.
 TEST_F(ResultCacheEngineTest, ChunkEvictionKeepsResults) {
@@ -332,21 +355,23 @@ int64_t MaxAnswerCells(const Schema& schema, const Query& q) {
   return cells;
 }
 
-// A dashboard: `total` arrivals over a pool of `pool_size` small tiles
-// (answers of at most 200 cells, the shape a result layer targets), 80% of
-// them drawn from the hottest 20% of the pool, with a one-off wide scan
-// (at least 20,000 cells) as every 12th arrival. The scans flood the chunk
-// cache and flush the tiles' computed chunks (the two-level policy evicts
-// cache-computed entries first), so without a result layer a repeat after
-// a scan re-folds or re-fetches its answer.
+// A dashboard tile answers at most this many cells (the shape a result
+// layer targets); a one-off wide scan at least the second.
+constexpr int64_t kTileCells = 200;
+constexpr int64_t kScanCells = 20'000;
+
+// A dashboard: `total` arrivals over a pool of `pool_size` small tiles,
+// 80% of them drawn from the hottest 20% of the pool, with a one-off wide
+// scan as every 12th arrival. The scans flood the chunk cache and flush
+// the tiles' computed chunks (the two-level policy evicts cache-computed
+// entries first), so without a result layer a repeat after a scan
+// re-folds or re-fetches its answer.
 std::vector<QueryStreamEntry> MakeDashboardStream(const Schema& schema,
                                                   int pool_size, int total,
                                                   uint64_t seed) {
   QueryStreamConfig config;
   config.seed = seed;
   QueryStreamGenerator gen(&schema, config);
-  constexpr int64_t max_cells = 200;
-  constexpr int64_t scan_cells = 20'000;
   constexpr int scan_every = 12;
   std::vector<QueryStreamEntry> pool;
   std::vector<QueryStreamEntry> scans;
@@ -358,9 +383,9 @@ std::vector<QueryStreamEntry> MakeDashboardStream(const Schema& schema,
        ++rounds) {
     for (QueryStreamEntry& e : gen.Generate(pool_size)) {
       const int64_t cells = MaxAnswerCells(schema, e.query);
-      if (cells <= max_cells && static_cast<int>(pool.size()) < pool_size) {
+      if (cells <= kTileCells && static_cast<int>(pool.size()) < pool_size) {
         pool.push_back(std::move(e));
-      } else if (cells >= scan_cells &&
+      } else if (cells >= kScanCells &&
                  static_cast<int>(scans.size()) < want_scans) {
         scans.push_back(std::move(e));
       }
@@ -433,6 +458,85 @@ TEST_F(ResultCacheEngineTest, AtEqualRamResultLayerCutsChunkWork) {
   // Simulated backend time is the deterministic part of the engine-time
   // gain; the real part is too noisy at this size to gate on.
   EXPECT_LT(with.backend_ms, base.backend_ms);
+}
+
+// One replay of the dashboard stream on a fresh stack whose chunk cache
+// and result cache split the AtEqualRam test's budget, the scans tagged
+// `scan_class`: the complete hits among the tile arrivals, and every
+// arrival's sorted RefineResult rows.
+struct DashboardReplay {
+  int64_t tile_hits = 0;
+  int64_t scans = 0;
+  std::vector<std::vector<ResultRow>> rows;
+};
+
+DashboardReplay ReplayDashboard(const ExperimentConfig& config,
+                                const std::vector<QueryStreamEntry>& stream,
+                                QueryClass scan_class) {
+  Experiment exp(config);
+  ResultCache::Config rc_config;
+  rc_config.capacity_bytes = exp.cache_bytes() * 15 / 85;
+  rc_config.bytes_per_tuple = config.bytes_per_tuple;
+  rc_config.max_entry_fraction = 0.1;
+  ResultCache results(rc_config);
+  exp.cache().AddListener(&results);
+  exp.engine().Attach({.result_cache = &results});
+  DashboardReplay replay;
+  for (const QueryStreamEntry& e : stream) {
+    const bool scan = MaxAnswerCells(exp.schema(), e.query) > kTileCells;
+    ExecContext ctx;
+    if (scan) ctx.query_class = scan_class;
+    QueryStats stats;
+    QueryResult answer = exp.engine().ExecuteQuery(e.query, &ctx, &stats);
+    EXPECT_EQ(answer.status, ResultStatus::kOk);
+    if (scan) {
+      ++replay.scans;
+    } else if (stats.complete_hit) {
+      ++replay.tile_hits;
+    }
+    std::vector<ResultRow> rows =
+        RefineResult(exp.schema(), e.query, answer.chunks);
+    std::sort(rows.begin(), rows.end(),
+              [](const ResultRow& a, const ResultRow& b) {
+                return a.values < b.values;
+              });
+    replay.rows.push_back(std::move(rows));
+  }
+  EXPECT_TRUE(exp.cache().ValidateInvariants());
+  EXPECT_TRUE(results.ValidateInvariants());
+  return replay;
+}
+
+// The batch residency rule on the dashboard: tagged batch, the wide scans
+// read through both caches instead of flushing the tiles' chunks and
+// answers, so strictly more tile arrivals are complete hits than with the
+// same scans tagged interactive, and every answer is bit-identical.
+TEST_F(ResultCacheEngineTest, BatchScansLeaveTheTilesCached) {
+  ExperimentConfig config;
+  config.data.num_tuples = 20'000;
+  config.data.seed = 42;
+  config.data.dense_dim = 2;
+  config.cache_fraction = 0.25 * 0.85;
+  Experiment schema_only(config);
+  const std::vector<QueryStreamEntry> stream =
+      MakeDashboardStream(schema_only.schema(), /*pool_size=*/30,
+                          /*total=*/240, config.data.seed + 7);
+
+  const DashboardReplay interactive =
+      ReplayDashboard(config, stream, QueryClass::kInteractive);
+  const DashboardReplay batch =
+      ReplayDashboard(config, stream, QueryClass::kBatch);
+
+  EXPECT_GT(batch.scans, 0);
+  EXPECT_GT(batch.tile_hits, interactive.tile_hits);
+  ASSERT_EQ(batch.rows.size(), interactive.rows.size());
+  for (size_t i = 0; i < batch.rows.size(); ++i) {
+    ASSERT_EQ(batch.rows[i].size(), interactive.rows[i].size()) << i;
+    for (size_t r = 0; r < batch.rows[i].size(); ++r) {
+      EXPECT_EQ(batch.rows[i][r].values, interactive.rows[i][r].values);
+      EXPECT_EQ(batch.rows[i][r].value, interactive.rows[i][r].value);
+    }
+  }
 }
 
 // --- Satellite: the replace-in-place path, end to end. ---

@@ -12,6 +12,7 @@
 #include "chunks/chunk_size_model.h"
 #include "storage/fact_table.h"
 #include "test_util.h"
+#include "util/deadline.h"
 #include "util/sim_clock.h"
 
 namespace aac {
@@ -60,6 +61,39 @@ inline TestEnv MakeTestEnv(TestCube cube, double density, uint64_t seed,
                                            env.policy.get(), num_shards);
   return env;
 }
+
+// Cancels its token during the Nth ExecuteChunkQuery call, then still
+// returns the data — models a client disconnecting while the backend round
+// trip is in flight.
+class CancelDuringFetchBackend : public Backend {
+ public:
+  CancelDuringFetchBackend(Backend* wrapped, CancelToken* token,
+                           int cancel_on_call)
+      : wrapped_(wrapped), token_(token), cancel_on_call_(cancel_on_call) {}
+
+  const BackendCostModel& cost_model() const override {
+    return wrapped_->cost_model();
+  }
+  BackendResult ExecuteChunkQuery(
+      GroupById gb, const std::vector<ChunkId>& chunks) override {
+    if (++calls_ == cancel_on_call_) token_->Cancel();
+    return wrapped_->ExecuteChunkQuery(gb, chunks);
+  }
+  int64_t EstimateQueryCostNanos(
+      GroupById gb, const std::vector<ChunkId>& chunks) const override {
+    return wrapped_->EstimateQueryCostNanos(gb, chunks);
+  }
+  int64_t EstimateMarginalChunkCostNanos(GroupById gb,
+                                         ChunkId chunk) const override {
+    return wrapped_->EstimateMarginalChunkCostNanos(gb, chunk);
+  }
+
+ private:
+  Backend* wrapped_;
+  CancelToken* token_;
+  int cancel_on_call_;
+  int calls_ = 0;
+};
 
 // Inserts chunk (gb, c) into the cache, fetching its true contents from the
 // backend (no eviction expected: call with ample capacity).

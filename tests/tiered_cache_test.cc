@@ -877,6 +877,51 @@ TEST(TieredCacheTest, AtEqualRamEachTierRaisesTheHitRate) {
   EXPECT_LT(warm.totals.chunks_backend, one.totals.chunks_backend);
 }
 
+// A batch-class query is answered from the warm tier but promotes
+// nothing: the warm copy stays and the hot tier gains no entry. The same
+// query run interactive promotes the chunk, as every miss path does.
+TEST(TieredCacheTest, BatchWarmHitIsServedWithoutPromotion) {
+  TieredEnv t = MakeTieredEnv(/*hot_capacity=*/1 << 20,
+                              /*warm_capacity=*/1 << 20);
+  const GroupById top = t.env.lattice().top_id();
+  const CacheKey key{top, 0};
+  const ChunkData truth = BackendTruth(t.env, top, 0);
+  DemoteToWarm(t, truth);
+  ASSERT_TRUE(t.warm->Contains(key));
+
+  NoAggregationStrategy strategy(t.env.cache.get());
+  QueryEngine engine(t.env.cube.grid.get(), t.env.cache.get(), &strategy,
+                     t.env.backend.get(), t.env.benefit.get(),
+                     t.env.clock.get(), QueryEngine::Config());
+  engine.Attach({.warm_tier = t.warm.get()});
+  // Dimension b's top level splits into two chunks; ask for chunk 0's.
+  Query q = Query::WholeLevel(t.env.schema(), t.env.lattice().LevelOf(top));
+  q.ranges[1] = {0, 1};
+  ASSERT_EQ(ChunksForQuery(t.env.grid(), q), std::vector<ChunkId>{0});
+
+  ExecContext batch;
+  batch.query_class = QueryClass::kBatch;
+  QueryStats stats;
+  QueryResult served = engine.ExecuteQuery(q, &batch, &stats);
+  ASSERT_EQ(served.status, ResultStatus::kOk);
+  EXPECT_EQ(stats.chunks_warm, 1);
+  EXPECT_EQ(stats.chunks_backend, 0);
+  ASSERT_EQ(served.chunks.size(), 1u);
+  EXPECT_TRUE(BitIdentical(served.chunks[0], truth));
+  EXPECT_TRUE(t.warm->Contains(key));
+  EXPECT_FALSE(t.env.cache->Contains(key));
+  EXPECT_EQ(t.env.cache->num_entries(), 0u);
+  EXPECT_EQ(t.env.cache->stats().inserts, 0);
+
+  QueryResult promoted = engine.ExecuteQuery(q, &stats);
+  ASSERT_EQ(promoted.status, ResultStatus::kOk);
+  EXPECT_EQ(stats.chunks_warm, 1);
+  EXPECT_TRUE(t.env.cache->Contains(key));
+  EXPECT_FALSE(t.warm->Contains(key));
+  EXPECT_TRUE(t.env.cache->ValidateInvariants());
+  EXPECT_TRUE(t.warm->ValidateInvariants());
+}
+
 // EXPLAIN names the warm tier when the promotion path would serve a miss.
 TEST(TieredCacheTest, ExplainShowsWarmPromotion) {
   TieredEnv t = MakeTieredEnv(/*hot_capacity=*/2500,
