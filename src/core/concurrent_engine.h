@@ -30,9 +30,9 @@ struct MorselPool {
 /// A QueryEngine is thread-safe once its layers are attached: each query
 /// builds its own fold, plan-execution and retry state, and the structures
 /// queries share — the sharded ChunkCache, the lookup strategy, the
-/// backend, the SimClock and the engine's single-flight group and
-/// rollup-plan cache — are thread-safe. So concurrent ExecuteQuery calls
-/// run side by side on the one engine, with no lock around a query.
+/// backend, the SimClock and the engine's single-flight group — are
+/// thread-safe. So concurrent ExecuteQuery calls run side by side on the
+/// one engine, with no lock around a query.
 ///
 /// The engine is configured before the first query: each layer setter
 /// attaches its layer to the engine at once, and every setter aborts after

@@ -8,6 +8,7 @@
 #include "core/executor.h"
 #include "core/query_canon.h"
 #include "storage/aggregator.h"
+#include "storage/rollup_plan.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 
@@ -379,14 +380,13 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     std::vector<CacheKey> group;
   };
   std::vector<ComputedInfo> computed;
-  // The query's own fold state: its aggregator folds into this thread's
-  // arena and reads the engine's plan cache. Cooperative cancellation is
+  // The query's own fold state: its aggregator builds each fold's plan and
+  // folds into this thread's arena. Cooperative cancellation is
   // armed for the fold kernels: checkpoints fire every few thousand cells,
   // and an aborted fold emits nothing (pins released by the executor,
   // arena wiped by the aggregator) — the chunks that WERE emitted before
   // the abort are bit-identical to an uncancelled run's.
   Aggregator aggregator(grid_);
-  aggregator.set_plan_cache(&plan_cache_);
   aggregator.set_exec_context(ctx);
   PlanExecutor executor(grid_, cache_, &aggregator);
   bool aborted = false;

@@ -17,7 +17,6 @@
 #include "core/query.h"
 #include "core/retry_policy.h"
 #include "core/strategy.h"
-#include "storage/rollup_plan.h"
 #include "util/deadline.h"
 #include "util/sim_clock.h"
 
@@ -188,8 +187,8 @@ struct EngineLayers {
 /// aggregator, plan executor and retry schedule and folds into its thread's
 /// FoldArena, so the only state queries share is what the paper's middle
 /// tier shares — the cache, the strategy's summaries, the backend — plus
-/// the engine's single-flight group, rollup-plan cache and breaker, all of
-/// which are thread-safe. One engine serves every thread.
+/// the engine's single-flight group and breaker, all of which are
+/// thread-safe. One engine serves every thread.
 class QueryEngine {
  public:
   struct Config {
@@ -315,9 +314,6 @@ class QueryEngine {
   // Coalesces concurrent queries' fetches of the same (gb, chunk) into one
   // backend call.
   SingleFlight<ChunkData> single_flight_;
-  // Ancestor-offset tables every query's aggregator reads, built once per
-  // (from, to, chunk).
-  RollupPlanCache plan_cache_;
   // Queries begun so far. A query's retry jitter is seeded with
   // Config::retry.seed plus its number, so a single-threaded run replays
   // exactly.

@@ -32,7 +32,7 @@ Cell MakeCell(const RollupPlan& plan, int64_t off, const FoldState& s) {
 }  // namespace
 
 Aggregator::Aggregator(const ChunkGrid* grid, FoldArena* arena)
-    : grid_(grid), plan_cache_(&owned_plan_cache_), arena_(arena) {
+    : grid_(grid), arena_(arena) {
   AAC_CHECK(grid_ != nullptr);
 }
 
@@ -57,14 +57,13 @@ ChunkData Aggregator::AggregateCells(GroupById from, std::span<const Cell> cells
 ChunkData Aggregator::AggregateSpans(
     GroupById from, const std::vector<std::span<const Cell>>& spans,
     GroupById to, ChunkId chunk) {
-  AAC_CHECK(grid_->lattice().IsAncestor(to, from));
   ChunkData out;
   out.gb = to;
   out.chunk = chunk;
   Stopwatch fold_timer;
-  std::shared_ptr<const RollupPlan> plan =
-      plan_cache_->Get(*grid_, from, to, chunk);
-  last_fold_cancelled_ = !FoldSpans(*plan, spans, &out.cells);
+  const RollupPlan plan = BuildRollupPlan(*grid_, from, to, chunk);
+  FoldArena& arena = arena_ != nullptr ? *arena_ : ThreadFoldArena();
+  last_fold_cancelled_ = !FoldSpans(plan, spans, arena, &out.cells);
   fold_nanos_ += fold_timer.ElapsedNanos();
   return out;
 }
@@ -132,7 +131,7 @@ bool Aggregator::FoldDense(const RollupPlan& plan,
 
 bool Aggregator::FoldSpans(const RollupPlan& plan,
                            const std::vector<std::span<const Cell>>& spans,
-                           std::vector<Cell>* out) {
+                           FoldArena& arena, std::vector<Cell>* out) {
   AAC_DCHECK(out->empty());
   int64_t incoming = 0;
   for (const auto& span : spans) incoming += static_cast<int64_t>(span.size());
@@ -145,7 +144,6 @@ bool Aggregator::FoldSpans(const RollupPlan& plan,
       plan.cells <= kDenseCellLimit &&
       (plan.cells <= 4096 || plan.cells <= 4 * incoming);
 
-  FoldArena& arena = arena_ != nullptr ? *arena_ : ThreadFoldArena();
   last_fold_ = FoldInfo();
   last_fold_.used_dense = use_dense;
   last_fold_.shape_cells = plan.cells;

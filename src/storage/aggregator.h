@@ -22,13 +22,11 @@ namespace aac {
 /// backend. The aggregator also counts the tuples it processes, which is the
 /// paper's linear cost metric for comparing aggregation paths.
 ///
-/// The rollup kernel runs off precomputed RollupPlans (ancestor→offset
-/// tables, cached per (from, to, chunk) — shareable across aggregators via
-/// set_plan_cache) and folds into a reusable FoldArena, so the
-/// steady-state inner loop is one table load and one add per dimension with
-/// no per-call allocation. An aggregator is cheap to build: QueryEngine
-/// builds one per query. It is not thread-safe (counters, arena); the plan
-/// cache is.
+/// Each fold builds a RollupPlan (ancestor→offset tables for its from, to
+/// and chunk) and folds into a reusable FoldArena, so the inner loop is
+/// one table load and one add per dimension. An aggregator is cheap to
+/// build: QueryEngine builds one per query. It is not thread-safe
+/// (counters, arena).
 class Aggregator {
  public:
   /// `grid`, and `arena` when given, must outlive the aggregator. A null
@@ -59,7 +57,7 @@ class Aggregator {
   int64_t tuples_processed() const { return tuples_processed_; }
 
   /// Cumulative wall-clock nanoseconds spent in the rollup kernel (plan
-  /// lookup + fold + emit) — the `fold_ns` component of per-query stats.
+  /// build + fold + emit) — the `fold_ns` component of per-query stats.
   int64_t fold_nanos() const { return fold_nanos_; }
 
   /// Resets the tuples_processed(), fold_nanos() and cancel_checks()
@@ -87,17 +85,6 @@ class Aggregator {
   /// Cumulative cancellation checkpoints evaluated inside fold loops.
   int64_t cancel_checks() const { return cancel_checks_; }
 
-  /// Shares `cache` as the rollup-plan cache (e.g. the engine's cache, read
-  /// by every query). Null restores the aggregator's private cache. The
-  /// cache must outlive the aggregator and must only ever be used with this
-  /// aggregator's grid.
-  void set_plan_cache(RollupPlanCache* cache) {
-    plan_cache_ = cache != nullptr ? cache : &owned_plan_cache_;
-  }
-
-  /// The plan cache currently in use (private by default).
-  const RollupPlanCache& plan_cache() const { return *plan_cache_; }
-
   /// Forces the dense fold inner loop onto one kernel (tests, benches).
   /// The default is DefaultFoldKernel(): vector where the CPU supports it.
   /// Either kernel produces bit-identical output (DESIGN.md §13).
@@ -114,13 +101,13 @@ class Aggregator {
   const FoldInfo& last_fold() const { return last_fold_; }
 
  private:
-  /// Folds all spans and writes the target chunk's cells into the empty
-  /// *out. Returns false when a cancellation checkpoint fired mid-fold;
-  /// *out is then empty and the arena has been wiped. Updates
+  /// Folds all spans in `arena` and writes the target chunk's cells into
+  /// the empty *out. Returns false when a cancellation checkpoint fired
+  /// mid-fold; *out is then empty and the arena has been wiped. Updates
   /// tuples_processed_ with the span cells actually merged.
   bool FoldSpans(const RollupPlan& plan,
                  const std::vector<std::span<const Cell>>& spans,
-                 std::vector<Cell>* out);
+                 FoldArena& arena, std::vector<Cell>* out);
 
   /// FoldSpans' dense path: folds `spans` into the arena's dense buffers
   /// for the whole target chunk, and emits the touched cells in offset
@@ -137,8 +124,6 @@ class Aggregator {
   }
 
   const ChunkGrid* grid_;
-  RollupPlanCache owned_plan_cache_;
-  RollupPlanCache* plan_cache_;
   FoldArena* arena_;  // null: the calling thread's
   FoldInfo last_fold_;
   const ExecContext* exec_context_ = nullptr;

@@ -1,14 +1,11 @@
 #include "storage/rollup_plan.h"
 
-#include <utility>
-
 #include "util/check.h"
 
 namespace aac {
 
-std::shared_ptr<const RollupPlan> BuildRollupPlan(const ChunkGrid& grid,
-                                                  GroupById from, GroupById to,
-                                                  ChunkId chunk) {
+RollupPlan BuildRollupPlan(const ChunkGrid& grid, GroupById from, GroupById to,
+                           ChunkId chunk) {
   const Schema& schema = grid.schema();
   const Lattice& lattice = grid.lattice();
   AAC_CHECK(lattice.IsAncestor(to, from));
@@ -16,52 +13,51 @@ std::shared_ptr<const RollupPlan> BuildRollupPlan(const ChunkGrid& grid,
   const LevelVector& to_lv = lattice.LevelOf(to);
   const ChunkCoords coords = grid.CoordsOf(to, chunk);
 
-  auto plan = std::make_shared<RollupPlan>();
-  plan->num_dims = schema.num_dims();
+  RollupPlan plan;
+  plan.num_dims = schema.num_dims();
 
-  // Target chunk shape (row-major strides, least-significant dimension
-  // last) — what TargetChunkShape::Make used to recompute per call.
-  for (int d = plan->num_dims - 1; d >= 0; --d) {
+  // Target chunk shape (row-major strides, least-significant dimension last).
+  for (int d = plan.num_dims - 1; d >= 0; --d) {
     auto [vb, ve] =
         grid.layout(d).ValueRange(to_lv[d], coords[static_cast<size_t>(d)]);
-    plan->range_begin[static_cast<size_t>(d)] = vb;
-    plan->width[static_cast<size_t>(d)] = ve - vb;
-    plan->stride[static_cast<size_t>(d)] = plan->cells;
-    plan->cells *= ve - vb;
+    plan.range_begin[static_cast<size_t>(d)] = vb;
+    plan.width[static_cast<size_t>(d)] = ve - vb;
+    plan.stride[static_cast<size_t>(d)] = plan.cells;
+    plan.cells *= ve - vb;
   }
   // Premultiplied int32 table entries require every offset < cells to fit;
   // a chunk with > 2^31 cells would be broken long before this (the cache
   // stores whole chunks in memory).
-  AAC_CHECK_LE(plan->cells, std::numeric_limits<int32_t>::max());
+  AAC_CHECK_LE(plan.cells, std::numeric_limits<int32_t>::max());
 
   // Per-dimension source windows and flattened ancestor→offset tables.
   int64_t total_entries = 0;
-  for (int d = 0; d < plan->num_dims; ++d) {
+  for (int d = 0; d < plan.num_dims; ++d) {
     const Dimension& dim = schema.dimension(d);
     auto [sb, se] = dim.DescendantValueRange(
-        to_lv[d], plan->range_begin[static_cast<size_t>(d)], from_lv[d]);
+        to_lv[d], plan.range_begin[static_cast<size_t>(d)], from_lv[d]);
     // The descendant range of the full target value range: contiguous
     // because parent maps are monotone (the closure property).
     se = dim.DescendantValueRange(to_lv[d],
-                                  plan->range_begin[static_cast<size_t>(d)] +
-                                      plan->width[static_cast<size_t>(d)] - 1,
+                                  plan.range_begin[static_cast<size_t>(d)] +
+                                      plan.width[static_cast<size_t>(d)] - 1,
                                   from_lv[d])
              .second;
-    plan->src_begin[static_cast<size_t>(d)] = sb;
-    plan->src_width[static_cast<size_t>(d)] = se - sb;
+    plan.src_begin[static_cast<size_t>(d)] = sb;
+    plan.src_width[static_cast<size_t>(d)] = se - sb;
     total_entries += se - sb;
   }
-  plan->storage.resize(static_cast<size_t>(total_entries));
+  plan.storage.resize(static_cast<size_t>(total_entries));
   int64_t cursor = 0;
-  for (int d = 0; d < plan->num_dims; ++d) {
+  for (int d = 0; d < plan.num_dims; ++d) {
     const Dimension& dim = schema.dimension(d);
-    int32_t* entries = plan->storage.data() + cursor;
-    plan->table[static_cast<size_t>(d)] = entries;
-    const int32_t sb = plan->src_begin[static_cast<size_t>(d)];
-    const int32_t sw = plan->src_width[static_cast<size_t>(d)];
-    const int32_t vb = plan->range_begin[static_cast<size_t>(d)];
-    const int32_t w = plan->width[static_cast<size_t>(d)];
-    const int64_t stride = plan->stride[static_cast<size_t>(d)];
+    int32_t* entries = plan.storage.data() + cursor;
+    plan.table[static_cast<size_t>(d)] = entries;
+    const int32_t sb = plan.src_begin[static_cast<size_t>(d)];
+    const int32_t sw = plan.src_width[static_cast<size_t>(d)];
+    const int32_t vb = plan.range_begin[static_cast<size_t>(d)];
+    const int32_t w = plan.width[static_cast<size_t>(d)];
+    const int64_t stride = plan.stride[static_cast<size_t>(d)];
     if (from_lv[d] == to_lv[d]) {
       // Identity level: source values are target values.
       for (int32_t i = 0; i < sw; ++i) {
@@ -83,38 +79,6 @@ std::shared_ptr<const RollupPlan> BuildRollupPlan(const ChunkGrid& grid,
     cursor += sw;
   }
   return plan;
-}
-
-std::shared_ptr<const RollupPlan> RollupPlanCache::Get(const ChunkGrid& grid,
-                                                       GroupById from,
-                                                       GroupById to,
-                                                       ChunkId chunk) {
-  const Key key{from, to, chunk};
-  {
-    ReaderMutexLock lock(mutex_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // Build outside any lock (plan construction touches only immutable grid
-  // state), then publish; a concurrent builder of the same key wins the
-  // try_emplace race and both callers share one plan.
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const RollupPlan> plan = BuildRollupPlan(grid, from, to, chunk);
-  WriterMutexLock lock(mutex_);
-  auto [it, inserted] = plans_.try_emplace(key, std::move(plan));
-  return it->second;
-}
-
-RollupPlanCache::Stats RollupPlanCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  ReaderMutexLock lock(mutex_);
-  s.entries = static_cast<int64_t>(plans_.size());
-  return s;
 }
 
 void SparseFoldTable::Reset(int64_t expected) {

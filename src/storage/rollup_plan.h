@@ -2,19 +2,13 @@
 #define AAC_STORAGE_ROLLUP_PLAN_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "chunks/chunk_grid.h"
 #include "storage/tuple.h"
 #include "util/check.h"
-#include "util/lockdep.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace aac {
 
@@ -22,9 +16,8 @@ namespace aac {
 /// aggregating cells of group-by `from` into one chunk of group-by `to`.
 ///
 /// The kernel's inner loop used to walk the dimension hierarchy level by
-/// level per cell (Dimension::AncestorValue) and re-derive the target
-/// chunk's shape per call. A RollupPlan flattens all of that, once, into a
-/// contiguous `int32_t` table per dimension:
+/// level per cell (Dimension::AncestorValue). A RollupPlan flattens that,
+/// once per fold, into a contiguous `int32_t` table per dimension:
 ///
 ///   table[d][v - src_begin[d]] == (ancestor(v) - range_begin[d]) * stride[d]
 ///
@@ -34,16 +27,22 @@ namespace aac {
 /// chunk), which is what lets the per-cell range checks demote from
 /// AAC_CHECK to AAC_DCHECK.
 ///
-/// Plans are immutable after construction and shared via shared_ptr, so
-/// they are safe to use from any number of threads concurrently.
+/// Each fold builds its own plan and drops it when the fold ends. A plan
+/// is movable but not copyable: `table` points into `storage`.
 struct RollupPlan {
+  RollupPlan() = default;
+  RollupPlan(RollupPlan&&) = default;
+  RollupPlan& operator=(RollupPlan&&) = default;
+  RollupPlan(const RollupPlan&) = delete;
+  RollupPlan& operator=(const RollupPlan&) = delete;
+
   int num_dims = 0;
 
   /// Target chunk cell count (mixed-radix capacity of the offsets).
   int64_t cells = 1;
 
   // Target chunk shape: value range begin, width and row-major stride per
-  // dimension (what TargetChunkShape used to recompute per Aggregate call).
+  // dimension.
   std::array<int32_t, kMaxDims> range_begin{};
   std::array<int32_t, kMaxDims> width{};
   std::array<int64_t, kMaxDims> stride{};
@@ -145,58 +144,8 @@ class DenseEmitWalker {
 
 /// Builds the plan for aggregating group-by `from` into `chunk` of `to`.
 /// Requires `to` computable from `from` (lattice ancestor, reflexive).
-std::shared_ptr<const RollupPlan> BuildRollupPlan(const ChunkGrid& grid,
-                                                  GroupById from, GroupById to,
-                                                  ChunkId chunk);
-
-/// Thread-safe cache of RollupPlans keyed by (from, to, chunk), shared by
-/// every query's Aggregator in an engine (reads take a shared lock; a miss
-/// builds the plan outside the lock and publishes it under an exclusive
-/// lock). All sharers must aggregate over the same ChunkGrid — the key does
-/// not encode the grid.
-class RollupPlanCache {
- public:
-  RollupPlanCache() = default;
-  RollupPlanCache(const RollupPlanCache&) = delete;
-  RollupPlanCache& operator=(const RollupPlanCache&) = delete;
-
-  /// Returns the cached plan, building and publishing it on first use.
-  std::shared_ptr<const RollupPlan> Get(const ChunkGrid& grid, GroupById from,
-                                        GroupById to, ChunkId chunk);
-
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;   // Get calls that had to build (or race-build)
-    int64_t entries = 0;  // plans currently cached
-  };
-  Stats stats() const;
-
- private:
-  struct Key {
-    GroupById from;
-    GroupById to;
-    ChunkId chunk;
-    bool operator==(const Key& o) const {
-      return from == o.from && to == o.to && chunk == o.chunk;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      uint64_t h = static_cast<uint64_t>(k.chunk) * 0x9e3779b97f4a7c15ull;
-      h ^= (static_cast<uint64_t>(static_cast<uint32_t>(k.from)) << 32) |
-           static_cast<uint64_t>(static_cast<uint32_t>(k.to));
-      h *= 0xbf58476d1ce4e5b9ull;
-      return static_cast<size_t>(h ^ (h >> 31));
-    }
-  };
-
-  mutable SharedMutex mutex_{LockRank::kRollupPlanCache,
-                              "rollup_plan_cache"};
-  std::unordered_map<Key, std::shared_ptr<const RollupPlan>, KeyHash> plans_
-      AAC_GUARDED_BY(mutex_);
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-};
+RollupPlan BuildRollupPlan(const ChunkGrid& grid, GroupById from, GroupById to,
+                           ChunkId chunk);
 
 /// Aggregate state folded per target cell (sum/count/min/max merge
 /// cell-wise; see storage/tuple.h).
@@ -291,8 +240,7 @@ class SparseFoldTable {
 /// O(k), not O(N).
 ///
 /// Not thread-safe. Each thread folds into its own (ThreadFoldArena()),
-/// and the backend server into its own under its mutex; only the
-/// RollupPlanCache is shared across threads.
+/// and the backend server into its own under its mutex.
 class FoldArena {
  public:
   /// Prepares the dense buffers for a chunk of `cells` cells. New capacity

@@ -41,16 +41,11 @@ namespace aac {
 /// performs (DESIGN.md §10):
 ///   admission → single-flight map → single-flight slot →
 ///   cache shard → {result cache, warm → disk, strategy → strategy log} →
-///   breaker → fault injector → backend → rollup plan cache
-/// The fold-time capability (rollup plan cache) ranks LAST:
-/// BackendServer::ExecuteChunkQuery aggregates under its own mutex (one
-/// mutex = the simulated remote server's serial execution), and
-/// FaultInjectingBackend holds its mutex across that inner call, so every
-/// fold-time lock is reachable under both and must rank above them.
+///   breaker → fault injector → backend
 /// Gaps between values leave room to slot a new capability between two
 /// existing ones without renumbering (renumbering fails lint R8). A deleted
 /// rank's value stays retired and is never reused: 200 was the engine
-/// pool's, 1600 the morsel pool's.
+/// pool's, 1500 the rollup plan cache's, 1600 the morsel pool's.
 enum class LockRank : uint16_t {
   kAdmission = 100,        // admission gate: outermost, around engine work
   kSingleFlightMap = 300,  // SingleFlight in-flight map
@@ -66,7 +61,6 @@ enum class LockRank : uint16_t {
   kCircuitBreaker = 1200,  // breaker state (consulted under admission)
   kFaultInjector = 1300,   // fault schedule; held across the inner backend
   kBackend = 1400,         // backend: folds chunk aggregates under its mutex
-  kRollupPlanCache = 1500, // shared rollup plan cache (fold-time)
 };
 
 /// Human-readable rank name for violation reports and edge dumps.
@@ -81,7 +75,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kDiskTier: return "kDiskTier";
     case LockRank::kStrategy: return "kStrategy";
     case LockRank::kStrategyLog: return "kStrategyLog";
-    case LockRank::kRollupPlanCache: return "kRollupPlanCache";
     case LockRank::kCircuitBreaker: return "kCircuitBreaker";
     case LockRank::kFaultInjector: return "kFaultInjector";
     case LockRank::kBackend: return "kBackend";

@@ -58,12 +58,13 @@ struct ExperimentConfig {
   int cache_shards = 1;
 
   /// Use exact measured chunk sizes instead of the analytic occupancy
-  /// model. Improves cost-based path choices on correlated data. Costs one
-  /// pass over the fact tuples per group-by at setup, split over every
-  /// core, counting each chunk's cells in a bitmap of one chunk (at most
-  /// 21 KB on APB-1) that is freed when the model is built. The sizes are
-  /// a setup snapshot that later inserts do not refresh; they steer costs,
-  /// never answers. See storage/measured_size_model.h.
+  /// model. Improves cost-based path choices on correlated data. Costs a
+  /// count at setup that goes rank by rank down the lattice, reading each
+  /// group-by from its smallest kept ancestor rather than from the fact
+  /// table, on every core, counting each chunk's cells in a bitmap of one
+  /// chunk (at most 21 KB on APB-1) that is freed when the model is built.
+  /// The sizes are a setup snapshot that later inserts do not refresh;
+  /// they steer costs, never answers. See storage/measured_size_model.h.
   bool measured_sizes = false;
 
   StrategyKind strategy = StrategyKind::kVcmc;
@@ -153,9 +154,9 @@ class Experiment {
   /// cache, strategy, backend, benefit model, sim clock, warm tier) with
   /// the same engine config — engine() is built by it too, and it serves
   /// as the EngineFactory of a ConcurrentQueryEngine. Each returned engine
-  /// is thread-safe and has its own breaker (if the config asks for one),
-  /// single-flight group and rollup-plan cache. The Experiment must
-  /// outlive every engine it vends.
+  /// is thread-safe and has its own breaker (if the config asks for one)
+  /// and single-flight group. The Experiment must outlive every engine it
+  /// vends.
   std::unique_ptr<QueryEngine> NewEngine();
 
  private:

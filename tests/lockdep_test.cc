@@ -175,7 +175,7 @@ TEST(LockdepTest, CondVarWaitKeepsHeldStackConsistent) {
 }
 
 TEST(LockdepTest, CondVarNotifiedWaitReacquiresCleanly) {
-  Mutex mu{LockRank::kRollupPlanCache, "t.cv.notify"};
+  Mutex mu{LockRank::kBackend, "t.cv.notify"};
   CondVar cv;
   bool done = false;
   std::thread notifier([&] {

@@ -308,8 +308,8 @@ TEST(RollupKernel, SingleCellChunk) {
   const GroupById base = cube.lattice->base_id();
   const GroupById top = cube.lattice->top_id();
   ASSERT_EQ(cube.grid->CellsInChunk(top, 0), 1);
-  auto plan = BuildRollupPlan(*cube.grid, base, top, 0);
-  EXPECT_EQ(plan->cells, 1);
+  const RollupPlan plan = BuildRollupPlan(*cube.grid, base, top, 0);
+  EXPECT_EQ(plan.cells, 1);
 
   Aggregator agg(cube.grid.get());
   Rng rng(11);
@@ -335,37 +335,6 @@ TEST(RollupKernel, EmptyInputsProduceEmptyChunks) {
   EXPECT_EQ(agg.tuples_processed(), 0);
 }
 
-// Satellite: the plan (including the target chunk shape that used to be
-// recomputed per Aggregate call) is built once per (from, to, chunk) and
-// reused from the cache afterwards.
-TEST(RollupPlanCache, PlanIsReusedAcrossAggregateCalls) {
-  TestCube cube = MakeThreeDimCube();
-  Aggregator agg(cube.grid.get());
-  const GroupById base = cube.lattice->base_id();
-  const GroupById top = cube.lattice->top_id();
-  Rng rng(3);
-  std::vector<Cell> cells = RandomSourceCells(cube, base, top, 0, 20, &rng);
-
-  agg.AggregateCells(base, cells, top, 0);
-  RollupPlanCache::Stats stats = agg.plan_cache().stats();
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.entries, 1);
-
-  for (int i = 0; i < 4; ++i) agg.AggregateCells(base, cells, top, 0);
-  stats = agg.plan_cache().stats();
-  EXPECT_EQ(stats.misses, 1);  // no rebuilds for the same rollup target
-  EXPECT_EQ(stats.hits, 4);
-  EXPECT_EQ(stats.entries, 1);
-
-  // A different target chunk is a different plan.
-  agg.AggregateCells(base, RandomSourceCells(cube, base, top, 1, 5, &rng),
-                     top, 1);
-  stats = agg.plan_cache().stats();
-  EXPECT_EQ(stats.misses, 2);
-  EXPECT_EQ(stats.entries, 2);
-}
-
 // Plan contents: offset tables agree with AncestorValue on every source
 // value of the window, for uniform and non-uniform hierarchies.
 TEST(RollupPlan, TablesMatchAncestorWalk) {
@@ -378,19 +347,19 @@ TEST(RollupPlan, TablesMatchAncestorWalk) {
       for (GroupById from = 0; from < lat.num_groupbys(); ++from) {
         if (!lat.IsAncestor(to, from)) continue;
         for (ChunkId chunk = 0; chunk < cube.grid->NumChunks(to); ++chunk) {
-          auto plan = BuildRollupPlan(*cube.grid, from, to, chunk);
+          const RollupPlan plan = BuildRollupPlan(*cube.grid, from, to, chunk);
           const LevelVector& from_lv = lat.LevelOf(from);
           const LevelVector& to_lv = lat.LevelOf(to);
           for (int d = 0; d < nd; ++d) {
-            for (int32_t i = 0; i < plan->src_width[static_cast<size_t>(d)];
+            for (int32_t i = 0; i < plan.src_width[static_cast<size_t>(d)];
                  ++i) {
-              const int32_t v = plan->src_begin[static_cast<size_t>(d)] + i;
+              const int32_t v = plan.src_begin[static_cast<size_t>(d)] + i;
               const int32_t anc =
                   schema.dimension(d).AncestorValue(from_lv[d], v, to_lv[d]);
               const int64_t want =
-                  (anc - plan->range_begin[static_cast<size_t>(d)]) *
-                  plan->stride[static_cast<size_t>(d)];
-              EXPECT_EQ(plan->table[static_cast<size_t>(d)][i], want);
+                  (anc - plan.range_begin[static_cast<size_t>(d)]) *
+                  plan.stride[static_cast<size_t>(d)];
+              EXPECT_EQ(plan.table[static_cast<size_t>(d)][i], want);
             }
           }
         }
@@ -399,15 +368,14 @@ TEST(RollupPlan, TablesMatchAncestorWalk) {
   }
 }
 
-// An engine's queries share one plan cache: concurrent aggregators racing
-// on the same and different rollup targets must agree with the reference
-// fold and end up with one plan per target. Runs under TSan via the
-// "concurrency" label.
-TEST(RollupPlanCache, SharedAcrossThreadsIsRaceFree) {
+// An engine's queries fold side by side, each through its own aggregator
+// into its own arena, over one shared grid: concurrent folds of the same
+// and different rollup targets must each agree with the reference fold.
+// Runs under TSan via the "concurrency" label.
+TEST(RollupKernel, ConcurrentFoldsAgreeWithReference) {
   TestCube cube = MakeThreeDimCube();
   const Lattice& lat = *cube.lattice;
   const GroupById base = lat.base_id();
-  RollupPlanCache shared_cache;
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 25;
@@ -427,8 +395,8 @@ TEST(RollupPlanCache, SharedAcrossThreadsIsRaceFree) {
   std::vector<int> failures(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      Aggregator agg(cube.grid.get());
-      agg.set_plan_cache(&shared_cache);
+      FoldArena arena;
+      Aggregator agg(cube.grid.get(), &arena);
       for (int round = 0; round < kRounds; ++round) {
         const size_t i = (static_cast<size_t>(t) + static_cast<size_t>(round)) %
                          targets.size();
@@ -444,12 +412,6 @@ TEST(RollupPlanCache, SharedAcrossThreadsIsRaceFree) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
-
-  const RollupPlanCache::Stats stats = shared_cache.stats();
-  EXPECT_EQ(stats.entries, static_cast<int64_t>(targets.size()));
-  // Racing builders may duplicate a miss, but never an entry.
-  EXPECT_GE(stats.misses, stats.entries);
-  EXPECT_EQ(stats.hits + stats.misses, int64_t{kThreads} * kRounds);
 }
 
 // The mixed-radix emit walker must reproduce RollupPlan::ValuesOf exactly
@@ -465,13 +427,12 @@ TEST(DenseEmitWalker, MatchesValuesOfOnRandomSortedOffsets) {
         if (!lat.IsAncestor(to, from)) continue;
         const ChunkId chunk = static_cast<ChunkId>(rng.Uniform(
             static_cast<uint64_t>(cube.grid->NumChunks(to))));
-        std::shared_ptr<const RollupPlan> plan =
-            BuildRollupPlan(*cube.grid, from, to, chunk);
+        const RollupPlan plan = BuildRollupPlan(*cube.grid, from, to, chunk);
         // A sorted mix of small and large strides through the offsets.
         std::vector<int64_t> offsets;
         int64_t off = static_cast<int64_t>(
             rng.Uniform(2));  // sometimes starts past zero
-        while (off < plan->cells) {
+        while (off < plan.cells) {
           offsets.push_back(off);
           const uint64_t kind = rng.Uniform(10);
           if (kind < 5) {
@@ -480,16 +441,16 @@ TEST(DenseEmitWalker, MatchesValuesOfOnRandomSortedOffsets) {
             off += 1 + static_cast<int64_t>(rng.Uniform(7));
           } else {
             off += 1 + static_cast<int64_t>(
-                           rng.Uniform(static_cast<uint64_t>(plan->cells)));
+                           rng.Uniform(static_cast<uint64_t>(plan.cells)));
           }
         }
-        DenseEmitWalker walker(*plan);
+        DenseEmitWalker walker(plan);
         for (int64_t o : offsets) {
           std::array<int32_t, kMaxDims> got{};
           std::array<int32_t, kMaxDims> want{};
           walker.ValuesAt(o, got.data());
-          plan->ValuesOf(o, want.data());
-          for (int d = 0; d < plan->num_dims; ++d) {
+          plan.ValuesOf(o, want.data());
+          for (int d = 0; d < plan.num_dims; ++d) {
             ASSERT_EQ(got[static_cast<size_t>(d)],
                       want[static_cast<size_t>(d)])
                 << "seed " << seed << " offset " << o << " dim " << d;

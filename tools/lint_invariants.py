@@ -263,10 +263,6 @@ ANNOTATION_TABLE = [
     ("src/cache/disk_tier.h",
      r"MaybeCompact\(\)\s*AAC_REQUIRES\(mutex_\)",
      "DiskTier::MaybeCompact must carry AAC_REQUIRES(mutex_)"),
-    # Rollup plan cache.
-    ("src/storage/rollup_plan.h",
-     r"plans_\s*\n?\s*AAC_GUARDED_BY\(mutex_\)",
-     "RollupPlanCache::plans_ must be AAC_GUARDED_BY(mutex_)"),
     # Backend + fault injector: stats snapshots by value under the lock.
     ("src/backend/backend.h",
      r"stats_\s+AAC_GUARDED_BY\(mutex_\)",
@@ -456,13 +452,13 @@ LOCK_RANK_ENUM = [
     ("kCircuitBreaker", 1200),
     ("kFaultInjector", 1300),
     ("kBackend", 1400),
-    ("kRollupPlanCache", 1500),
 ]
 
 # Values of deleted ranks. Append-only: a value here stays retired for good.
 RETIRED_LOCK_RANKS = [
     ("kEnginePool", 200),  # ConcurrentQueryEngine's engine pool, deleted
     ("kMorselPool", 1600),  # the morsel helper pool, deleted
+    ("kRollupPlanCache", 1500),  # the rollup plan caches, deleted
 ]
 
 LOCK_RANK_TABLE = [
@@ -488,8 +484,6 @@ LOCK_RANK_TABLE = [
      "VcmcStrategy::log_mutex_ must declare LockRank::kStrategyLog (a "
      "listener appends under a cache shard lock, and a drain takes the log "
      "under the strategy's writer lock)"),
-    ("src/storage/rollup_plan.h", r"mutex_\{LockRank::kRollupPlanCache,",
-     "RollupPlanCache::mutex_ must declare LockRank::kRollupPlanCache"),
     ("src/core/circuit_breaker.h", r"mutex_\{LockRank::kCircuitBreaker,",
      "CircuitBreaker::mutex_ must declare LockRank::kCircuitBreaker"),
     ("src/backend/fault_injector.h", r"mutex_\{LockRank::kFaultInjector,",
