@@ -6,9 +6,9 @@
 
 #include "backend/cost_model.h"
 #include "chunks/chunk_grid.h"
-#include "storage/aggregator.h"
 #include "storage/chunk_data.h"
 #include "storage/fact_table.h"
+#include "storage/rollup_plan.h"
 #include "util/lockdep.h"
 #include "util/mutex.h"
 #include "util/sim_clock.h"
@@ -96,13 +96,25 @@ struct BackendStats {
 /// to the paper's single SQL statement for all missing chunks of a query.
 /// Always succeeds; wrap in a FaultInjectingBackend to exercise failures.
 ///
-/// Thread-safe: ExecuteChunkQuery serializes internally (the shared stats,
-/// aggregator and fold arena mutate per call), modeling the one shared
-/// RDBMS connection of the paper's middle tier. Its folds use the server's
-/// own arena, not the calling client thread's. Estimates are read-only and
+/// Thread-safe: calls to ExecuteChunkQuery run one at a time (the stats
+/// and the fold arenas mutate per call), modeling the one shared RDBMS
+/// connection of the paper's middle tier. Within a call, each requested
+/// chunk is folded on its own; a call over more than one chunk and at
+/// least kParallelFoldTuples base tuples spreads its chunks over up to
+/// HardwareWorkers() workers (ParallelFor; the calling thread is one) and
+/// joins them before it returns, still holding the server's mutex. Each
+/// worker folds into its own server-owned arena, never a client thread's,
+/// and the reply keeps request order. Estimates are read-only and
 /// lock-free.
 class BackendServer : public Backend {
  public:
+  /// A call folds on more than the calling thread only when it reads at
+  /// least this many base tuples. Each extra worker costs a thread start
+  /// (~20 us, DESIGN.md §8), about as long as folding a thousand base
+  /// tuples, so a smaller call would spend most of what it saves on the
+  /// starts.
+  static constexpr int64_t kParallelFoldTuples = 16'384;
+
   /// `table` and `clock` must outlive the server. The clock may be null if
   /// simulated latency tracking is not needed.
   BackendServer(const FactTable* table, const BackendCostModel& model,
@@ -137,8 +149,9 @@ class BackendServer : public Backend {
   BackendCostModel model_;
   SimClock* clock_;
   mutable Mutex mutex_{LockRank::kBackend, "backend"};
-  FoldArena arena_ AAC_GUARDED_BY(mutex_);
-  Aggregator aggregator_ AAC_GUARDED_BY(mutex_);
+  // One per worker: a call's worker w folds into arenas_[w], and the call
+  // trims each arena it used to FoldArena::kTrimBytes before it returns.
+  std::vector<FoldArena> arenas_ AAC_GUARDED_BY(mutex_);
   BackendStats stats_ AAC_GUARDED_BY(mutex_);
 };
 

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <memory>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "util/check.h"
+#include "util/parallel_for.h"
 
 namespace aac {
 
@@ -137,8 +136,6 @@ class LatticeCounter {
   bool counting_ = false;  // counting rank_; else collecting its kept cells
   bool done_ = false;
   MeasuredChunkSizeModel::CountStats stats_;
-
-  std::atomic<size_t> next_{0};  // the next unclaimed task
 };
 
 LatticeCounter::LatticeCounter(const ChunkGrid& grid, const FactTable& table,
@@ -198,27 +195,12 @@ MeasuredChunkSizeModel::CountStats LatticeCounter::Run() {
   if (rank_ == 0) return stats_;  // the base is the only group-by
   StartRank(rank_ - 1);
 
-  // Each phase starts its threads and joins them: libstdc++'s std::barrier
-  // wakes a sleeping waiter about a millisecond late, which is longer than
-  // most phases, while starting a thread costs tens of microseconds.
-  const auto max_workers =
-      std::max<size_t>(std::thread::hardware_concurrency(), 1);
-  std::vector<Worker> workers(max_workers);
+  // Each phase starts its workers and joins them (ParallelFor).
+  std::vector<Worker> workers(HardwareWorkers());
   while (!done_) {
-    const auto run = [this](Worker& w) {
-      for (size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-           i < tasks_.size();
-           i = next_.fetch_add(1, std::memory_order_relaxed)) {
-        RunTask(w, tasks_[i]);
-      }
-    };
-    std::vector<std::thread> pool;
-    const size_t num_workers = std::min(max_workers, tasks_.size());
-    for (size_t i = 1; i < num_workers; ++i) {
-      pool.emplace_back(run, std::ref(workers[i]));
-    }
-    run(workers[0]);  // the calling thread is one of the workers
-    for (std::thread& t : pool) t.join();
+    ParallelFor(workers.size(), tasks_.size(), [&](size_t w, size_t task) {
+      RunTask(workers[w], tasks_[task]);
+    });
     Advance();
   }
   return stats_;
@@ -267,7 +249,6 @@ void LatticeCounter::StartRank(int rank) {
                      return source_cells(a) > source_cells(b);
                    });
   for (GroupById gb : order) AddTasks(gb);
-  next_.store(0, std::memory_order_relaxed);
 }
 
 bool LatticeCounter::KeepFromRank() {
@@ -296,7 +277,6 @@ bool LatticeCounter::KeepFromRank() {
   counting_ = false;
   tasks_.clear();
   for (GroupById gb : collect) AddTasks(gb);
-  next_.store(0, std::memory_order_relaxed);
   return true;
 }
 

@@ -240,7 +240,8 @@ class SparseFoldTable {
 /// O(k), not O(N).
 ///
 /// Not thread-safe. Each thread folds into its own (ThreadFoldArena()),
-/// and the backend server into its own under its mutex.
+/// and each worker of a backend call into one of the server's arenas,
+/// which the call owns while it holds the server's mutex.
 class FoldArena {
  public:
   /// Prepares the dense buffers for a chunk of `cells` cells. New capacity

@@ -60,7 +60,8 @@ enum class LockRank : uint16_t {
                            // swapped out under kStrategy)
   kCircuitBreaker = 1200,  // breaker state (consulted under admission)
   kFaultInjector = 1300,   // fault schedule; held across the inner backend
-  kBackend = 1400,         // backend: folds chunk aggregates under its mutex
+  kBackend = 1400,         // backend: held across a call's folds and the
+                           // join of their workers, which lock nothing
 };
 
 /// Human-readable rank name for violation reports and edge dumps.

@@ -1,11 +1,10 @@
 #include "workload/parallel_runner.h"
 
-#include <atomic>
 #include <cstddef>
-#include <thread>
 #include <utility>
 
 #include "util/check.h"
+#include "util/parallel_for.h"
 
 namespace aac {
 
@@ -19,23 +18,11 @@ ParallelWorkloadRunner::ParallelWorkloadRunner(ConcurrentQueryEngine* engine,
 WorkloadTotals ParallelWorkloadRunner::Run(
     const std::vector<QueryStreamEntry>& stream,
     std::vector<QueryStats>* per_query) {
-  const size_t n = stream.size();
-  std::vector<QueryStats> slots(n);
-  std::atomic<size_t> next{0};
-
-  auto worker = [&]() {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      engine_->ExecuteQuery(stream[i].query, &slots[i]);
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(num_threads_) - 1);
-  for (int t = 1; t < num_threads_; ++t) pool.emplace_back(worker);
-  worker();  // the calling thread participates
-  for (std::thread& t : pool) t.join();
+  std::vector<QueryStats> slots(stream.size());
+  ParallelFor(static_cast<size_t>(num_threads_), stream.size(),
+              [&](size_t /*worker*/, size_t i) {
+                engine_->ExecuteQuery(stream[i].query, &slots[i]);
+              });
 
   // Fold in stream order AFTER the join: the count fields of the totals do
   // not depend on which thread ran which query.

@@ -73,8 +73,9 @@ run_asan() {
 }
 
 # The "concurrency" label under ThreadSanitizer: every test that starts a
-# thread carries it (lint rule R5), and a single-threaded test does not,
-# even where it drives the locked chunk cache. TSan instruments
+# thread carries it (lint rule R5; by hand where only a large backend call
+# starts workers, see tests/CMakeLists.txt), and a single-threaded test
+# does not, even where it drives the locked chunk cache. TSan instruments
 # everything it touches ~10x slower and has nothing to check in a
 # single-threaded test; the plain and asan modes run those.
 # Fails when no test carries the label, so a broken registration cannot

@@ -24,7 +24,8 @@ it enforces the invariants that keep the clang gate meaningful:
       unregistered test compiles green and never runs).
   R5  Tests that include <thread> or the threaded core
       (ConcurrentQueryEngine, SingleFlight, ParallelWorkloadRunner, the
-      threaded MeasuredChunkSizeModel constructor) must carry the
+      threaded MeasuredChunkSizeModel constructor, the ParallelFor
+      helper) must carry the
       "concurrency" ctest label, because tools/check.sh tsan only runs
       that label — an unlabeled concurrent test never sees
       ThreadSanitizer. Including a header of code that starts no thread
@@ -61,6 +62,12 @@ it enforces the invariants that keep the clang gate meaningful:
       the chunk codec and the disk tier sum every blob they touch with
       WordChecksum, and this keeps FNV-1a from coming back onto that
       path.
+  R11 A std::thread is constructed in src/ only inside
+      src/util/parallel_for.h. ParallelFor starts every worker src/ runs
+      (the backend's folds, the size model's count phases, the workload
+      runner's clients): workers claim tasks from one atomic counter and
+      the caller joins them, and a hand-copied start-and-join loop drifts
+      from it, as R9 keeps one timed wait.
 
 Exit status 0 with no output (beyond the summary) when clean; 1 with one
 line per finding otherwise.
@@ -333,6 +340,7 @@ CONCURRENCY_MARKERS = re.compile(
     r"|\"core/concurrent_engine\.h\""
     r"|\"cache/single_flight\.h\""
     r"|\"storage/measured_size_model\.h\""
+    r"|\"util/parallel_for\.h\""
     r"|\"workload/parallel_runner\.h\")"
 )
 
@@ -598,6 +606,29 @@ def check_fnv_callers():
                 )
 
 
+# --------------------------------------------------------------------------
+# R11: one thread starter. ParallelFor (src/util/parallel_for.h) starts
+# every thread in src/; std::thread::hardware_concurrency and
+# std::this_thread start none and stay allowed.
+# --------------------------------------------------------------------------
+
+THREAD_TYPE = re.compile(r"\bstd::j?thread\b(?!::)")
+THREAD_HELPER = REPO / "src" / "util" / "parallel_for.h"
+
+
+def check_one_thread_starter():
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc") or path == THREAD_HELPER:
+            continue
+        for lineno, code in source_lines(path):
+            if THREAD_TYPE.search(code):
+                finding(
+                    path, lineno, "R11-one-thread-starter",
+                    "std::thread outside src/util/parallel_for.h — start "
+                    "workers through ParallelFor(workers, tasks, fn)",
+                )
+
+
 def main():
     check_raw_locks()
     check_annotation_table()
@@ -609,6 +640,7 @@ def main():
     check_lock_ranks()
     check_one_wait()
     check_fnv_callers()
+    check_one_thread_starter()
     if findings:
         for line in findings:
             print(line)
