@@ -1,6 +1,5 @@
 #include "cache/chunk_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
@@ -168,6 +167,7 @@ bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
     }
     entry.data = std::move(data);
     entry.blob = std::move(blob);
+    entry.sorted = false;
     entry.info = info;
     entry.victim_class = new_class;
     Touch(shard, entry);
@@ -224,68 +224,54 @@ bool ChunkCache::Remove(const CacheKey& key) {
   return removed;
 }
 
-bool ChunkCache::Patch(const CacheKey& key, int num_dims,
-                       std::span<const Cell> cells) {
-  const CellValueLess less{num_dims};
-  AAC_DCHECK(std::adjacent_find(cells.begin(), cells.end(),
-                                [less](const Cell& a, const Cell& b) {
-                                  return !less(a, b);
-                                }) == cells.end());
+ChunkCache::PatchOutcome ChunkCache::Patch(const CacheKey& key, int num_dims,
+                                           std::span<const Cell> cells) {
   Shard& shard = ShardFor(key);
   std::vector<Demoted> demoted;
-  bool patched = false;
+  PatchOutcome outcome = PatchOutcome::kNotHot;
   {
     MutexLock lock(shard.mutex);
     auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) return false;
-    Entry& entry = it->second;
-    AAC_CHECK_EQ(entry.pin_count, 0);
-    std::vector<Cell>& have = entry.data.cells;
-    if (!std::is_sorted(have.begin(), have.end(), less)) {
-      std::sort(have.begin(), have.end(), less);
-      entry.blob.reset();  // the codec keeps cell order
-    }
-    // Each cell either merges into the entry's equal cell or goes in front
-    // of the cell the search stopped at; nothing changes until it fits.
-    std::vector<std::pair<size_t, size_t>> merges;  // (entry cell, cell)
-    std::vector<size_t> at;
-    std::vector<Cell> fresh;
-    for (size_t k = 0; k < cells.size(); ++k) {
-      const auto found =
-          std::lower_bound(have.begin(), have.end(), cells[k], less);
-      const auto i = static_cast<size_t>(found - have.begin());
-      if (found != have.end() && !less(cells[k], *found)) {
-        merges.emplace_back(i, k);
+    if (it != shard.entries.end()) {
+      Entry& entry = it->second;
+      AAC_CHECK_EQ(entry.pin_count, 0);
+      // Merged before the room check: an entry that then does not fit is
+      // removed, so its changed cells are never seen.
+      const size_t fresh =
+          MergeCellRun(num_dims, &entry.data.cells, cells, entry.sorted);
+      entry.sorted = true;
+      entry.blob.reset();
+      CacheEntryInfo grown = entry.info;
+      grown.bytes += static_cast<int64_t>(fresh) * bytes_per_tuple_;
+      if (MakeRoomToResize(shard, entry, grown, &demoted)) {
+        const int64_t growth = grown.bytes - entry.info.bytes;
+        shard.bytes_used += growth;
+        shard.class_bytes[static_cast<size_t>(entry.victim_class)] += growth;
+        entry.info = grown;
+        ++shard.stats.patched;
+        outcome = PatchOutcome::kPatched;
+        const auto tuples = static_cast<int64_t>(entry.data.cells.size());
+        for (CacheListener* l : listeners_) l->OnUpdate(key, tuples);
       } else {
-        at.push_back(i);
-        fresh.push_back(cells[k]);
+        EvictEntry(shard, it, /*demoted=*/nullptr);
+        outcome = PatchOutcome::kRemoved;
       }
     }
-    CacheEntryInfo grown = entry.info;
-    grown.bytes += static_cast<int64_t>(fresh.size()) * bytes_per_tuple_;
-    if (MakeRoomToResize(shard, entry, grown, &demoted)) {
-      for (const auto& [i, k] : merges) MergeCellAggregates(have[i], cells[k]);
-      InsertCellsAt(&have, at, fresh);
-      const int64_t growth = grown.bytes - entry.info.bytes;
-      shard.bytes_used += growth;
-      shard.class_bytes[static_cast<size_t>(entry.victim_class)] += growth;
-      entry.info = grown;
-      entry.blob.reset();
-      ++shard.stats.patched;
-      patched = true;
-      const auto tuples = static_cast<int64_t>(have.size());
-      for (CacheListener* l : listeners_) l->OnUpdate(key, tuples);
-    }
   }
-  // As in Insert: victims demote even when the patch was refused, and a
-  // patched key's lower-tier copies are purged.
+  // As in Insert: victims demote even when the entry was removed, and a
+  // patched or removed key's lower-tier copies are purged. A key the hot
+  // tier lacks hands its cells down instead.
   if (sink_ != nullptr) {
     for (Demoted& d : demoted) {
       sink_->OnDemoteEncoded(d.info, std::move(d.data), std::move(d.blob));
     }
-    if (patched) sink_->OnErase(key);
+    if (outcome == PatchOutcome::kNotHot) {
+      sink_->OnWrite(key, cells);
+    } else {
+      sink_->OnErase(key);
+    }
   }
-  return patched;
+  return outcome;
 }
 
 void ChunkCache::Boost(const CacheKey& key, double amount) {

@@ -70,11 +70,21 @@ class DemotionSink {
 
   /// The key's authoritative copy changed or vanished: a successful Insert
   /// made (or refreshed) a hot-resident copy, a Patch merged a base write
-  /// into it, or an explicit Remove (invalidation) dropped the key —
+  /// into it or removed it, or an explicit Remove dropped the key —
   /// possibly one the hot tier never held, so lower tiers are purged too.
   /// Sinks drop their copies; stale demoted data must never be promoted
   /// later.
   virtual void OnErase(const CacheKey& key) = 0;
+
+  /// A base write reached `key`, which the hot tier does not hold: `cells`
+  /// are what Patch would have merged into a hot entry (value ids at
+  /// `key.gb`'s level, sorted by CellValueLess and distinct). A sink may
+  /// keep its copy only if it serves it with these cells merged in, as
+  /// MergeCellRun would; the default purges it (OnErase).
+  virtual void OnWrite(const CacheKey& key, std::span<const Cell> cells) {
+    (void)cells;
+    OnErase(key);
+  }
 };
 
 /// Middle-tier chunk cache with weighted-CLOCK replacement.
@@ -178,22 +188,29 @@ class ChunkCache {
   /// evicted.
   bool Remove(const CacheKey& key);
 
+  /// What Patch did with a base write's cells.
+  enum class PatchOutcome {
+    kPatched,  // merged into the hot-resident entry
+    kRemoved,  // the hot-resident entry's growth did not fit: removed
+    kNotHot,   // no hot-resident entry: handed to DemotionSink::OnWrite
+  };
+
   /// Merges a base write into the hot-resident entry `key`, in place and
-  /// under its shard lock: each of `cells` folds into the entry's cell with
-  /// the same value ids (MergeCellAggregates), or goes in at its sorted
-  /// place when the entry has none. `cells` hold value ids at `key.gb`'s
-  /// level inside `key.chunk`, sorted by CellValueLess over `num_dims` and
-  /// distinct. The entry is never copied; an entry whose cells are out of
-  /// value order is sorted first. Either change drops the entry's blob.
-  /// Growth is charged to the shard and class ledgers and makes room the
-  /// way an Insert over the key would (victims demote). Listeners see
-  /// OnUpdate with the new tuple count, and the demotion sink's OnErase
-  /// fires after unlocking. A patch is not a use: it leaves the clock
-  /// value and the hit counters alone, and counts CacheStats::patched. Returns false without merging when the key is
-  /// not hot-resident or the grown entry does not fit its shard (victims
-  /// already evicted for it still demote, as in Insert); the caller then
-  /// Removes the key. The entry must not be pinned.
-  bool Patch(const CacheKey& key, int num_dims, std::span<const Cell> cells);
+  /// under its shard lock (MergeCellRun; only the entry's first patch
+  /// checks its cell order). `cells` hold value ids at `key.gb`'s level
+  /// inside `key.chunk`, sorted by CellValueLess over `num_dims` and
+  /// distinct. The entry is never copied, and the merge drops its blob. Growth is charged to the shard and class ledgers and
+  /// makes room the way an Insert over the key would (victims demote).
+  /// Listeners see OnUpdate with the new tuple count, and the demotion
+  /// sink's OnErase fires after unlocking. A patch is not a use: it leaves
+  /// the clock value and the hit counters alone, and counts
+  /// CacheStats::patched. A grown entry that does not fit its shard is
+  /// removed instead, as Remove would (victims already evicted for it
+  /// still demote, as in Insert). A key that is not hot-resident costs one
+  /// shard lookup, and its cells go to the demotion sink's OnWrite after
+  /// unlocking. The entry must not be pinned.
+  PatchOutcome Patch(const CacheKey& key, int num_dims,
+                     std::span<const Cell> cells);
 
   /// Adds `amount` to the entry's clock value (the two-level policy boosts
   /// every chunk of a group used to compute an aggregate, Section 6.3),
@@ -228,6 +245,9 @@ class ChunkCache {
     /// The encoding `data` was promoted from; null once `data` changes, and
     /// for chunks that were fetched or folded. Charged to no budget.
     EncodedBlob blob;
+    /// `data`'s cells are known to be in value order: a patch leaves them
+    /// so, and the next patch need not check.
+    bool sorted = false;
     CacheEntryInfo info;
     int32_t pin_count = 0;
     int32_t victim_class = 0;

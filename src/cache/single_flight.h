@@ -136,6 +136,12 @@ class SingleFlight {
     return inflight_.size();
   }
 
+  /// True while `key` has a flight in progress.
+  bool InFlight(const CacheKey& key) const AAC_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return inflight_.count(key) > 0;
+  }
+
   /// Waits answered by another thread's work (coalesced waits that
   /// received a value).
   int64_t coalesced() const {

@@ -1,5 +1,6 @@
 #include "cache/warm_tier.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "cache/replacement.h"
@@ -72,18 +73,7 @@ void WarmTier::OnDemoteEncoded(const CacheEntryInfo& info, ChunkData&& data,
     }
   }
 
-  // Offer this round's CLOCK victims to the disk tier, outside the mutex
-  // (disk I/O under the warm lock would stall every probe).
-  if (config_.disk != nullptr && !spilled.empty()) {
-    int64_t spills = 0;
-    for (const Entry& victim : spilled) {
-      if (config_.disk->Admit(victim.info, *victim.blob)) ++spills;
-    }
-    if (spills > 0) {
-      MutexLock lock(mutex_);
-      stats_.spills += spills;
-    }
-  }
+  Spill(&spilled);
 }
 
 void WarmTier::OnErase(const CacheKey& key) {
@@ -98,6 +88,42 @@ void WarmTier::OnErase(const CacheKey& key) {
   if (config_.disk != nullptr) config_.disk->Erase(key);
 }
 
+void WarmTier::OnWrite(const CacheKey& key, std::span<const Cell> cells) {
+  bool kept = false;
+  std::vector<Entry> spilled;
+  {
+    MutexLock lock(mutex_);
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      kept = true;
+      Entry& entry = it->second;
+      const int64_t charged = entry.bytes();
+      entry.pending.cells.insert(entry.pending.cells.end(), cells.begin(),
+                                 cells.end());
+      entry.pending.ends.push_back(
+          static_cast<uint32_t>(entry.pending.cells.size()));
+      ++stats_.appended_runs;
+      // Runs that outgrow the blob cost more RAM than encoding them would.
+      // Compacting under the mutex stalls no probe: writes are quiescent.
+      bool intact = true;
+      if (entry.pending.bytes() > static_cast<int64_t>(entry.blob->size())) {
+        intact = Compact(&entry);
+        ++(intact ? stats_.compactions : stats_.decode_failures);
+      }
+      bytes_used_ += entry.bytes() - charged;
+      if (!intact) {
+        DropEntry(it);
+      } else if (bytes_used_ > config_.capacity_bytes) {
+        EvictFor(bytes_used_ - config_.capacity_bytes, &spilled);
+      }
+    }
+  }
+  // A leader decoding the copy now would publish it without this write.
+  if (kept) AAC_CHECK(!decodes_.InFlight(key));
+  if (config_.disk != nullptr) config_.disk->Erase(key);
+  Spill(&spilled);
+}
+
 bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
                      WarmProbeResult* out) {
   AAC_CHECK(out != nullptr);
@@ -108,6 +134,7 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
   }
 
   EncodedBlob blob;
+  PendingRuns pending;
   CacheEntryInfo info;
   bool from_disk = false;
   {
@@ -115,6 +142,7 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       blob = it->second.blob;
+      pending = it->second.pending;
       info = it->second.info;
       ring_.Refresh(it->second.ring_pos,
                     ReplacementPolicy::NormalizedWeight(info.benefit));
@@ -167,8 +195,7 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
       }
     } else {
       Stopwatch decode_timer;
-      ok = DecodeChunk(config_.num_dims, blob->data(), blob->size(),
-                       &result.data);
+      ok = Decode(*blob, pending, &result.data);
       result.decode_ns = decode_timer.ElapsedNanos();
       decode_failed = !ok;
     }
@@ -195,7 +222,9 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
     decodes_.Fail(key);
     return false;
   }
-  result.blob = std::move(blob);
+  // Merged writes leave the blob behind: the promoted chunk's demotion
+  // encodes its cells afresh.
+  if (pending.ends.empty()) result.blob = std::move(blob);
   result.info = info;
   result.from_disk = from_disk;
   decodes_.Publish(key, result);  // copies only if a follower waits
@@ -236,7 +265,12 @@ bool WarmTier::ValidateInvariants() const {
   for (const auto& [key, entry] : entries_) {
     if (entry.blob == nullptr) return false;
     if (!(key == entry.info.key)) return false;
-    bytes += static_cast<int64_t>(entry.blob->size());
+    const std::vector<uint32_t>& ends = entry.pending.ends;
+    if (!std::is_sorted(ends.begin(), ends.end())) return false;
+    if ((ends.empty() ? 0 : ends.back()) != entry.pending.cells.size()) {
+      return false;
+    }
+    bytes += entry.bytes();
   }
   if (bytes != bytes_used_) return false;
   if (bytes_used_ > config_.capacity_bytes) return false;
@@ -249,13 +283,60 @@ bool WarmTier::EvictFor(int64_t needed, std::vector<Entry>* spilled) {
       [&](EntryMap::iterator it) AAC_NO_THREAD_SAFETY_ANALYSIS {
         spilled->push_back(DropEntry(it));
         ++stats_.evictions;
-        return static_cast<int64_t>(spilled->back().blob->size());
+        return spilled->back().bytes();
       });
+}
+
+void WarmTier::Spill(std::vector<Entry>* victims) {
+  // Outside the mutex: disk I/O under the warm lock would stall every
+  // probe. A victim's pending runs go into its blob first, so the disk
+  // never holds a copy older than a write.
+  if (config_.disk == nullptr || victims->empty()) return;
+  int64_t spills = 0;
+  int64_t compactions = 0;
+  for (Entry& victim : *victims) {
+    if (!victim.pending.ends.empty()) {
+      if (!Compact(&victim)) continue;
+      ++compactions;
+    }
+    if (config_.disk->Admit(victim.info, *victim.blob)) ++spills;
+  }
+  if (spills > 0 || compactions > 0) {
+    MutexLock lock(mutex_);
+    stats_.spills += spills;
+    stats_.compactions += compactions;
+  }
+}
+
+bool WarmTier::Decode(const std::vector<uint8_t>& blob,
+                      const PendingRuns& pending, ChunkData* out) const {
+  if (!DecodeChunk(config_.num_dims, blob.data(), blob.size(), out)) {
+    return false;
+  }
+  // The first merge leaves the cells in value order for the rest.
+  const std::span<const Cell> cells(pending.cells);
+  uint32_t begin = 0;
+  for (const uint32_t end : pending.ends) {
+    MergeCellRun(config_.num_dims, &out->cells,
+                 cells.subspan(begin, end - begin), /*sorted=*/begin > 0);
+    begin = end;
+  }
+  return true;
+}
+
+bool WarmTier::Compact(Entry* entry) const {
+  ChunkData data;
+  if (!Decode(*entry->blob, entry->pending, &data)) return false;
+  auto blob = std::make_shared<std::vector<uint8_t>>();
+  EncodeChunk(config_.num_dims, data, blob.get());
+  entry->blob = std::move(blob);
+  entry->pending = PendingRuns();
+  return true;
 }
 
 WarmTier::Entry WarmTier::DropEntry(EntryMap::iterator it) {
   Entry entry = std::move(it->second);
-  bytes_used_ -= static_cast<int64_t>(entry.blob->size());
+  bytes_used_ -= entry.bytes();
   ring_.Erase(entry.ring_pos);
   entries_.erase(it);
   return entry;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +33,9 @@ struct WarmTierStats {
   int64_t coalesced_decodes = 0; // followers that reused a leader's decode
   int64_t decode_failures = 0;   // corrupt blobs dropped on probe
   int64_t erased = 0;            // OnErase purges (promotion/invalidation)
+  int64_t appended_runs = 0;     // OnWrite runs kept beside a resident copy
+  int64_t compactions = 0;       // copies whose runs were encoded into a
+                                 // new blob (on a write or a spill)
   int64_t reused_blobs = 0;      // offers that carried their promoted blob
   int64_t encode_ns = 0;         // real encodes only
   int64_t decode_ns = 0;
@@ -60,16 +64,26 @@ struct WarmProbeResult {
 };
 
 /// Second cache tier: chunks demoted from the hot ChunkCache, held
-/// *compressed* in RAM (chunk_codec blobs) under an encoded-byte budget
-/// with benefit-weighted CLOCK replacement (ClockRing), and optionally
-/// spilled to a DiskTier when evicted from here too.
+/// *compressed* in RAM (chunk_codec blobs) under a byte budget (blobs plus
+/// pending writes) with benefit-weighted CLOCK replacement (ClockRing),
+/// and optionally spilled to a DiskTier when evicted from here too.
 ///
 /// Demotion (DemotionSink, driven by the hot cache with no locks held):
 /// empty victims are dropped; a victim that carries the blob it was
 /// promoted from is admitted as that blob, and the rest are encoded OFF
 /// this tier's mutex, then indexed.
-/// OnErase (fired by every hot insert and removal) purges the key from
-/// warm RAM and disk, keeping residency effectively single-tier.
+/// OnErase (fired by every hot insert, patch and removal) purges the key
+/// from warm RAM and disk, keeping residency effectively single-tier.
+///
+/// Writes (OnWrite, a base write reaching a key the hot tier lacks): a
+/// warm RAM copy keeps its blob and appends the write's cells as a pending
+/// run, charged to the budget at what the cells occupy; a disk copy is
+/// purged. A probe merges the runs in write order (MergeCellRun) after
+/// decoding, so it serves what hot patches would have made, and hands the
+/// hot tier no blob. A copy whose runs outgrow its blob is compacted
+/// during the write (decode, merge, encode), and a CLOCK victim with runs
+/// is compacted before it spills. Writes are quiescent: a write that
+/// finds a decode in flight on a copy it keeps aborts.
 ///
 /// Promotion (Probe, called by the query engine on a hot miss): warm RAM
 /// first, then disk. A miss returns before any flight exists. A present
@@ -81,7 +95,7 @@ struct WarmProbeResult {
 /// as misses.
 ///
 /// Lock order (DESIGN.md §14): hot shard -> warm -> disk, strictly
-/// one-way. The hot cache calls OnDemote/OnErase only after releasing its
+/// one-way. The hot cache calls the sink's methods only after releasing its
 /// shard lock; this tier calls the disk tier either under its own mutex
 /// (Contains) or with no lock held (Admit/Read/Erase); the disk tier never
 /// calls out. The decode flight's locks rank before kWarmTier, so this
@@ -89,7 +103,7 @@ struct WarmProbeResult {
 class WarmTier : public DemotionSink {
  public:
   struct Config {
-    /// Budget for *encoded* resident bytes.
+    /// Budget for resident blobs and their pending runs.
     int64_t capacity_bytes = 0;
     /// Dimensionality handed to the codec (Cell coordinate slots in use).
     int num_dims = 0;
@@ -114,6 +128,7 @@ class WarmTier : public DemotionSink {
   void OnDemoteEncoded(const CacheEntryInfo& info, ChunkData&& data,
                        EncodedBlob blob) override;
   void OnErase(const CacheKey& key) override;
+  void OnWrite(const CacheKey& key, std::span<const Cell> cells) override;
 
   /// Looks the key up in warm RAM, then on disk; on a hit decodes (or
   /// joins an in-flight decode) and fills `*out`. Returns false on a miss,
@@ -129,31 +144,65 @@ class WarmTier : public DemotionSink {
 
   WarmTierStats stats() const;
   void ResetStats();
-  /// Encoded resident bytes in warm RAM (the disk tier accounts its own).
+  /// Resident blob and pending-run bytes in warm RAM (the disk tier
+  /// accounts its own).
   int64_t bytes_used() const;
   size_t num_entries() const;
 
-  /// Structural self-check for tests on a quiesced tier: encoded-byte
-  /// accounting, ring/map round trips, budget, and no decode in flight.
+  /// Structural self-check for tests on a quiesced tier: byte accounting
+  /// (blobs plus pending runs), ring/map round trips, budget, and no
+  /// decode in flight.
   bool ValidateInvariants() const;
 
  private:
+  /// Base writes a copy's blob does not hold yet, oldest first: run r is
+  /// cells[ends[r - 1], ends[r]) (from 0 for r = 0), as OnWrite got it.
+  struct PendingRuns {
+    std::vector<Cell> cells;
+    std::vector<uint32_t> ends;
+
+    /// What the runs occupy, charged to the budget beside the blob.
+    int64_t bytes() const {
+      return static_cast<int64_t>(cells.size() * sizeof(Cell) +
+                                  ends.size() * sizeof(uint32_t));
+    }
+  };
+
   struct Entry {
     /// Immutable once published; shared so a leader can decode after the
     /// entry is concurrently erased, and a promoted chunk keeps it.
     EncodedBlob blob;
+    PendingRuns pending;
     CacheEntryInfo info;
     ClockRing<CacheKey>::Position ring_pos;
+
+    /// The entry's charge to the budget.
+    int64_t bytes() const {
+      return static_cast<int64_t>(blob->size()) + pending.bytes();
+    }
   };
 
   using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
   using DecodeFlight = SingleFlight<WarmProbeResult>;
 
-  /// Frees at least `needed` encoded bytes via the CLOCK sweep, moving the
-  /// victims' entries into `*spilled` for the caller to offer to the disk
-  /// tier after unlocking. Returns true on success.
+  /// Frees at least `needed` bytes via the CLOCK sweep, moving the
+  /// victims' entries into `*spilled` for the caller to Spill after
+  /// unlocking. Returns true on success.
   bool EvictFor(int64_t needed, std::vector<Entry>* spilled)
       AAC_REQUIRES(mutex_);
+
+  /// Offers CLOCK victims to the disk tier, each with its pending runs
+  /// compacted first. Called with no lock held.
+  void Spill(std::vector<Entry>* victims);
+
+  /// Decodes `blob` into `*out` and merges `pending`'s runs in order; false
+  /// when the blob does not decode.
+  bool Decode(const std::vector<uint8_t>& blob, const PendingRuns& pending,
+              ChunkData* out) const;
+
+  /// Replaces `*entry`'s blob with one that holds its pending runs, and
+  /// clears them; false (entry unchanged) when the blob does not decode.
+  bool Compact(Entry* entry) const;
 
   /// Unindexes `it` (bytes, ring and map) and returns its entry.
   Entry DropEntry(EntryMap::iterator it) AAC_REQUIRES(mutex_);
@@ -164,7 +213,7 @@ class WarmTier : public DemotionSink {
   mutable Mutex mutex_{LockRank::kWarmTier, "warm_tier"};
   EntryMap entries_ AAC_GUARDED_BY(mutex_);
   ClockRing<CacheKey> ring_ AAC_GUARDED_BY(mutex_);
-  int64_t bytes_used_ AAC_GUARDED_BY(mutex_) = 0;  // encoded resident bytes
+  int64_t bytes_used_ AAC_GUARDED_BY(mutex_) = 0;  // Entry::bytes() summed
   WarmTierStats stats_ AAC_GUARDED_BY(mutex_);
 };
 

@@ -40,7 +40,9 @@ int64_t ApplyFactUpdates(FactTable* table, ChunkCache* cache,
       while (end < cells.size() && chunks[end] == chunks[i]) ++end;
       const CacheKey key{gb, chunks[i]};
       const std::span<const Cell> run(cells.data() + i, end - i);
-      if (!cache->Patch(key, nd, run) && cache->Remove(key)) ++dropped;
+      if (cache->Patch(key, nd, run) == ChunkCache::PatchOutcome::kRemoved) {
+        ++dropped;
+      }
     }
   }
   return dropped;

@@ -21,29 +21,33 @@ namespace aac {
 ///    This runs first: patching a chunk fires OnUpdate, which would drop
 ///    the same answers without counting them here.
 /// 3. For each group-by, the batch is rolled up once (ancestor values, then
-///    target chunk), and each target chunk's cells are merged into its
-///    hot-resident entry in place (ChunkCache::Patch). The closure property
-///    maps a changed base chunk to exactly one chunk per group-by, so these
-///    are all the cached chunks the batch touches. A key that is not
-///    hot-resident, or whose grown entry does not fit its shard, is
-///    Removed, which also purges its warm and disk copies.
+///    target chunk), and each target chunk's cells go to ChunkCache::Patch,
+///    one lookup per tier. The closure property maps a changed base chunk
+///    to exactly one chunk per group-by, so these are all the cached chunks
+///    the batch touches. A hot-resident entry merges the cells in place,
+///    or is removed when its grown entry does not fit its shard; either
+///    way its lower-tier copies are purged. A key that is not hot-resident
+///    hands the cells to the demotion sink (DemotionSink::OnWrite): the
+///    warm tier keeps a RAM copy with the cells pending beside its blob,
+///    merged when the copy is probed, and purges a disk copy.
 ///
 /// Count/cost maintenance (VCM/VCMC) rides along through the cache's
 /// listeners: OnUpdate for a patch, OnEvict for a removal.
 ///
 /// Concurrency contract: writes are quiescent. No query may run while this
-/// executes — FactTable has no lock, and a pinned affected entry aborts
-/// (Patch and Remove both check). Callers apply writes at a barrier, as
-/// bench/e2e does. A per-base-chunk data epoch that would lift this is
-/// ROADMAP item 3.
+/// executes — FactTable has no lock, a pinned affected entry aborts (Patch
+/// checks), and so does a warm copy with a decode in flight (OnWrite
+/// checks). Callers apply writes at a barrier, as bench/e2e does. A
+/// per-base-chunk data epoch that would lift this is ROADMAP item 3.
 ///
 /// Patched chunks equal a refetch exactly when the measures' partial sums
 /// are exact in a double (integer measures, as in APB-1); otherwise they
 /// differ from a refetch by summation order only.
 ///
-/// Returns the number of entries dropped: result-cache answers plus chunks
-/// Removed while hot-resident. Patched chunks are not counted
-/// (CacheStats::patched counts them).
+/// Returns the number of entries dropped: result-cache answers plus
+/// hot-resident chunks removed because their growth did not fit. Patched
+/// chunks (CacheStats::patched) and kept warm copies
+/// (WarmTierStats::appended_runs) are not counted.
 int64_t ApplyFactUpdates(FactTable* table, ChunkCache* cache,
                          const std::vector<Cell>& new_tuples,
                          ResultCache* results = nullptr);

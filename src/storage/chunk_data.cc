@@ -79,6 +79,39 @@ void InsertCellsAt(std::vector<Cell>* cells, std::span<const size_t> at,
   }
 }
 
+size_t MergeCellRun(int num_dims, std::vector<Cell>* cells,
+                    std::span<const Cell> run, bool sorted) {
+  const CellValueLess less{num_dims};
+  AAC_DCHECK(std::adjacent_find(run.begin(), run.end(),
+                                [less](const Cell& a, const Cell& b) {
+                                  return !less(a, b);
+                                }) == run.end());
+  AAC_DCHECK(!sorted || std::is_sorted(cells->begin(), cells->end(), less));
+  // The check reads every cell of a chunk the merge otherwise touches in
+  // a few places, so a caller that knows the order skips it.
+  if (!sorted && !std::is_sorted(cells->begin(), cells->end(), less)) {
+    std::sort(cells->begin(), cells->end(), less);
+  }
+  // Each run cell either merges into its equal cell or goes in front of the
+  // cell the search stopped at. A merge moves no cell, so the positions
+  // hold until the one insert pass; the run ascends, so each search starts
+  // where the last one stopped.
+  std::vector<size_t> at;
+  std::vector<Cell> fresh;
+  auto from = cells->begin();
+  for (const Cell& cell : run) {
+    from = std::lower_bound(from, cells->end(), cell, less);
+    if (from != cells->end() && !less(cell, *from)) {
+      MergeCellAggregates(*from, cell);
+    } else {
+      at.push_back(static_cast<size_t>(from - cells->begin()));
+      fresh.push_back(cell);
+    }
+  }
+  InsertCellsAt(cells, at, fresh);
+  return fresh.size();
+}
+
 bool ChunkDataEquals(int num_dims, ChunkData* a, ChunkData* b, double epsilon) {
   // Canonicalize before the size check: canonicalization merges duplicate
   // coordinates, so the raw cell counts may differ while the chunks are

@@ -49,6 +49,17 @@ std::vector<ChunkId> ClusterByChunk(const ChunkGrid& grid, GroupById gb,
 void InsertCellsAt(std::vector<Cell>* cells, std::span<const size_t> at,
                    std::span<const Cell> fresh);
 
+/// Merges a base write into a chunk's cells: each of `run` folds into the
+/// cell with the same value ids (MergeCellAggregates), or goes in at its
+/// sorted place. `run` holds value ids at the chunk's level, sorted by
+/// CellValueLess over `num_dims` and distinct (one chunk's share of a
+/// ClusterByChunk batch). Unless `sorted` says they are in value order
+/// already, as a previous merge leaves them, `*cells` are checked and
+/// sorted when they are not: the sparse fold path emits them in
+/// first-touch order. Returns the number of cells added.
+size_t MergeCellRun(int num_dims, std::vector<Cell>* cells,
+                    std::span<const Cell> run, bool sorted);
+
 /// True if both chunks hold the same cells with measures equal within
 /// `epsilon`. Both inputs are canonicalized by the call.
 bool ChunkDataEquals(int num_dims, ChunkData* a, ChunkData* b,

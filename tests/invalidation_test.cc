@@ -2,19 +2,23 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "cache/disk_tier.h"
 #include "cache/result_cache.h"
 #include "cache/warm_tier.h"
 #include "core/invalidation.h"
 #include "core/query_engine.h"
 #include "core/vcm.h"
 #include "core/vcmc.h"
+#include "storage/chunk_codec.h"
 #include "test_env.h"
 
 namespace aac {
@@ -271,6 +275,69 @@ class WriteProtocolTest : public ::testing::Test {
     return std::move(oracle.ExecuteChunkQuery(gb, {chunk}).chunks[0]);
   }
 
+  ChunkData Refetch(const CacheKey& key) { return Refetch(key.gb, key.chunk); }
+
+  // A fact of the base chunk holding the most facts, with `measure`: a
+  // write of it merges into a cell of every chunk it touches.
+  Cell FactInFullestBaseChunk(double measure) const {
+    const GroupById base = env_.lattice().base_id();
+    std::map<ChunkId, int64_t> facts;
+    for (const Cell& t : env_.table->tuples()) {
+      ++facts[env_.grid().ChunkOfCell(base, t.values.data())];
+    }
+    const auto fullest = std::max_element(
+        facts.begin(), facts.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    for (Cell t : env_.table->tuples()) {
+      if (env_.grid().ChunkOfCell(base, t.values.data()) == fullest->first) {
+        InitCellAggregates(t, measure);
+        return t;
+      }
+    }
+    return Cell();
+  }
+
+  // The first base cell, in row-major order, that no fact holds and that
+  // lies in `base_chunk` (any chunk when -1). False when there is none.
+  bool FindAbsentCell(ChunkId base_chunk, Cell* out) const {
+    const Schema& schema = env_.schema();
+    const GroupById base = env_.lattice().base_id();
+    std::set<std::array<int32_t, kMaxDims>> present;
+    for (const Cell& t : env_.table->tuples()) present.insert(t.values);
+    for (int64_t i = 0; i < schema.NumCells(schema.base_level()); ++i) {
+      Cell cell;
+      int64_t rest = i;
+      for (int d = schema.num_dims() - 1; d >= 0; --d) {
+        const int64_t card =
+            schema.dimension(d).cardinality(schema.base_level()[d]);
+        cell.values[static_cast<size_t>(d)] = static_cast<int32_t>(rest % card);
+        rest /= card;
+      }
+      if (present.count(cell.values) == 0 &&
+          (base_chunk < 0 ||
+           env_.grid().ChunkOfCell(base, cell.values.data()) == base_chunk)) {
+        *out = cell;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Demotes `data` into `warm` as the hot tier would.
+  void Demote(WarmTier* warm, ChunkData data, double benefit = 100.0) const {
+    CacheEntryInfo info;
+    info.key = {data.gb, data.chunk};
+    info.bytes = data.LogicalBytes(kTupleBytes);
+    info.benefit = benefit;
+    warm->OnDemote(info, std::move(data));
+  }
+
+  std::vector<uint8_t> Encoded(const ChunkData& data) const {
+    std::vector<uint8_t> blob;
+    EncodeChunk(env_.schema().num_dims(), data, &blob);
+    return blob;
+  }
+
   // The keys a write of `tuples` touches: one chunk per group-by for each
   // base chunk the tuples land in.
   std::set<std::pair<GroupById, ChunkId>> TouchedKeys(
@@ -359,6 +426,7 @@ TEST_F(WriteProtocolTest, PatchedCacheEqualsRefetch) {
   const auto answers_touched = static_cast<int64_t>(touched.size());
   const size_t answers_before = results_->num_entries();
   const CacheStats stats_before = env_.cache->stats();
+  const WarmTierStats warm_before = warm_->stats();
 
   const int64_t dropped = ApplyFactUpdates(env_.table.get(), env_.cache.get(),
                                            batch, results_.get());
@@ -398,22 +466,27 @@ TEST_F(WriteProtocolTest, PatchedCacheEqualsRefetch) {
   EXPECT_TRUE(env_.cache->ValidateInvariants());
   EXPECT_EQ(env_.cache->bytes_used(), ledger);
 
-  // Warm copies of touched keys are purged; the others stay. Answers over
-  // untouched chunks stay.
+  // Every warm copy stays, a touched one with the write's cells pending
+  // (charged to the warm ledger, which ValidateInvariants balances), and
+  // probes to a refetch exactly. Answers over untouched chunks stay.
+  EXPECT_EQ(warm_->stats().appended_runs - warm_before.appended_runs,
+            warm_touched);
+  EXPECT_TRUE(warm_->ValidateInvariants());
   for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
     for (ChunkId c = 0; c < grid.NumChunks(gb); ++c) {
       const bool is_touched = touched.count({gb, c}) > 0;
-      if (is_touched) {
-        EXPECT_FALSE(warm_->Contains({gb, c}));
-      } else if ((gb * 7 + c) % 5 == 0) {
-        EXPECT_TRUE(warm_->Contains({gb, c}));
+      if ((gb * 7 + c) % 5 == 0) {
+        WarmProbeResult probe;
+        ASSERT_TRUE(warm_->Probe({gb, c}, nullptr, &probe));
+        ChunkData want = Refetch(gb, c);
+        EXPECT_TRUE(ChunkDataEquals(nd, &probe.data, &want, /*epsilon=*/0.0))
+            << "gb " << gb << " chunk " << c;
       }
       std::vector<ChunkData> answer;
       EXPECT_EQ(results_->Probe(ChunkAnswerKey(grid, gb, c), &answer),
                 !is_touched);
     }
   }
-  EXPECT_TRUE(warm_->ValidateInvariants());
   EXPECT_TRUE(results_->ValidateInvariants());
 
   // Counts, costs and VCM's sizes equal their recomputation.
@@ -442,20 +515,8 @@ TEST_F(WriteProtocolTest, GrowthThatDoesNotFitIsRemoved) {
   const Schema& schema = env_.schema();
   const GroupById base = lat.base_id();
   // The write: one tuple at a base cell the table lacks.
-  std::set<std::array<int32_t, kMaxDims>> present;
-  for (const Cell& t : env_.table->tuples()) present.insert(t.values);
   Cell tuple;
-  bool found = false;
-  for (int64_t i = 0; i < schema.NumCells(schema.base_level()) && !found; ++i) {
-    int64_t rest = i;
-    for (int d = schema.num_dims() - 1; d >= 0; --d) {
-      const int64_t card = schema.dimension(d).cardinality(schema.base_level()[d]);
-      tuple.values[static_cast<size_t>(d)] = static_cast<int32_t>(rest % card);
-      rest /= card;
-    }
-    found = present.count(tuple.values) == 0;
-  }
-  ASSERT_TRUE(found);
+  ASSERT_TRUE(FindAbsentCell(/*base_chunk=*/-1, &tuple));
   InitCellAggregates(tuple, 9.0);
   const ChunkId base_chunk = env_.grid().ChunkOfCell(base, tuple.values.data());
   const CacheKey grows_key{base, base_chunk};
@@ -516,6 +577,281 @@ TEST_F(WriteProtocolTest, PinnedTouchedEntryAborts) {
                                 results_.get()),
                "AAC_CHECK");
   env_.cache->Unpin(key);
+}
+
+// A warm copy that a stream of writes reaches keeps probing to a refetch:
+// once its pending cells outgrow its blob they are compacted into a new
+// blob, and the warm budget they are charged to is never exceeded.
+TEST_F(WriteProtocolTest, CompactedWarmCopyStillProbesToARefetch) {
+  const int nd = env_.schema().num_dims();
+  const GroupById base = env_.lattice().base_id();
+  const Cell fact = FactInFullestBaseChunk(1.0);
+  const CacheKey key{base, env_.grid().ChunkOfCell(base, fact.values.data())};
+  Cell fresh;
+  ASSERT_TRUE(FindAbsentCell(key.chunk, &fresh));
+  InitCellAggregates(fresh, 3.0);
+
+  // The copy, and copies of lower benefit whose eviction makes room for
+  // its pending cells; 64 spare bytes hold no run (a cell is 64 bytes).
+  std::vector<ChunkData> copies{Refetch(key)};
+  for (ChunkId c = 0; c < env_.grid().NumChunks(base) && copies.size() < 6;
+       ++c) {
+    if (c != key.chunk) copies.push_back(Refetch(base, c));
+  }
+  int64_t blobs = 0;
+  for (const ChunkData& data : copies) {
+    blobs += static_cast<int64_t>(Encoded(data).size());
+  }
+  WarmTier::Config wc;
+  wc.capacity_bytes = blobs + 64;
+  wc.num_dims = nd;
+  WarmTier warm(wc);
+  env_.cache->set_demotion_sink(&warm);
+  for (size_t i = 0; i < copies.size(); ++i) {
+    Demote(&warm, copies[i], i == 0 ? 1000.0 : 1.0);
+  }
+  ASSERT_EQ(warm.num_entries(), copies.size());
+
+  // The first write adds a cell to the chunk; the rest merge into cells.
+  Rng rng(5);
+  constexpr int kWrites = 40;
+  for (int i = 0; i < kWrites; ++i) {
+    Cell tuple = fact;
+    InitCellAggregates(tuple, static_cast<double>(rng.Uniform(50)) + 1.0);
+    std::vector<Cell> batch{tuple};
+    if (i == 0) batch.push_back(fresh);
+    ApplyFactUpdates(env_.table.get(), env_.cache.get(), batch);
+    ASSERT_LE(warm.bytes_used(), warm.capacity_bytes()) << "write " << i;
+    ASSERT_TRUE(warm.ValidateInvariants()) << "write " << i;
+    ASSERT_TRUE(warm.Contains(key)) << "write " << i;
+  }
+  const WarmTierStats stats = warm.stats();
+  EXPECT_EQ(stats.appended_runs, kWrites);
+  EXPECT_GT(stats.compactions, 0);
+  EXPECT_GT(stats.evictions, 0);
+
+  WarmProbeResult probe;
+  ASSERT_TRUE(warm.Probe(key, nullptr, &probe));
+  ChunkData want = Refetch(key);
+  EXPECT_EQ(probe.data.tuple_count(), copies[0].tuple_count() + 1);
+  EXPECT_TRUE(ChunkDataEquals(nd, &probe.data, &want, /*epsilon=*/0.0));
+  env_.cache->set_demotion_sink(warm_.get());
+}
+
+// A promoted copy with merged cells carries no blob into the hot tier, so
+// its eviction encodes the merged cells: probed again, it is a refetch,
+// not the blob from before the write.
+TEST_F(WriteProtocolTest, PromotedMergedCopyDemotesItsMergedCells) {
+  const int nd = env_.schema().num_dims();
+  const GroupById base = env_.lattice().base_id();
+  const Cell fact = FactInFullestBaseChunk(7.0);
+  const CacheKey key{base, env_.grid().ChunkOfCell(base, fact.values.data())};
+  const CacheKey other{base, key.chunk == 0 ? 1 : 0};
+  ChunkData stale = Refetch(key);
+  ChunkData filler = Refetch(other);
+  ASSERT_GT(filler.tuple_count(), 0);
+  // A hot tier that holds either chunk but not both (the write only
+  // merges, so the chunk keeps its size).
+  TwoLevelPolicy policy;
+  ChunkCache cache(stale.LogicalBytes(kTupleBytes) +
+                       filler.LogicalBytes(kTupleBytes) - 1,
+                   kTupleBytes, &policy);
+  cache.set_demotion_sink(warm_.get());
+  Demote(warm_.get(), stale);
+  const std::vector<uint8_t> stale_blob = Encoded(stale);
+
+  ApplyFactUpdates(env_.table.get(), &cache, {fact});
+  ChunkData want = Refetch(key);
+
+  WarmProbeResult merged;
+  ASSERT_TRUE(warm_->Probe(key, nullptr, &merged));
+  EXPECT_EQ(merged.blob, nullptr);
+  ChunkData got = merged.data;
+  EXPECT_TRUE(ChunkDataEquals(nd, &got, &want, /*epsilon=*/0.0));
+  ASSERT_TRUE(cache.Insert(std::move(merged.data), merged.info.benefit,
+                           merged.info.source, merged.blob));
+  EXPECT_FALSE(warm_->Contains(key));
+
+  const WarmTierStats before = warm_->stats();
+  ASSERT_TRUE(cache.Insert(std::move(filler), 1.0, ChunkSource::kBackend));
+  ASSERT_FALSE(cache.Contains(key));
+  const WarmTierStats after = warm_->stats();
+  EXPECT_EQ(after.admits - before.admits, 1);
+  EXPECT_EQ(after.reused_blobs, before.reused_blobs);
+  EXPECT_GT(after.encode_ns, before.encode_ns);
+
+  WarmProbeResult again;
+  ASSERT_TRUE(warm_->Probe(key, nullptr, &again));
+  ASSERT_NE(again.blob, nullptr);
+  EXPECT_NE(*again.blob, stale_blob);
+  EXPECT_TRUE(ChunkDataEquals(nd, &again.data, &want, /*epsilon=*/0.0));
+  EXPECT_TRUE(warm_->ValidateInvariants());
+  EXPECT_TRUE(cache.ValidateInvariants());
+}
+
+// With a disk tier, a warm CLOCK victim whose write is still pending
+// spills its merged cells, never its stale blob.
+TEST_F(WriteProtocolTest, SpilledCopyWithPendingCellsIsNeverStale) {
+  const std::string path = testing::TempDir() + "/aac_write_spill_test.bin";
+  const int nd = env_.schema().num_dims();
+  const GroupById base = env_.lattice().base_id();
+  const Cell fact = FactInFullestBaseChunk(7.0);
+  const CacheKey key{base, env_.grid().ChunkOfCell(base, fact.values.data())};
+  const ChunkData stale = Refetch(key);
+  ChunkData filler = Refetch(base, key.chunk == 0 ? 1 : 0);
+  DiskTier::Config dc;
+  dc.path = path;
+  dc.capacity_bytes = 1 << 20;
+  DiskTier disk(dc);
+  ASSERT_TRUE(disk.Open());
+  // Room for the copy and one run of one cell, but not for the filler too.
+  WarmTier::Config wc;
+  wc.capacity_bytes = static_cast<int64_t>(Encoded(stale).size()) + 80;
+  wc.num_dims = nd;
+  wc.disk = &disk;
+  WarmTier warm(wc);
+  env_.cache->set_demotion_sink(&warm);
+  Demote(&warm, stale);
+
+  ApplyFactUpdates(env_.table.get(), env_.cache.get(), {fact});
+  ASSERT_EQ(warm.stats().appended_runs, 1);
+  ASSERT_EQ(warm.stats().compactions, 0);  // the run waits beside the blob
+  Demote(&warm, std::move(filler));        // evicts the copy, which spills
+  ASSERT_TRUE(disk.Contains(key));
+  EXPECT_EQ(warm.num_entries(), 1u);
+  EXPECT_EQ(warm.stats().spills, 1);
+  EXPECT_EQ(warm.stats().compactions, 1);
+
+  WarmProbeResult probe;
+  ASSERT_TRUE(warm.Probe(key, nullptr, &probe));
+  EXPECT_TRUE(probe.from_disk);
+  ChunkData want = Refetch(key);
+  EXPECT_TRUE(ChunkDataEquals(nd, &probe.data, &want, /*epsilon=*/0.0));
+  EXPECT_TRUE(warm.ValidateInvariants());
+  EXPECT_TRUE(disk.ValidateInvariants());
+  env_.cache->set_demotion_sink(warm_.get());
+  std::remove(path.c_str());
+}
+
+// A write still purges a copy that only the disk tier holds.
+TEST_F(WriteProtocolTest, WritePurgesADiskOnlyCopy) {
+  const std::string path = testing::TempDir() + "/aac_write_purge_test.bin";
+  const GroupById base = env_.lattice().base_id();
+  const Cell fact = FactInFullestBaseChunk(7.0);
+  const CacheKey key{base, env_.grid().ChunkOfCell(base, fact.values.data())};
+  const ChunkData stale = Refetch(key);
+  DiskTier::Config dc;
+  dc.path = path;
+  dc.capacity_bytes = 1 << 20;
+  DiskTier disk(dc);
+  ASSERT_TRUE(disk.Open());
+  WarmTier::Config wc;
+  wc.capacity_bytes = kBigCache;
+  wc.num_dims = env_.schema().num_dims();
+  wc.disk = &disk;
+  WarmTier warm(wc);
+  env_.cache->set_demotion_sink(&warm);
+  CacheEntryInfo info;
+  info.key = key;
+  info.bytes = stale.LogicalBytes(kTupleBytes);
+  info.benefit = 100.0;
+  ASSERT_TRUE(disk.Admit(info, Encoded(stale)));
+  ASSERT_TRUE(warm.Contains(key));
+
+  ApplyFactUpdates(env_.table.get(), env_.cache.get(), {fact});
+  EXPECT_FALSE(disk.Contains(key));
+  EXPECT_FALSE(warm.Contains(key));
+  EXPECT_EQ(warm.stats().appended_runs, 0);
+  WarmProbeResult probe;
+  EXPECT_FALSE(warm.Probe(key, nullptr, &probe));
+  EXPECT_TRUE(disk.ValidateInvariants());
+  env_.cache->set_demotion_sink(warm_.get());
+  std::remove(path.c_str());
+}
+
+// The sparse fold path stores a chunk's cells in first-touch order. A write
+// sorts such a hot entry before merging and drops the blob it was promoted
+// with, so its next demotion encodes afresh; a warm copy in that order is
+// sorted the same way when its pending cells merge on a probe. A patched
+// entry skips the order check on its next patch, until an insert over the
+// key replaces its cells.
+TEST_F(WriteProtocolTest, FirstTouchOrderedChunksMergeToARefetch) {
+  const int nd = env_.schema().num_dims();
+  const CellValueLess less{nd};
+  const Lattice& lat = env_.lattice();
+  const GroupById base = lat.base_id();
+  const Cell fact = FactInFullestBaseChunk(7.0);
+  const ChunkId base_chunk = env_.grid().ChunkOfCell(base, fact.values.data());
+  const CacheKey hot_key{base, base_chunk};
+  CacheKey warm_key{-1, -1};
+  for (GroupById gb = 0; gb < lat.num_groupbys() && warm_key.gb < 0; ++gb) {
+    const ChunkId c = env_.grid().ChildChunkNumber(base, base_chunk, gb);
+    if (gb != base && Refetch(gb, c).tuple_count() >= 2) warm_key = {gb, c};
+  }
+  ASSERT_GE(warm_key.gb, 0);
+  // Reversed value order: out of order for any two distinct cells.
+  auto first_touch = [&](const CacheKey& key) {
+    ChunkData data = Refetch(key);
+    std::sort(data.cells.begin(), data.cells.end(), less);
+    std::reverse(data.cells.begin(), data.cells.end());
+    return data;
+  };
+  ChunkData hot_data = first_touch(hot_key);
+  ASSERT_GE(hot_data.tuple_count(), 2);
+  ChunkData filler = Refetch(base, base_chunk == 0 ? 1 : 0);
+  // A hot tier that holds the entry or the filler, not both.
+  TwoLevelPolicy policy;
+  ChunkCache cache(hot_data.LogicalBytes(kTupleBytes) +
+                       filler.LogicalBytes(kTupleBytes) - 1,
+                   kTupleBytes, &policy);
+  cache.set_demotion_sink(warm_.get());
+  auto kept_blob = std::make_shared<std::vector<uint8_t>>(Encoded(hot_data));
+  ASSERT_TRUE(cache.Insert(hot_data, 1.0, ChunkSource::kBackend, kept_blob));
+  Demote(warm_.get(), first_touch(warm_key));
+
+  // Two writes, with the entry inserted over in first-touch order (and
+  // with the blob a promotion would keep) between them.
+  for (int write = 1; write <= 2; ++write) {
+    SCOPED_TRACE(write);
+    if (write == 2) {
+      hot_data = first_touch(hot_key);
+      kept_blob = std::make_shared<std::vector<uint8_t>>(Encoded(hot_data));
+      ASSERT_TRUE(
+          cache.Insert(hot_data, 1.0, ChunkSource::kBackend, kept_blob));
+    }
+    ApplyFactUpdates(env_.table.get(), &cache, {fact});
+    EXPECT_EQ(cache.stats().patched, write);
+    EXPECT_EQ(warm_->stats().appended_runs, write);
+    const ChunkData* hot = cache.Peek(hot_key);
+    ASSERT_NE(hot, nullptr);
+    EXPECT_TRUE(std::is_sorted(hot->cells.begin(), hot->cells.end(), less));
+    ChunkData got = *hot;
+    ChunkData want = Refetch(hot_key);
+    EXPECT_TRUE(ChunkDataEquals(nd, &got, &want, /*epsilon=*/0.0));
+  }
+
+  WarmProbeResult probe;
+  ASSERT_TRUE(warm_->Probe(warm_key, nullptr, &probe));
+  EXPECT_TRUE(
+      std::is_sorted(probe.data.cells.begin(), probe.data.cells.end(), less));
+  ChunkData want = Refetch(warm_key);
+  EXPECT_TRUE(ChunkDataEquals(nd, &probe.data, &want, /*epsilon=*/0.0));
+
+  // The patched entry's demotion encodes its merged cells.
+  const WarmTierStats before = warm_->stats();
+  ASSERT_TRUE(cache.Insert(std::move(filler), 1.0, ChunkSource::kBackend));
+  ASSERT_FALSE(cache.Contains(hot_key));
+  const WarmTierStats after = warm_->stats();
+  EXPECT_EQ(after.admits - before.admits, 1);
+  EXPECT_EQ(after.reused_blobs, before.reused_blobs);
+  EXPECT_GT(after.encode_ns, before.encode_ns);
+  WarmProbeResult demoted;
+  ASSERT_TRUE(warm_->Probe(hot_key, nullptr, &demoted));
+  EXPECT_NE(*demoted.blob, *kept_blob);
+  want = Refetch(hot_key);
+  EXPECT_TRUE(ChunkDataEquals(nd, &demoted.data, &want, /*epsilon=*/0.0));
+  EXPECT_TRUE(warm_->ValidateInvariants());
+  EXPECT_TRUE(cache.ValidateInvariants());
 }
 
 }  // namespace

@@ -181,6 +181,28 @@ WarmProbeResult Promote(TieredEnv& t, const CacheKey& key) {
   return probe;
 }
 
+// A big synthetic chunk stored under `key`: its read and decode take long
+// enough that, even on a single core, the OS preempts a decoding leader
+// and other threads land inside the flight window. (The real backend
+// chunks of the tiny test cube decode in microseconds, far below a
+// scheduling quantum.)
+ChunkData BigChunk(const TieredEnv& t, const CacheKey& key) {
+  ChunkData data;
+  data.gb = key.gb;
+  data.chunk = key.chunk;
+  data.cells.reserve(60'000);
+  for (int32_t i = 0; i < 60'000; ++i) {
+    Cell c;
+    c.values[0] = i / 100;
+    c.values[1] = i % 100;
+    c.values[2] = (i * 7) % 13;
+    InitCellAggregates(c, static_cast<double>(i % 977));
+    data.cells.push_back(c);
+  }
+  CanonicalizeChunkData(t.env.schema().num_dims(), &data);
+  return data;
+}
+
 std::vector<uint8_t> Encoded(const TieredEnv& t, const ChunkData& data) {
   std::vector<uint8_t> blob;
   EncodeChunk(t.env.schema().num_dims(), data, &blob);
@@ -953,23 +975,7 @@ TEST(TieredCacheTest, ConcurrentPromotersCoalesceOntoOneDecode) {
                               /*warm_capacity=*/64 << 20);
   const GroupById base = t.env.lattice().base_id();
   const CacheKey key{base, 0};
-  // A big synthetic chunk: its decode takes long enough that — even on a
-  // single core — the OS preempts the leader mid-decode and followers land
-  // inside the flight window. (The real backend chunks of the tiny test
-  // cube decode in microseconds, far below a scheduling quantum.)
-  ChunkData truth;
-  truth.gb = base;
-  truth.chunk = 0;
-  truth.cells.reserve(60'000);
-  for (int32_t i = 0; i < 60'000; ++i) {
-    Cell c;
-    c.values[0] = i / 100;
-    c.values[1] = i % 100;
-    c.values[2] = (i * 7) % 13;
-    InitCellAggregates(c, static_cast<double>(i % 977));
-    truth.cells.push_back(c);
-  }
-  CanonicalizeChunkData(t.env.schema().num_dims(), &truth);
+  const ChunkData truth = BigChunk(t, key);
 
   CacheEntryInfo info;
   info.key = key;
@@ -1063,21 +1069,7 @@ TEST(TieredCacheTest, ConcurrentDiskPromotersCoalesceOntoOneReadAndDecode) {
                               /*disk_capacity=*/64 << 20, path);
   const GroupById base = t.env.lattice().base_id();
   const CacheKey key{base, 0};
-  // Big enough that the read and decode outlast a scheduling quantum (see
-  // ConcurrentPromotersCoalesceOntoOneDecode).
-  ChunkData truth;
-  truth.gb = base;
-  truth.chunk = 0;
-  truth.cells.reserve(60'000);
-  for (int32_t i = 0; i < 60'000; ++i) {
-    Cell c;
-    c.values[0] = i / 100;
-    c.values[1] = i % 100;
-    c.values[2] = (i * 7) % 13;
-    InitCellAggregates(c, static_cast<double>(i % 977));
-    truth.cells.push_back(c);
-  }
-  CanonicalizeChunkData(t.env.schema().num_dims(), &truth);
+  const ChunkData truth = BigChunk(t, key);
   std::vector<uint8_t> blob;
   EncodeChunk(t.env.schema().num_dims(), truth, &blob);
 
@@ -1149,6 +1141,44 @@ TEST(TieredCacheTest, ConcurrentDiskPromotersCoalesceOntoOneReadAndDecode) {
   EXPECT_TRUE(t.warm->ValidateInvariants());
   EXPECT_TRUE(t.disk->ValidateInvariants());
   std::remove(path.c_str());
+}
+
+// Writes are quiescent. A write that reaches a warm copy while a probe
+// decodes it would leave that probe's result without the write's cells, so
+// it aborts, as a patch of a pinned hot entry does. A prober thread keeps
+// decoding a big copy; the writer writes whenever a decode is in flight
+// (ValidateInvariants reads false then) and dies on the first write that
+// still finds it open.
+TEST(TieredCacheTest, WriteReachingACopyBeingDecodedAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TieredEnv t = MakeTieredEnv(/*hot_capacity=*/64 << 20,
+                              /*warm_capacity=*/64 << 20);
+  const GroupById base = t.env.lattice().base_id();
+  Cell tuple = t.env.table->tuples()[0];
+  InitCellAggregates(tuple, 1.0);
+  const CacheKey key{base,
+                     t.env.grid().ChunkOfCell(base, tuple.values.data())};
+  ChunkData copy = BigChunk(t, key);
+  CacheEntryInfo info = DemotionInfo(t.env, copy);
+  t.warm->OnDemote(info, std::move(copy));
+  EXPECT_DEATH(
+      {
+        std::atomic<bool> stop{false};
+        std::thread prober([&] {
+          while (!stop.load()) {
+            WarmProbeResult probe;
+            t.warm->Probe(key, nullptr, &probe);
+          }
+        });
+        for (int i = 0; i < 1'000; ++i) {
+          while (t.warm->ValidateInvariants()) {
+          }
+          ApplyFactUpdates(t.env.table.get(), t.env.cache.get(), {tuple});
+        }
+        stop = true;
+        prober.join();
+      },
+      "InFlight");
 }
 
 }  // namespace
